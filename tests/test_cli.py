@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from fracbeam.cli import main
+from fracbeam.cli import ResultTable, main
 
 
 def run_cli(capsys, *argv):
@@ -211,3 +212,40 @@ def test_numerical_failure_exit_code_1(capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "error" in err
+
+
+@pytest.mark.parametrize("flag", ["--er", "--c", "--k", "--q0", "--v0", "--dt", "--t-final"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_simulate_rejects_non_finite(capsys, flag, value):
+    code = main(["simulate", "--t-final", "1", f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"{flag} must be finite" in captured.err
+
+
+def _cell_join_csv(table):
+    """The per-cell writer the columnar CSV writer replaced."""
+    def fmt(x):
+        if isinstance(x, (bool, np.bool_)):
+            return "1" if x else "0"
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return format(float(x), ".17g")
+    lines = [f"# {k}={v}" for k, v in table.provenance]
+    lines.append(",".join(table.columns))
+    lines += [",".join(fmt(x) for x in row) for row in table.rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_bytes_match_cell_join():
+    rows = [
+        [0, True, math.nan, math.inf, -0.0, 1e-300, 1e300],
+        [-7, False, -math.inf, -math.nan, 0.0, -1e-300, -1e300],
+        [np.int64(2**52), np.bool_(True), np.float64(0.1), 1 / 3, -2.5e-17, 5e-324, 1.7976931348623157e308],
+    ]
+    table = ResultTable(list("abcdefg"), rows, [("fracbeam", "0"), ("x", "1")])
+    assert table.to_csv() == _cell_join_csv(table)
+    array_table = ResultTable(list("abcdefg"), np.asarray(rows, dtype=float), table.provenance)
+    assert array_table.to_csv() == table.to_csv()
+    assert ResultTable(["a"], [], []).to_csv() == "a\n"

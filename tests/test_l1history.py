@@ -1,0 +1,197 @@
+"""The L1History kernel and the integrators built on it, against direct sums.
+
+The direct O(N^2) history sums live here only, as the oracle: the steppers
+below are the integrators written with one ``np.dot`` over the whole stored
+history per step.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fracbeam import (
+    GridSpec,
+    HarmonicForcing,
+    L1History,
+    MaterialParams,
+    caputo_l1_series,
+    integrate_linear,
+    integrate_nonlinear,
+    l1_weights,
+)
+
+
+def _increments(n, seed, pattern):
+    """Signed increments with magnitudes from 1e-8 to 1e3."""
+    rng = np.random.default_rng(seed)
+    mags = 10.0 ** rng.uniform(-8.0, 3.0, n)
+    if pattern == "old-large":        # the far past dominates every sum
+        mags = np.where(np.arange(n) < n // 2, 1e3, 1e-8)
+    elif pattern == "first-block":
+        mags = np.full(n, 1e-8)
+        mags[:64] = 1e3
+    return mags * rng.choice([-1.0, 1.0], n)
+
+
+def _direct_lag_sums(x, alpha):
+    """s_t = sum_{k<t} b_{t-k} x_k for t = 0..n, by the direct convolution."""
+    n = len(x)
+    kernel = l1_weights(alpha, n + 1)
+    kernel[0] = 0.0
+    return np.convolve(x, kernel)[:n + 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(min_value=1e-3, max_value=1 - 1e-6),
+       n=st.sampled_from([1, 63, 64, 65, 127, 128, 4097]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       pattern=st.sampled_from(["random", "old-large", "first-block"]))
+def test_lag_sum_matches_direct_sum(alpha, n, seed, pattern):
+    x = _increments(n, seed, pattern)
+    history = L1History(alpha, 0.01, n)
+    got = np.empty(n + 1)
+    for k in range(n):
+        got[k] = history.lag_sum()
+        history.push(x[k])
+    got[n] = history.lag_sum()
+    want = _direct_lag_sums(x, alpha)
+    bound = 1e-12 * _direct_lag_sums(np.abs(x), alpha)
+    assert got[0] == 0.0
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def test_history_weights_and_scale():
+    history = L1History(0.4, 0.02, 10)
+    np.testing.assert_array_equal(history.weights[:11], l1_weights(0.4, 11))
+    assert history.scale == 0.02 ** -0.4 / math.gamma(1.6)
+
+
+def test_history_domain():
+    for bad in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError):
+            L1History(bad, 0.01, 10)
+    for dt in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            L1History(0.5, dt, 10)
+    with pytest.raises(ValueError):
+        L1History(0.5, 0.01, 0)
+    history = L1History(0.5, 0.01, 2)
+    history.push(1.0)
+    history.push(2.0)
+    with pytest.raises(ValueError):
+        history.push(3.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(alpha=st.floats(min_value=1e-3, max_value=1 - 1e-6),
+       n=st.integers(min_value=1, max_value=3000),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_caputo_series_matches_convolve(alpha, n, seed):
+    q = np.concatenate(([0.0], np.cumsum(_increments(n, seed, "random"))))
+    dt = 1e-3
+    b = l1_weights(alpha, n)
+    scale = dt ** -alpha / math.gamma(2 - alpha)
+    want = np.convolve(np.diff(q), b)[:n] * scale
+    # one FFT spreads its round-off over all nodes: the bound is normwise
+    bound = 1e-12 * np.max(np.convolve(np.abs(np.diff(q)), b)[:n]) * scale
+    got = caputo_l1_series(q, dt, alpha)
+    assert got[0] == 0.0
+    assert np.all(np.abs(got[1:] - want) <= bound)
+
+
+# ------------------------------------------------------ direct-sum steppers
+
+def _direct_linear(c_l, k_l, e_r, alpha, q0, v0, grid, forcing):
+    dt, n = grid.dt, grid.n_steps
+    f = forcing.values(grid.times())
+    q, v, a = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+    q[0], v[0], a[0] = q0, v0, f[0] - k_l * q0
+    w0 = 4.0 / dt**2
+    b = l1_weights(alpha, n)
+    ca = e_r * c_l * dt ** (-alpha) / math.gamma(2.0 - alpha)
+    dq = np.empty(n)
+    lhs = w0 + ca * b[0] + k_l
+    for i in range(n):
+        hist = np.dot(b[1:i + 1], dq[i - 1::-1]) if i > 0 else 0.0
+        rhs = f[i + 1] + w0 * (q[i] + dt * v[i]) + a[i] + ca * (b[0] * q[i] - hist)
+        q[i + 1] = rhs / lhs
+        a[i + 1] = w0 * (q[i + 1] - q[i] - dt * v[i]) - a[i]
+        v[i + 1] = v[i] + 0.5 * dt * (a[i] + a[i + 1])
+        dq[i] = q[i + 1] - q[i]
+    return q
+
+
+def _direct_nonlinear(co, mat, q0, v0, grid, base_accel, newton_tol=1e-10):
+    """integrate_nonlinear's step (predictor, tolerance, damped Newton) on direct sums."""
+    dt, n, alpha, e_r = grid.dt, grid.n_steps, mat.alpha, mat.e_r
+    force = -co.m_b * base_accel.values(grid.times())
+    q, v = np.empty(n + 1), np.empty(n + 1)
+    q[0], v[0] = q0, v0
+    a = (force[0] - co.j_nl * q0 * v0**2 - co.k_l * q0 - 2.0 * co.k_nl * q0**3) / (
+        co.m_modal + co.j_nl * q0**2)
+    b = l1_weights(alpha, n)
+    ca = dt ** (-alpha) / math.gamma(2.0 - alpha)
+    dq, dc = np.empty(n), np.empty(n)
+    w0 = 4.0 / dt**2
+    for i in range(n):
+        qi, vi = q[i], v[i]
+        hq = np.dot(b[1:i + 1], dq[i - 1::-1]) if i > 0 else 0.0
+        hc = np.dot(b[1:i + 1], dc[i - 1::-1]) if i > 0 else 0.0
+
+        def residual(u):
+            au = w0 * (u - qi - dt * vi) - a
+            vu = 2.0 / dt * (u - qi) - vi
+            fq = ca * (b[0] * (u - qi) + hq)
+            fc = ca * (b[0] * (u**3 - qi**3) + hc)
+            return (co.m_modal * au + co.j_nl * (au * u**2 + u * vu**2) + co.k_l * u
+                    + e_r * co.c_l * fq + 2.0 * co.k_nl * u**3
+                    + 0.5 * e_r * co.c_nl * (fc + 3.0 * u**2 * fq) - force[i + 1])
+
+        u = qi + dt * vi + 0.5 * dt**2 * a
+        r = residual(u)
+        tol = max(newton_tol, 64.0 * np.finfo(float).eps * co.m_modal * w0
+                  * max(abs(qi), abs(dt * vi), 1.0))
+        for _ in range(50):
+            if abs(r) < tol:
+                break
+            h = 1e-7 * max(1.0, abs(u))
+            step = -r * 2.0 * h / (residual(u + h) - residual(u - h))
+            lam = 1.0
+            while abs(residual(u + lam * step)) >= abs(r):
+                lam *= 0.5
+            u += lam * step
+            r = residual(u)
+        assert abs(r) < tol
+        a_new = w0 * (u - qi - dt * vi) - a
+        v[i + 1] = vi + 0.5 * dt * (a + a_new)
+        q[i + 1], a = u, a_new
+        dq[i], dc[i] = u - qi, u**3 - qi**3
+    return q
+
+
+@pytest.mark.parametrize("alpha, e_r, q0, v0, amp", [
+    (0.3, 0.1, 1.0, 0.0, 0.0),
+    (0.5, 1.0, -0.4, 0.7, 0.0),
+    (0.8, 0.5, 0.0, 0.0, 1.3),
+])
+def test_integrate_linear_matches_direct_stepper(alpha, e_r, q0, v0, amp):
+    grid = GridSpec(0.01, 3000)
+    forcing = HarmonicForcing(amp, 1.1, 0.2)
+    traj = integrate_linear(1.24, 1.24, e_r, alpha, q0, v0, grid, forcing)
+    want = _direct_linear(1.24, 1.24, e_r, alpha, q0, v0, grid, forcing)
+    assert np.max(np.abs(traj.q - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case, alpha, q0", [("no-tip", 0.3, 0.2), ("tip-mass", 0.7, 0.0)])
+def test_integrate_nonlinear_matches_direct_stepper(case, alpha, q0, case1_coeffs, case2_coeffs):
+    co = case1_coeffs if case == "no-tip" else case2_coeffs
+    mat = MaterialParams.from_ratio(0.1, alpha)
+    w0 = math.sqrt(co.k_l / co.m_modal)
+    grid = GridSpec(0.01, 1500)
+    base = HarmonicForcing(0.13, 0.95 * w0)
+    traj = integrate_nonlinear(co, mat, q0, 0.0, grid, base)
+    want = _direct_nonlinear(co, mat, q0, 0.0, grid, base)
+    assert np.max(np.abs(traj.q - want)) <= 1e-12 * np.max(np.abs(want))
