@@ -37,7 +37,7 @@ def main():
 
     fold_rows = ["alpha,fold_lo,fold_hi,width"]
     for alpha in (0.4, 0.5, 0.6, 0.7):
-        branch = frequency_sweep(BASE, DELTAS, alpha=alpha, workers=4)
+        branch = frequency_sweep(BASE, DELTAS, alpha=alpha)
         path = outdir / f"response_alpha{alpha:.1f}.csv"
         dump_branch(branch, path)
         if len(branch.bifurcations) >= 2:
@@ -51,8 +51,8 @@ def main():
 
     peak_rows = ["er,peak_amp"]
     for er in np.arange(0.1, 1.01, 0.1):
-        branch = frequency_sweep(BASE, DELTAS, e_r=float(er), f=0.5, workers=4)
-        peak = max(r.amp for roots in branch.root_sets for r in roots)
+        branch = frequency_sweep(BASE, DELTAS, e_r=float(er), f=0.5)
+        peak = np.nanmax(branch.amp)
         peak_rows.append(f"{er:.1f},{peak:.10g}")
     (outdir / "peak_vs_er.csv").write_text("\n".join(peak_rows) + "\n")
     print(f"peak amplitude vs E_r -> {outdir / 'peak_vs_er.csv'}")

@@ -73,21 +73,27 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        def clean(x):
-            if isinstance(x, (bool, np.bool_)):
-                return bool(x)
-            if isinstance(x, (int, np.integer)):
-                return int(x)
-            if isinstance(x, str):
-                return x
-            x = float(x)
-            return x if math.isfinite(x) else None
-        doc = {
-            "provenance": {k: v for k, v in self.provenance},
-            "columns": self.columns,
-            "rows": [[clean(x) for x in row] for row in self.rows],
-        }
-        return json.dumps(doc, indent=1) + "\n"
+        # Bytes of json.dumps(doc, indent=1) with non-finite cells as null.
+        # indent forces json's pure-Python encoder, so the rows go through
+        # the C encoder compactly and the indent=1 layout is spliced in; the
+        # cells are numbers, so commas and brackets are all separators.
+        rows = self.rows.tolist() if isinstance(self.rows, np.ndarray) else self.rows
+        head = json.dumps({"provenance": dict(self.provenance), "columns": self.columns,
+                           "rows": None}, indent=1)
+        body = json.dumps(rows, separators=(",", ":"), default=_json_cell)
+        body = body.replace("-Infinity", "null").replace("Infinity", "null").replace("NaN", "null")
+        if body != "[]":
+            body = ("[\n  [\n   "
+                    + body[2:-2].replace(",", ",\n   ").replace("],\n   [", "\n  ],\n  [\n   ")
+                    + "\n  ]\n ]")
+        return head[:-len("null\n}")] + body + "\n}\n"
+
+
+def _json_cell(x):
+    """numpy scalars and arrays as the Python values json can encode."""
+    if isinstance(x, (np.generic, np.ndarray)):
+        return x.tolist()
+    raise TypeError(f"table cell of type {type(x).__name__} is not numeric")
 
 
 def _tip_from(cfg: RunConfig) -> TipConfig:
@@ -172,6 +178,10 @@ def cmd_constitutive(cfg: RunConfig) -> ResultTable:
             rows.append([a, g1, g2, tangent_loss(m, cfg["omega"])])
         return ResultTable(["alpha", "storage", "loss", "tan_delta"], rows, _provenance(cfg))
     if kind == "ramp":
+        if not cfg["dt"] > 0:
+            raise ValueError(f"--dt must be positive, got {cfg['dt']}")
+        if cfg["t_final"] < 0:
+            raise ValueError(f"--t-final must be non-negative, got {cfg['t_final']}")
         n = int(round(cfg["t_final"] / cfg["dt"]))
         t = np.arange(n + 1) * cfg["dt"]
         program = StrainProgram.ramp_hold(cfg["rate"], cfg["t_ramp"])
@@ -184,10 +194,6 @@ def cmd_constitutive(cfg: RunConfig) -> ResultTable:
 
 
 def cmd_simulate(cfg: RunConfig) -> ResultTable:
-    for name, (typ, _default, _help) in _SPECS["simulate"].items():
-        value = cfg[name]
-        if typ is float and value is not None and not math.isfinite(value):
-            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
     grid = GridSpec(cfg["dt"], int(round(cfg["t_final"] / cfg["dt"])))
     if cfg["model"] == "linear":
         forcing = None
@@ -235,18 +241,18 @@ def cmd_critical_alpha(cfg: RunConfig) -> ResultTable:
                         "closed_form", "omega0"], [row], _provenance(cfg))
 
 
-def _sweep_row(branch, deltas) -> list:
-    """Flatten per-delta root sets into fixed-width rows (up to 3 roots)."""
-    rows = []
-    for d, roots in zip(deltas, branch.root_sets):
-        row = [d, len(roots)]
-        for k in range(3):
-            if k < len(roots):
-                row += [roots[k].amp, roots[k].gamma, 1 if roots[k].stable else 0]
-            else:
-                row += [float("nan"), float("nan"), float("nan")]
-        rows.append(row)
-    return rows
+def _sweep_rows(branch) -> list:
+    """Fixed-width rows (up to 3 roots), assembled column by column.
+
+    Stability tags are ints 1/0; every unused root cell is NaN.
+    """
+    n_roots = branch.n_roots
+    cols = [branch.deltas.tolist(), n_roots.tolist()]
+    for k in range(3):
+        tag = branch.stable[:, k].astype(int).astype(object)
+        tag[n_roots <= k] = math.nan
+        cols += [branch.amp[:, k].tolist(), branch.gamma[:, k].tolist(), tag.tolist()]
+    return list(zip(*cols))
 
 
 def cmd_sweep(cfg: RunConfig) -> ResultTable:
@@ -255,12 +261,12 @@ def cmd_sweep(cfg: RunConfig) -> ResultTable:
     prov = _provenance(cfg)
     if var == "delta":
         deltas = np.linspace(cfg["min"], cfg["max"], cfg["count"])
-        branch = frequency_sweep(base, deltas, workers=cfg.params.get("workers"))
+        branch = frequency_sweep(base, deltas)
         for b in branch.bifurcations:
             prov.append(("bifurcation_delta", ResultTable._fmt(b)))
         cols = ["delta", "n_roots", "a1", "gamma1", "stable1",
                 "a2", "gamma2", "stable2", "a3", "gamma3", "stable3"]
-        return ResultTable(cols, _sweep_row(branch, deltas), prov)
+        return ResultTable(cols, _sweep_rows(branch), prov)
 
     if var not in ("alpha", "er", "f"):
         raise ValueError(f"unknown sweep variable {var!r}")
@@ -271,9 +277,11 @@ def cmd_sweep(cfg: RunConfig) -> ResultTable:
         override = {"alpha": None, "er": None, "f": None}
         override[var] = float(val)
         branch = frequency_sweep(base, deltas, alpha=override["alpha"],
-                                 e_r=override["er"], f=override["f"],
-                                 workers=cfg.params.get("workers"))
-        peak = max(r.amp for roots in branch.root_sets for r in roots)
+                                 e_r=override["er"], f=override["f"])
+        amps = branch.amp[~np.isnan(branch.amp)]
+        if not amps.size:
+            raise ValueError(f"no steady-state root on the detuning grid at {var}={val}")
+        peak = float(amps.max())
         bifs = branch.bifurcations
         lo = bifs[0] if bifs else float("nan")
         hi = bifs[-1] if len(bifs) >= 2 else float("nan")
@@ -363,7 +371,6 @@ _SPECS: dict[str, dict] = {
         "alpha": (float, 0.4, ""), "er": (float, 0.3, ""), "f": (float, 1.0, ""),
         "delta_min": (float, -2.0, "inner detuning grid (non-delta sweeps)"),
         "delta_max": (float, 4.0, ""), "delta_count": (int, 601, ""),
-        "workers": (int, None, "thread count for grid evaluation"),
         "search_max_beta": (float, 20.0, ""),
     },
 }
@@ -385,6 +392,16 @@ def _read_config_file(path: str) -> dict:
         key, _, val = line.partition("=")
         out[key.strip()] = val.strip()
     return out
+
+
+def _check_domain(cfg: RunConfig) -> None:
+    """Reject a non-finite float flag or an empty grid, naming the flag."""
+    for name, (typ, _default, _help) in _SPECS[cfg.command].items():
+        value, flag = cfg[name], f"--{name.replace('_', '-')}"
+        if typ is float and value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+        if name in ("count", "delta_count") and value < 1:
+            raise ValueError(f"{flag} must be positive, got {value}")
 
 
 def _resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
@@ -430,9 +447,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args.command, args)
+        _check_domain(cfg)
         table = _COMMANDS[args.command](cfg)
         text = table.to_json() if args.format == "json" else table.to_csv()
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"fracbeam: error: {exc}", file=sys.stderr)
         return 1
     if args.output:

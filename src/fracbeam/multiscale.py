@@ -19,9 +19,10 @@ the cubic coefficient B2; setting m_nl = 0 recovers the plain cantilever.
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,9 @@ class MmsParams:
     case_tag: str = "no-tip"
 
     def __post_init__(self):
+        for name in ("omega0", "c_l", "c_nl", "k_nl", "e_r", "alpha", "m_nl", "f"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.omega0 > 0):
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
         if not (0 < self.alpha <= 1):
@@ -184,22 +188,23 @@ def _amplitude_squared(p_lin: float, r_cub: float, a0: float, t) -> np.ndarray:
     return p_lin * a0sq * decay / (p_lin + r_cub * a0sq * (1.0 - decay))
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float = 1e-12, depth: int = 40) -> float:
-    fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+def _amplitude_squared_integral(p_lin: float, r_cub: float, a0: float, t) -> np.ndarray:
+    """Closed-form integral of a(s)^2 over [0, t], with a(s)^2 as above.
 
-    def recurse(x0, x2, f0, f2, f1, acc, d):
-        x1 = 0.5 * (x0 + x2)
-        lm, rm = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
-        flm, frm = f(lm), f(rm)
-        left = (x1 - x0) / 6.0 * (f0 + 4.0 * flm + f1)
-        right = (x2 - x1) / 6.0 * (f1 + 4.0 * frm + f2)
-        if d <= 0 or abs(left + right - acc) < 15.0 * tol:
-            return left + right + (left + right - acc) / 15.0
-        return (recurse(x0, x1, f0, f1, flm, left, d - 1)
-                + recurse(x1, x2, f1, f2, frm, right, d - 1))
-
-    return recurse(a, b, fa, fb, fm, whole, depth)
+    log1p(r a0^2 (1 - exp(-2 p t)) / p) / (2 r), and its limits
+    log1p(2 r a0^2 t) / (2 r) at p = 0, a0^2 (1 - exp(-2 p t)) / (2 p) at
+    r = 0, and a0^2 t when both vanish.
+    """
+    t = np.asarray(t, dtype=float)
+    a0sq = a0 * a0
+    if p_lin == 0.0:
+        if r_cub == 0.0:
+            return a0sq * t
+        return np.log1p(2.0 * r_cub * a0sq * t) / (2.0 * r_cub)
+    relaxed = -np.expm1(-2.0 * p_lin * t) / p_lin
+    if r_cub == 0.0:
+        return 0.5 * a0sq * relaxed
+    return np.log1p(r_cub * a0sq * relaxed) / (2.0 * r_cub)
 
 
 def free_envelope(params: MmsParams, a0: float, phi0: float, t):
@@ -212,7 +217,7 @@ def free_envelope(params: MmsParams, a0: float, phi0: float, t):
         c2 = (3 c_nl/4) E_r w0^(a-1) cos(a pi/2) + (3/4) k_nl / w0
              - (1/4) m_nl w0,
 
-    with adaptive Simpson quadrature of the smooth, monotone a^2(t).
+    with the integral of a^2 in closed form as well.
     """
     if not (a0 > 0):
         raise ValueError(f"a0 must be positive, got {a0}")
@@ -229,29 +234,42 @@ def free_envelope(params: MmsParams, a0: float, phi0: float, t):
 
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     amp = np.sqrt(_amplitude_squared(p_lin, r_cub, a0, t_arr))
-    a2 = lambda tau: _amplitude_squared(p_lin, r_cub, a0, tau)
-    phases = np.empty_like(t_arr)
-    prev_t, acc = 0.0, 0.0
-    order = np.argsort(t_arr)
-    for idx in order:
-        ti = t_arr[idx]
-        if ti > prev_t:
-            acc += _adaptive_simpson(a2, prev_t, ti)
-            prev_t = ti
-        phases[idx] = phi0 + c1 * ti + c2 * acc
+    phases = phi0 + c1 * t_arr + c2 * _amplitude_squared_integral(p_lin, r_cub, a0, t_arr)
     if np.isscalar(t) or np.asarray(t).ndim == 0:
         return float(amp[0]), float(phases[0])
     return amp, phases
+
+
+def _libm(fn, *args):
+    """``fn`` from ``math`` applied elementwise over 1-D arrays (scalars repeat).
+
+    numpy's SIMD pow, arccos, cosh, arctan2 and friends can differ from libm
+    in the last bit.  Routing the root solver's few such calls through
+    ``math`` keeps every grid point bit-identical to the same formula
+    evaluated one point at a time.
+    """
+    if not any(np.ndim(a) for a in args):
+        return fn(*args)
+    cols = [a.tolist() if np.ndim(a) else itertools.repeat(a) for a in args]
+    return np.fromiter(map(fn, *cols), dtype=float)
+
+
+def _pow(x, k: float):
+    """x**k with libm's rounding, elementwise for arrays."""
+    return _libm(math.pow, x, float(k))
 
 
 @dataclass(frozen=True)
 class CubicCoeffs:
     """Coefficient block of the steady-state amplitude equation.
 
-    The response amplitude solves
+    The response amplitude solves, on x = a^2,
 
-        (a1 x + a2 x^2 ... ) -- written on x = a^2:
         (a2^2 + b2^2) x^3 + 2 (a1 a2 + b1 b2) x^2 + (a1^2 + b1^2) x - c_rhs = 0.
+
+    ``b1`` is the only coefficient that depends on the detuning; it may be a
+    1-D array, one entry per detuning, and ``cubic``/``discriminant`` then
+    return arrays of the same length.
     """
 
     a1: float
@@ -264,23 +282,26 @@ class CubicCoeffs:
         if self.c_rhs < 0:
             raise ValueError(f"c_rhs must be non-negative, got {self.c_rhs}")
 
-    def cubic(self) -> tuple[float, float, float, float]:
+    def cubic(self) -> tuple:
         """(p3, p2, p1, p0) with p3 x^3 + p2 x^2 + p1 x + p0 = 0, x = a^2."""
         return (
             self.a2**2 + self.b2**2,
             2.0 * (self.a1 * self.a2 + self.b1 * self.b2),
-            self.a1**2 + self.b1**2,
+            self.a1**2 + _pow(self.b1, 2),
             -self.c_rhs,
         )
 
-    def discriminant(self) -> float:
+    def discriminant(self):
         a, b, c, d = self.cubic()
-        return (18.0 * a * b * c * d - 4.0 * b**3 * d + b**2 * c**2
-                - 4.0 * a * c**3 - 27.0 * a**2 * d**2)
+        return (18.0 * a * b * c * d - 4.0 * _pow(b, 3) * d + _pow(b, 2) * _pow(c, 2)
+                - 4.0 * a * _pow(c, 3) - 27.0 * a**2 * d**2)
 
 
-def steady_state_cubic(params: MmsParams, delta: float) -> CubicCoeffs:
-    """Coefficients of the primary-resonance steady-state equation at detuning delta."""
+def steady_state_cubic(params: MmsParams, delta) -> CubicCoeffs:
+    """Coefficients of the primary-resonance steady-state equation at detuning delta.
+
+    ``delta`` may be a 1-D array; ``b1`` then holds one value per detuning.
+    """
     fac = _damping_factor(params)
     half = 0.5 * math.pi * params.alpha
     sin_h, cos_h = math.sin(half), math.cos(half)
@@ -303,106 +324,168 @@ class SteadyStateRoot:
     stable: bool
 
 
-def _real_cubic_roots(p3: float, p2: float, p1: float, p0: float) -> list[float]:
-    """Real roots of p3 x^3 + p2 x^2 + p1 x + p0, trig/Cardano closed form."""
+def _cardano_roots(p3: float, p2: np.ndarray, p1: np.ndarray, p0: float) -> np.ndarray:
+    """Real roots of p3 x^3 + p2 x^2 + p1 x + p0 per entry, NaN-padded (m, 3).
+
+    Trig/hyperbolic Cardano closed form, then one Newton polish per root on
+    the original cubic, kept only where it reduces the residual (the slope
+    degenerates at double roots).
+    """
     a, b, c = p2 / p3, p1 / p3, p0 / p3
     shift = a / 3.0
     p = b - a * a / 3.0
-    q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
-    disc = -4.0 * p**3 - 27.0 * q * q
-    if disc > 0.0:
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        arg = min(1.0, max(-1.0, arg))
-        theta = math.acos(arg)
-        roots = [m * math.cos((theta - 2.0 * math.pi * k) / 3.0) - shift for k in range(3)]
-    elif disc < 0.0:
-        if p == 0.0:
-            roots = [-math.copysign(abs(q) ** (1.0 / 3.0), q) - shift]
-        elif p < 0.0:
-            m = 2.0 * math.sqrt(-p / 3.0)
-            arg = 3.0 * abs(q) / (p * m)
-            t0 = -2.0 * math.copysign(1.0, q) * math.cosh(math.acosh(max(-arg, 1.0)) / 3.0)
-            roots = [math.sqrt(-p / 3.0) * t0 - shift]
-        else:
-            m = 2.0 * math.sqrt(p / 3.0)
-            arg = 3.0 * q / (p * m)
-            t0 = -2.0 * math.copysign(1.0, q) * math.sinh(math.asinh(abs(arg)) / 3.0)
-            roots = [math.sqrt(p / 3.0) * t0 - shift]
-    else:
-        if p == 0.0:
-            roots = [-shift]
-        else:
-            roots = [3.0 * q / p - shift, -1.5 * q / p - shift]
-    # one Newton polish per root on the original cubic, kept only when it
-    # actually reduces the residual (the slope degenerates at double roots)
+    q = 2.0 * _pow(a, 3) / 27.0 - a * b / 3.0 + c
+    disc = -4.0 * _pow(p, 3) - 27.0 * q * q
+    sign_q = np.copysign(1.0, q)
+    roots = np.full((len(a), 3), np.nan)
+
+    three = disc > 0.0
+    m = 2.0 * np.sqrt(-p[three] / 3.0)
+    arg = np.clip(3.0 * q[three] / (p[three] * m), -1.0, 1.0)
+    theta = _libm(math.acos, arg)
+    for k in range(3):
+        roots[three, k] = m * _libm(math.cos, (theta - 2.0 * math.pi * k) / 3.0) - shift[three]
+
+    one = (disc < 0.0) & (p == 0.0)
+    roots[one, 0] = -np.copysign(_pow(np.abs(q[one]), 1.0 / 3.0), q[one]) - shift[one]
+    one = (disc < 0.0) & (p < 0.0)
+    m = 2.0 * np.sqrt(-p[one] / 3.0)
+    arg = 3.0 * np.abs(q[one]) / (p[one] * m)
+    t0 = -2.0 * sign_q[one] * _libm(math.cosh, _libm(math.acosh, np.maximum(-arg, 1.0)) / 3.0)
+    roots[one, 0] = np.sqrt(-p[one] / 3.0) * t0 - shift[one]
+    one = (disc < 0.0) & (p > 0.0)
+    m = 2.0 * np.sqrt(p[one] / 3.0)
+    arg = 3.0 * q[one] / (p[one] * m)
+    t0 = -2.0 * sign_q[one] * _libm(math.sinh, _libm(math.asinh, np.abs(arg)) / 3.0)
+    roots[one, 0] = np.sqrt(p[one] / 3.0) * t0 - shift[one]
+
+    double = disc == 0.0
+    roots[double & (p == 0.0), 0] = -shift[double & (p == 0.0)]
+    two = double & (p != 0.0)
+    roots[two, 0] = 3.0 * q[two] / p[two] - shift[two]
+    roots[two, 1] = -1.5 * q[two] / p[two] - shift[two]
+
+    p2, p1 = p2[:, None], p1[:, None]
     cubic = lambda x: ((p3 * x + p2) * x + p1) * x + p0
-    polished = []
-    for x in roots:
-        fx = cubic(x)
-        dfx = (3.0 * p3 * x + 2.0 * p2) * x + p1
-        if dfx != 0.0:
-            x_new = x - fx / dfx
-            if abs(cubic(x_new)) < abs(fx):
-                x = x_new
-        polished.append(x)
-    return polished
+    fx = cubic(roots)
+    dfx = (3.0 * p3 * roots + 2.0 * p2) * roots + p1
+    polished = roots - fx / dfx
+    keep = (dfx != 0.0) & (np.abs(cubic(polished)) < np.abs(fx))
+    return np.where(keep, polished, roots)
+
+
+def _quadratic_roots(p2: np.ndarray, p1: np.ndarray, p0: float) -> np.ndarray:
+    """Real roots of p2 x^2 + p1 x + p0 (or of p1 x + p0 when p2 is negligible), (m, 2)."""
+    roots = np.full((len(p2), 2), np.nan)
+    linear = np.abs(p2) < 1e-14 * np.maximum(np.abs(p1), max(abs(p0), 1e-300))
+    lin = linear & (p1 != 0.0)
+    roots[lin, 0] = -p0 / p1[lin]
+    disc = p1 * p1 - 4.0 * p2 * p0
+    quad = ~linear & (disc >= 0.0)
+    # cancellation-free quadratic roots
+    s = -0.5 * (p1[quad] + np.copysign(np.sqrt(disc[quad]), p1[quad]))
+    roots[quad, 0] = s / p2[quad]
+    roots[quad, 1] = np.where(s != 0.0, p0 / s, 0.0)
+    return roots
+
+
+def _steady_roots(coeffs: CubicCoeffs):
+    """Admissible (a >= 0) steady-state roots at every detuning of ``coeffs``.
+
+    Returns ``(n_roots, amp, gamma, stable)``: per detuning, the root count
+    and (n, 3) arrays in ascending amplitude, NaN (``stable``: False) past
+    the count.  The phase gamma is recovered from the two projection
+    identities sin(gamma) ~ a1 a + a2 a^3 and cos(gamma) ~ b1 a + b2 a^3
+    through the two-argument arctangent.  With three positive roots the
+    middle amplitude is tagged unstable (saddle-node branch structure);
+    otherwise roots are stable.
+    """
+    p3, p2, p1, p0 = coeffs.cubic()
+    p2, p1 = np.atleast_1d(p2), np.atleast_1d(p1)
+    n = len(p2)
+    xs = np.full((n, 3), np.nan)
+    with np.errstate(all="ignore"):
+        scale = np.maximum(np.maximum(np.abs(p2), np.abs(p1)), max(abs(p0), 1e-300))
+        near_quadratic = abs(p3) < 1e-14 * scale
+        cub = ~near_quadratic
+        if cub.any():
+            xs[cub] = _cardano_roots(p3, p2[cub], p1[cub], p0)
+        if near_quadratic.any():
+            xs[near_quadratic, :2] = _quadratic_roots(p2[near_quadratic], p1[near_quadratic], p0)
+
+    # keep distinct roots above a relative floor, ascending, NaN last
+    x_tol = 1e-12 * np.fmax(1.0, np.fmax.reduce(np.abs(xs), axis=1))
+    xs[~(xs > x_tol[:, None])] = np.nan
+    xs.sort(axis=1)
+    dup = np.zeros_like(xs, dtype=bool)
+    dup[:, 1:] = xs[:, 1:] == xs[:, :-1]
+    xs[dup] = np.nan
+    xs.sort(axis=1)
+    n_pos = np.count_nonzero(~np.isnan(xs), axis=1)
+    if coeffs.c_rhs == 0.0:
+        # x = 0 always solves the zero-forcing case; the cubic may carry it
+        # inexactly, so insert it explicitly (at most two positive roots remain)
+        xs = np.column_stack([np.zeros(n), xs[:, :2]])
+    n_roots = np.count_nonzero(~np.isnan(xs), axis=1)
+    present = np.arange(3) < n_roots[:, None]
+    stable = present & ~((n_pos[:, None] == 3) & (np.arange(3) == 1))
+
+    amp = np.sqrt(xs)
+    gamma = np.where(present, 0.0, np.nan)
+    if coeffs.c_rhs > 0.0:
+        live = amp > 0.0
+        a = amp[live]
+        b1 = np.broadcast_to(np.atleast_1d(coeffs.b1)[:, None], amp.shape)[live]
+        a_cubed = _pow(a, 3)
+        gamma[live] = _libm(math.atan2, coeffs.a1 * a + coeffs.a2 * a_cubed,
+                            b1 * a + coeffs.b2 * a_cubed)
+    return n_roots, amp, gamma, stable
+
+
+def _root_list(amp, gamma, stable, count: int) -> list:
+    """One detuning's roots as ``SteadyStateRoot`` objects, from its array rows."""
+    return [SteadyStateRoot(amp=a, gamma=g, stable=s)
+            for a, g, s in zip(amp[:count], gamma[:count], stable[:count])]
 
 
 def solve_steady_amplitudes(coeffs: CubicCoeffs) -> list[SteadyStateRoot]:
     """Admissible (a >= 0) steady-state roots with phase and stability tags.
 
-    The phase gamma is recovered from the two projection identities
-    sin(gamma) ~ a1 a + a2 a^3 and cos(gamma) ~ b1 a + b2 a^3 through the
-    two-argument arctangent.  With three positive roots the middle amplitude
-    is tagged unstable (saddle-node branch structure); otherwise roots are
-    stable.
+    The one-point case of the sweep's array solver; see ``ResponseBranch``
+    for the phase and stability conventions.
     """
-    p3, p2, p1, p0 = coeffs.cubic()
-    scale = max(abs(p2), abs(p1), abs(p0), 1e-300)
-    if abs(p3) < 1e-14 * scale:
-        xs = []
-        if abs(p2) < 1e-14 * max(abs(p1), abs(p0), 1e-300):
-            if p1 != 0.0:
-                xs = [-p0 / p1]
-        else:
-            disc = p1 * p1 - 4.0 * p2 * p0
-            if disc >= 0.0:
-                # cancellation-free quadratic roots
-                s = -0.5 * (p1 + math.copysign(math.sqrt(disc), p1))
-                xs = [s / p2] + ([p0 / s] if s != 0.0 else [0.0])
-    else:
-        xs = _real_cubic_roots(p3, p2, p1, p0)
-
-    x_tol = 1e-12 * max(1.0, max((abs(x) for x in xs), default=1.0))
-    amps = sorted({x for x in xs if x > x_tol})
-    if coeffs.c_rhs == 0.0:
-        # x = 0 always solves the zero-forcing case; the cubic may carry it
-        # inexactly, so insert it explicitly
-        amps = [0.0] + amps
-    roots = []
-    n_pos = len([x for x in amps if x > 0.0])
-    for rank, x in enumerate(amps):
-        a = math.sqrt(x)
-        if coeffs.c_rhs > 0.0 and a > 0.0:
-            s = coeffs.a1 * a + coeffs.a2 * a**3
-            c = coeffs.b1 * a + coeffs.b2 * a**3
-            gamma = math.atan2(s, c)
-        else:
-            gamma = 0.0
-        stable = not (n_pos == 3 and rank == 1)
-        roots.append(SteadyStateRoot(amp=a, gamma=gamma, stable=stable))
-    return roots
+    n_roots, amp, gamma, stable = _steady_roots(coeffs)
+    return _root_list(amp[0].tolist(), gamma[0].tolist(), stable[0].tolist(), int(n_roots[0]))
 
 
 @dataclass(frozen=True)
 class ResponseBranch:
-    """Detuning sweep result: root sets per point plus located jump points."""
+    """Detuning sweep result: root arrays per point plus located jump points.
+
+    Row i describes ``deltas[i]``: ``n_roots[i]`` admissible roots, stored in
+    ascending amplitude in the (n, 3) arrays ``amp`` (a >= 0), ``gamma``
+    (phase) and ``stable``; entries past the count are NaN (False in
+    ``stable``).  With three roots the middle one is the unstable saddle
+    branch.  ``root_sets`` (per-point lists of ``SteadyStateRoot``) and
+    ``branches`` (nearest-amplitude continuation) are built on first access.
+    """
 
     deltas: np.ndarray
-    root_sets: list = field(repr=False)
+    n_roots: np.ndarray = field(repr=False)
+    amp: np.ndarray = field(repr=False)
+    gamma: np.ndarray = field(repr=False)
+    stable: np.ndarray = field(repr=False)
     bifurcations: list
-    branches: list = field(repr=False)
+
+    @cached_property
+    def root_sets(self) -> list:
+        amp, gamma, stable = self.amp.tolist(), self.gamma.tolist(), self.stable.tolist()
+        return [_root_list(a, g, s, n)
+                for a, g, s, n in zip(amp, gamma, stable, self.n_roots.tolist())]
+
+    @cached_property
+    def branches(self) -> list:
+        return _match_branches(self.deltas, self.root_sets)
 
 
 def _bisect_discriminant(params: MmsParams, lo: float, hi: float) -> float:
@@ -459,17 +542,17 @@ def frequency_sweep(
     alpha: float | None = None,
     e_r: float | None = None,
     f: float | None = None,
-    workers: int | None = None,
 ) -> ResponseBranch:
     """Steady-state roots over a monotone detuning grid, with jump points.
 
     Optional alpha / e_r / f values override the base parameters for this
-    sweep.  Grid points are independent; with ``workers`` they are evaluated
-    in a thread pool, output order is the grid order either way.
+    sweep.  The cubic, its discriminant and its roots are evaluated for the
+    whole grid in one array pass; each discriminant sign change between
+    neighbouring points is refined to a fold point by bisection.
     """
     deltas = np.asarray(delta_grid, dtype=float)
-    if deltas.size == 0:
-        raise ValueError("delta grid is empty")
+    if deltas.ndim != 1 or deltas.size == 0:
+        raise ValueError("delta grid must be a non-empty 1-D sequence")
     if deltas.size > 1:
         steps = np.diff(deltas)
         if not (np.all(steps > 0) or np.all(steps < 0)):
@@ -482,20 +565,15 @@ def frequency_sweep(
     if f is not None:
         p = replace(p, f=f)
 
-    solve_one = lambda d: solve_steady_amplitudes(steady_state_cubic(p, d))
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            root_sets = list(pool.map(solve_one, deltas))
-    else:
-        root_sets = [solve_one(d) for d in deltas]
-
-    discs = [steady_state_cubic(p, d).discriminant() for d in deltas]
+    coeffs = steady_state_cubic(p, deltas)
+    n_roots, amp, gamma, stable = _steady_roots(coeffs)
+    disc = coeffs.discriminant()
+    negative = disc < 0
     bifurcations = []
-    for i in range(len(deltas) - 1):
-        if discs[i] == 0.0:
+    for i in np.flatnonzero((disc[:-1] == 0.0) | (negative[:-1] != negative[1:])).tolist():
+        if disc[i] == 0.0:
             bifurcations.append(float(deltas[i]))
-        elif (discs[i] < 0) != (discs[i + 1] < 0):
+        else:
             bifurcations.append(_bisect_discriminant(p, float(deltas[i]), float(deltas[i + 1])))
-    branches = _match_branches(deltas, root_sets)
-    return ResponseBranch(deltas=deltas, root_sets=root_sets,
-                          bifurcations=bifurcations, branches=branches)
+    return ResponseBranch(deltas=deltas, n_roots=n_roots, amp=amp, gamma=gamma,
+                          stable=stable, bifurcations=bifurcations)

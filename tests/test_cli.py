@@ -81,15 +81,6 @@ def test_constitutive_moduli_sweep(capsys):
         assert vals["loss"] == vals["omega"]
 
 
-def test_sweep_workers_flag_deterministic(capsys):
-    args = ["sweep", "--var", "delta", "--count", "41", "--min", "0", "--max", "2",
-            "--er", "0.1"]
-    _, serial = run_cli(capsys, *args)
-    _, parallel = run_cli(capsys, *args, "--workers", "4")
-    # worker count is echoed in provenance; the data body must be identical
-    assert data_rows(serial) == data_rows(parallel)
-
-
 def test_constitutive_tanloss_monotone(capsys):
     code, out = run_cli(capsys, "constitutive", "--kind", "tanloss",
                         "--omega", "3.51602", "--count", "9")
@@ -249,3 +240,105 @@ def test_csv_bytes_match_cell_join():
     array_table = ResultTable(list("abcdefg"), np.asarray(rows, dtype=float), table.provenance)
     assert array_table.to_csv() == table.to_csv()
     assert ResultTable(["a"], [], []).to_csv() == "a\n"
+
+
+def _indent_json(table):
+    """The pure-Python indent=1 writer the C-encoded splice replaced."""
+    def clean(x):
+        if isinstance(x, (bool, np.bool_)):
+            return bool(x)
+        if isinstance(x, (int, np.integer)):
+            return int(x)
+        x = float(x)
+        return x if math.isfinite(x) else None
+    doc = {"provenance": dict(table.provenance), "columns": table.columns,
+           "rows": [[clean(x) for x in row] for row in table.rows]}
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def test_json_bytes_match_indent_writer():
+    rows = [
+        [0, True, math.nan, math.inf, -0.0, 1e-300, 1e300],
+        [-7, False, -math.inf, -math.nan, 0.0, -1e-300, -1e300],
+        [2**60, True, np.float64(0.1), 1 / 3, -2.5e-17, 5e-324, 1.7976931348623157e308],
+        [np.int64(3), np.bool_(False), np.float64(math.nan), np.float64(-math.inf), 1, 2, 3],
+    ]
+    prov = [("fracbeam", "0"), ("x", "1"), ("bifurcation_delta", "2.5")]
+    table = ResultTable(list("abcdefg"), rows, prov)
+    assert table.to_json() == _indent_json(table)
+    array_table = ResultTable(list("abcdefg"), np.asarray(rows, dtype=float), prov)
+    assert array_table.to_json() == _indent_json(array_table)
+    single = ResultTable(["a"], np.array([[1.5]]), prov)
+    assert single.to_json() == _indent_json(single)
+    for empty in (ResultTable(["a"], [], []), ResultTable(["a", "b"], np.empty((0, 2)), prov)):
+        assert empty.to_json() == _indent_json(empty)
+
+
+def test_sweep_json_matches_indent_writer(capsys):
+    code, out = run_cli(capsys, "sweep", "--var", "delta", "--count", "41", "--min", "0",
+                        "--max", "3", "--er", "0.1", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    rows = [[math.nan if x is None else x for x in row] for row in doc["rows"]]
+    table = ResultTable(doc["columns"], rows, list(doc["provenance"].items()))
+    assert out == _indent_json(table)
+    assert {len(r) for r in doc["rows"]} == {11}
+    assert None in doc["rows"][0] or None in doc["rows"][-1]     # NaN padding as null
+
+
+_SWEEP_FLOATS = ["--f", "--er", "--alpha", "--min", "--max", "--delta-min", "--delta-max"]
+
+
+@pytest.mark.parametrize("flag", _SWEEP_FLOATS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_sweep_rejects_non_finite(capsys, flag, value):
+    var = "er" if flag.startswith("--delta") else "delta"
+    code = main(["sweep", "--var", var, "--count", "5", "--delta-count", "5",
+                 f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"{flag} must be finite, got {value}" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--dt", "nan"], "--dt must be finite, got nan"),
+    (["--t-final", "nan"], "--t-final must be finite, got nan"),
+    (["--dt", "inf"], "--dt must be finite, got inf"),
+    (["--dt", "0"], "--dt must be positive, got 0.0"),
+    (["--dt=-0.01"], "--dt must be positive, got -0.01"),
+    (["--t-final=-1"], "--t-final must be non-negative, got -1.0"),
+])
+def test_constitutive_ramp_domain(capsys, argv, message):
+    code = main(["constitutive", "--kind", "ramp", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["envelope"], "--count"),
+    (["constitutive", "--kind", "moduli"], "--count"),
+    (["constitutive", "--kind", "tanloss"], "--count"),
+    (["sweep", "--var", "delta"], "--count"),
+    (["sweep", "--var", "er"], "--count"),
+    (["sweep", "--var", "alpha"], "--delta-count"),
+])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_empty_grid_rejected(capsys, argv, flag, count):
+    code = main([*argv, f"{flag}={count}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"{flag} must be positive, got {count}" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_sweep_overflow_is_numerical_failure(capsys):
+    # the cubic's coefficients overflow a double this far from resonance
+    code = main(["sweep", "--min", "0", "--max", "1e60", "--count", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "fracbeam: error: math range error" in captured.err

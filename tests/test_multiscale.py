@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +21,7 @@ from fracbeam import (
     solve_steady_amplitudes,
     steady_state_cubic,
 )
+from fracbeam.multiscale import _amplitude_squared_integral
 
 
 CASE1 = MmsParams(omega0=3.5160152685, c_l=12.3624, c_nl=20.2203, k_nl=20.2203,
@@ -65,6 +67,9 @@ def test_params_validation():
     with pytest.raises(ValueError):
         MmsParams(omega0=1, c_l=1, c_nl=1, k_nl=1, e_r=1, alpha=0.5,
                   m_nl=1.0, case_tag="no-tip")
+    for name in ("omega0", "c_l", "e_r", "f"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            replace(CASE1, **{name: math.nan})
 
 
 def test_free_envelope_no_dissipation():
@@ -134,6 +139,49 @@ def test_free_envelope_tip_mass_phase_term():
     a_rk, phi_rk = slow_flow_rk4(p_tip, 0.5, 0.0, 4.0)
     assert amp_tip[2] == pytest.approx(a_rk, rel=1e-8)
     assert phi_tip[2] == pytest.approx(phi_rk, rel=1e-7)
+
+
+def _mp_integral_a2(p_lin, r_cub, a0, t):
+    """mpmath quadrature of a(s)^2 over [0, t] for da/ds = -(p a + r a^3)."""
+    p, r, a0sq = mpmath.mpf(p_lin), mpmath.mpf(r_cub), mpmath.mpf(a0) ** 2
+
+    def a2(s):
+        if p == 0:
+            return a0sq / (1 + 2 * r * a0sq * s)
+        decay = mpmath.exp(-2 * p * s)
+        return p * a0sq * decay / (p + r * a0sq * (1 - decay))
+
+    breaks = [0] + [b for b in (0.1, 1, 10) if b < t] + [t]
+    return mpmath.quad(a2, breaks)
+
+
+@pytest.mark.parametrize("p_lin, r_cub", [
+    (0.3, 0.2), (2.0, 1e-9), (1e-9, 0.5),       # generic and near-limit rates
+    (0.0, 0.2), (0.3, 0.0), (0.0, 0.0),          # the three limits
+])
+def test_envelope_phase_integral_matches_mpmath(p_lin, r_cub):
+    t = np.array([0.0, 1e-6, 0.3, 1.0, 7.5, 25.0, 60.0, 100.0])
+    got = _amplitude_squared_integral(p_lin, r_cub, 1.3, t)
+    with mpmath.workdps(30):
+        want = [float(_mp_integral_a2(p_lin, r_cub, 1.3, ti)) for ti in t]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("change", [{}, {"c_l": 0.0}, {"c_nl": 0.0}, {"e_r": 0.0}])
+def test_free_envelope_phase_matches_mpmath(change):
+    p = replace(CASE1, **{"e_r": 0.1, **change})
+    fac = p.e_r * p.omega0 ** (p.alpha - 1)
+    half = 0.5 * math.pi * p.alpha
+    pl = 0.5 * p.c_l * fac * math.sin(half)
+    r = 0.375 * p.c_nl * fac * math.sin(half)
+    c1 = 0.5 * p.c_l * fac * math.cos(half)
+    c2 = 0.75 * p.c_nl * fac * math.cos(half) + 0.75 * p.k_nl / p.omega0
+    t = np.array([0.0, 0.5, 4.0, 100.0])
+    _, phase = free_envelope(p, 0.9, 0.2, t)
+    with mpmath.workdps(30):
+        want = [float(0.2 + c1 * mpmath.mpf(ti) + c2 * _mp_integral_a2(pl, r, 0.9, ti))
+                for ti in t]
+    np.testing.assert_allclose(phase, want, rtol=1e-13, atol=0.0)
 
 
 # ------------------------------------------------- decay rate / sensitivity
@@ -349,17 +397,8 @@ def test_sweep_monotone_grid_required():
         frequency_sweep(CASE1, [0.0, 1.0, 0.5])
     with pytest.raises(ValueError):
         frequency_sweep(CASE1, [])
-
-
-def test_sweep_workers_deterministic():
-    deltas = np.linspace(-1.0, 3.0, 101)
-    serial = frequency_sweep(LUMPED, deltas)
-    parallel = frequency_sweep(LUMPED, deltas, workers=4)
-    assert [len(r) for r in serial.root_sets] == [len(r) for r in parallel.root_sets]
-    for rs, rp in zip(serial.root_sets, parallel.root_sets):
-        for a, b in zip(rs, rp):
-            assert a.amp == b.amp and a.gamma == b.gamma and a.stable == b.stable
-    assert serial.bifurcations == parallel.bifurcations
+    with pytest.raises(ValueError):
+        frequency_sweep(CASE1, [[0.0, 1.0], [2.0, 3.0]])
 
 
 def test_branch_matching_structure():
