@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .constitutive import MaterialParams, StrainProgram, complex_modulus, ramp_hold_stress, stress_history_l1, tangent_loss
 from .fracode import GridSpec, HarmonicForcing, integrate_linear, integrate_nonlinear
-from .modes import TipConfig, build_mode, modal_coefficients, mode_shape_eval, scale_coefficients, solve_eigen
+from .modes import ModalCoefficients, TipConfig, build_mode, modal_coefficients, mode_shape_eval, scale_coefficients, solve_eigen
 from .multiscale import MmsParams, critical_alpha, decay_rate, free_envelope, frequency_sweep, sensitivity
 
 __all__ = ["RunConfig", "ResultTable", "main"]
@@ -120,11 +120,15 @@ def _provenance(cfg: RunConfig) -> list:
     return out
 
 
-def _mms_params_for(cfg: RunConfig) -> MmsParams:
+def _first_mode(cfg: RunConfig) -> tuple[float, ModalCoefficients]:
+    """Eigenvalue and reduction coefficients of the first mode of ``--case``."""
     tip = _tip_from(cfg)
     beta = solve_eigen(tip, 1, cfg["search_max_beta"])[0]
-    mode = build_mode(tip, beta)
-    coeffs = modal_coefficients(mode)
+    return beta, modal_coefficients(build_mode(tip, beta))
+
+
+def _mms_params_for(cfg: RunConfig) -> MmsParams:
+    _beta, coeffs = _first_mode(cfg)
     mat = MaterialParams.from_ratio(cfg["er"], cfg["alpha"])
     scaled = scale_coefficients(coeffs, mat, cfg.params.get("f", 0.0))
     return MmsParams.from_scaled(scaled)
@@ -146,10 +150,7 @@ def cmd_modes(cfg: RunConfig) -> ResultTable:
 
 
 def cmd_coeffs(cfg: RunConfig) -> ResultTable:
-    tip = _tip_from(cfg)
-    beta = solve_eigen(tip, 1, cfg["search_max_beta"])[0]
-    mode = build_mode(tip, beta)
-    co = modal_coefficients(mode)
+    beta, co = _first_mode(cfg)
     mat = MaterialParams.from_ratio(cfg["er"], cfg["alpha"])
     sc = scale_coefficients(co, mat, cfg["f"])
     cols = ["beta", "beta_sq", "M", "J_nl", "K_l", "C_l", "K_nl", "C_nl", "M_b",
@@ -202,9 +203,7 @@ def cmd_simulate(cfg: RunConfig) -> ResultTable:
         traj = integrate_linear(cfg["c"], cfg["k"], cfg["er"], cfg["alpha"],
                                 cfg["q0"], cfg["v0"], grid, forcing)
     else:
-        tip = _tip_from(cfg)
-        beta = solve_eigen(tip, 1, cfg["search_max_beta"])[0]
-        coeffs = modal_coefficients(build_mode(tip, beta))
+        _beta, coeffs = _first_mode(cfg)
         mat = MaterialParams.from_ratio(cfg["er"], cfg["alpha"])
         base = None
         if cfg["base_amp"] != 0.0:
@@ -404,9 +403,13 @@ def _check_domain(cfg: RunConfig) -> None:
             raise ValueError(f"{flag} must be positive, got {value}")
 
 
-def _resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
+def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
+    command = args.command
     spec = _SPECS[command]
     file_values = _read_config_file(args.config) if args.config else {}
+    for key in file_values:
+        if key not in spec:
+            parser.error(f"unknown key {key!r} in --config file for command {command!r}")
     params = {}
     for name, (typ, default, _help) in spec.items():
         flag_val = getattr(args, name.replace("-", "_"), None)
@@ -446,7 +449,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve_config(args.command, args)
+        cfg = _resolve_config(parser, args)
         _check_domain(cfg)
         table = _COMMANDS[args.command](cfg)
         text = table.to_json() if args.format == "json" else table.to_csv()

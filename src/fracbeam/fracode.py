@@ -25,7 +25,7 @@ import numpy as np
 
 from .constitutive import MaterialParams
 from .errors import InsufficientDataError, StepFailureError
-from .modes import ModalCoefficients
+from .modes import ModalCoefficients, bisect
 
 __all__ = [
     "GridSpec",
@@ -398,16 +398,7 @@ def _bisect_residual(residual, center: float, width: float):
         lo, hi = center - w, center + w
         rlo, rhi = residual(lo), residual(hi)
         if (rlo < 0) != (rhi < 0):
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                rm = residual(mid)
-                if rm == 0.0 or hi - lo < 1e-15 * max(1.0, abs(mid)):
-                    return mid
-                if (rlo < 0) == (rm < 0):
-                    lo, rlo = mid, rm
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
+            return bisect(residual, lo, hi, 1e-15 * max(1.0, abs(lo), abs(hi)))
     return None
 
 

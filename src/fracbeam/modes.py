@@ -91,7 +91,12 @@ def characteristic_scale(beta: float, tip: TipConfig) -> float:
     return sum(abs(t) for t in _char_terms(beta, tip)) + 1.0
 
 
-def _bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+def bisect(f, lo: float, hi: float, tol: float) -> float:
+    """Root of f on a sign-change bracket [lo, hi].
+
+    Halves the bracket until it is narrower than ``tol`` and returns its
+    midpoint; returns ``lo`` or a midpoint at once where f is exactly zero.
+    """
     flo = f(lo)
     if flo == 0.0:
         return lo
@@ -134,7 +139,7 @@ def solve_eigen(
         if flo == 0.0:
             betas.append(b)
         elif (flo < 0) != (f_next < 0):
-            root = _bisect(f, b, b_next)
+            root = bisect(f, b, b_next, 1e-12)
             h = 1e-7 * max(1.0, root)
             slope = (f(root + h) - f(root - h)) / (2 * h)
             if slope != 0.0:

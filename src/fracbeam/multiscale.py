@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .modes import ScaledCoefficients
+from .modes import ScaledCoefficients, bisect
 
 __all__ = [
     "MmsParams",
@@ -56,7 +56,6 @@ class MmsParams:
     alpha: float
     m_nl: float = 0.0
     f: float = 0.0
-    case_tag: str = "no-tip"
 
     def __post_init__(self):
         for name in ("omega0", "c_l", "c_nl", "k_nl", "e_r", "alpha", "m_nl", "f"):
@@ -68,14 +67,11 @@ class MmsParams:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.e_r < 0:
             raise ValueError(f"e_r must be non-negative, got {self.e_r}")
-        if self.case_tag == "no-tip" and self.m_nl != 0.0:
-            raise ValueError("m_nl must be zero for the no-tip case")
 
     @classmethod
-    def from_scaled(cls, sc: ScaledCoefficients, case_tag: str | None = None) -> "MmsParams":
-        tag = case_tag if case_tag is not None else ("no-tip" if sc.m_nl == 0.0 else "tip-mass")
+    def from_scaled(cls, sc: ScaledCoefficients) -> "MmsParams":
         return cls(omega0=sc.omega0, c_l=sc.c_l, c_nl=sc.c_nl, k_nl=sc.k_nl,
-                   e_r=sc.e_r, alpha=sc.alpha, m_nl=sc.m_nl, f=sc.f, case_tag=tag)
+                   e_r=sc.e_r, alpha=sc.alpha, m_nl=sc.m_nl, f=sc.f)
 
 
 def _damping_factor(p: MmsParams) -> float:
@@ -87,11 +83,16 @@ def decay_rate(params: MmsParams) -> float:
     return params.c_l * _damping_factor(params) * math.sin(0.5 * math.pi * params.alpha)
 
 
+def _sensitivity_at(params: MmsParams, alpha: float) -> float:
+    """d(decay_rate)/d(alpha) at order ``alpha``, which may leave (0, 1]."""
+    fac = params.c_l * (params.e_r * params.omega0 ** (alpha - 1.0))
+    half = 0.5 * math.pi * alpha
+    return fac * (0.5 * math.pi * math.cos(half) + math.sin(half) * math.log(params.omega0))
+
+
 def sensitivity(params: MmsParams) -> float:
     """Partial derivative of the decay rate with respect to alpha."""
-    fac = params.c_l * _damping_factor(params)
-    half = 0.5 * math.pi * params.alpha
-    return fac * (0.5 * math.pi * math.cos(half) + math.sin(half) * math.log(params.omega0))
+    return _sensitivity_at(params, params.alpha)
 
 
 def _sensitivity_slope(params: MmsParams, alpha: float) -> float:
@@ -106,12 +107,12 @@ def _sensitivity_slope(params: MmsParams, alpha: float) -> float:
 class CriticalAlphaResult:
     """Root report for a critical fractional order.
 
-    ``found`` is False when the requested condition has no sign change in the
-    search interval (0, 2); ``in_unit_interval`` flags whether the root lies
-    in the physically admissible range (0, 1).  ``closed_form`` is the
-    principal-branch arctangent expression for the decay-peak condition,
-    reported for comparison (it can leave (0, 1), or even turn negative,
-    while the bisection root stays meaningful).
+    ``found`` is False when the requested condition has no root in (0, 2);
+    ``in_unit_interval`` flags whether the root lies in the physically
+    admissible range (0, 1).  ``closed_form`` is the principal-branch
+    arctangent expression for the decay-peak condition, reported for
+    comparison (it can leave (0, 1), or even turn negative, while the root
+    stays meaningful).  ``residual`` is the condition evaluated at the root.
     """
 
     found: bool
@@ -123,57 +124,33 @@ class CriticalAlphaResult:
 
 
 def critical_alpha(params: MmsParams, mode: str = "decay-peak") -> CriticalAlphaResult:
-    """Locate the critical fractional order by bisection on (0, 2).
+    """The critical fractional order in (0, 2), in closed form.
 
-    mode = "decay-peak":          root of d(decay_rate)/d(alpha) = 0
-    mode = "sensitivity-extremum": root of d(sensitivity)/d(alpha) = 0
+    With h = alpha pi/2 and L = ln w0, each condition is a linear combination
+    of sin h and cos h, so its one root with sin h > 0 is an arctangent:
+
+    mode = "decay-peak":           d(decay_rate)/d(alpha) = 0,
+        L sin h + (pi/2) cos h = 0,          alpha = (2/pi) atan2(pi/2, -L);
+    mode = "sensitivity-extremum": d(sensitivity)/d(alpha) = 0,
+        pi L cos h + (L^2 - pi^2/4) sin h = 0,
+        alpha = (2/pi) atan2(s pi L, -s (L^2 - pi^2/4)) with s = sign L,
+        and no root at all when L = 0.
     """
-    if mode == "decay-peak":
-        # evaluate the sensitivity formula directly: the search interval
-        # (0, 2) deliberately extends past the physical range (0, 1]
-        def g(a: float) -> float:
-            fac = params.c_l * params.e_r * params.omega0 ** (a - 1.0)
-            half = 0.5 * math.pi * a
-            return fac * (0.5 * math.pi * math.cos(half)
-                          + math.sin(half) * math.log(params.omega0))
-    elif mode == "sensitivity-extremum":
-        g = lambda a: _sensitivity_slope(params, a)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
     ln = math.log(params.omega0)
     closed = -(2.0 / math.pi) * math.atan(0.5 * math.pi / ln) if ln != 0.0 else -1.0
-
-    lo, hi = 1e-9, 2.0 - 1e-9
-    grid = np.linspace(lo, hi, 2001)
-    vals = [g(a) for a in grid]
-    bracket = None
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            bracket = (grid[i], grid[i])
-            break
-        if (vals[i] < 0) != (vals[i + 1] < 0):
-            bracket = (grid[i], grid[i + 1])
-            break
-    if bracket is None:
-        return CriticalAlphaResult(found=False, alpha_cr=None, residual=None,
-                                   in_unit_interval=False, mode=mode, closed_form=closed)
-    a_lo, a_hi = bracket
-    if a_lo == a_hi:
-        root = a_lo
+    if mode == "decay-peak":
+        root = 2.0 / math.pi * math.atan2(0.5 * math.pi, -ln)
+        residual = _sensitivity_at(params, root)
+    elif mode == "sensitivity-extremum":
+        if ln == 0.0:
+            return CriticalAlphaResult(found=False, alpha_cr=None, residual=None,
+                                       in_unit_interval=False, mode=mode, closed_form=closed)
+        s = math.copysign(1.0, ln)
+        root = 2.0 / math.pi * math.atan2(s * math.pi * ln, -s * (ln * ln - 0.25 * math.pi**2))
+        residual = _sensitivity_slope(params, root)
     else:
-        f_lo = g(a_lo)
-        for _ in range(200):
-            mid = 0.5 * (a_lo + a_hi)
-            f_mid = g(mid)
-            if f_mid == 0.0 or a_hi - a_lo < 1e-15:
-                break
-            if (f_lo < 0) == (f_mid < 0):
-                a_lo, f_lo = mid, f_mid
-            else:
-                a_hi = mid
-        root = 0.5 * (a_lo + a_hi)
-    return CriticalAlphaResult(found=True, alpha_cr=root, residual=g(root),
+        raise ValueError(f"unknown mode {mode!r}")
+    return CriticalAlphaResult(found=True, alpha_cr=root, residual=residual,
                                in_unit_interval=0.0 < root < 1.0, mode=mode,
                                closed_form=closed)
 
@@ -488,20 +465,6 @@ class ResponseBranch:
         return _match_branches(self.deltas, self.root_sets)
 
 
-def _bisect_discriminant(params: MmsParams, lo: float, hi: float) -> float:
-    d_lo = steady_state_cubic(params, lo).discriminant()
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        d_mid = steady_state_cubic(params, mid).discriminant()
-        if d_mid == 0.0 or hi - lo < 1e-10:
-            return mid
-        if (d_lo < 0) == (d_mid < 0):
-            lo, d_lo = mid, d_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _match_branches(deltas: np.ndarray, root_sets: list) -> list:
     """Nearest-amplitude continuation of root sets across the sweep."""
     branches: list[dict] = []
@@ -569,11 +532,8 @@ def frequency_sweep(
     n_roots, amp, gamma, stable = _steady_roots(coeffs)
     disc = coeffs.discriminant()
     negative = disc < 0
-    bifurcations = []
-    for i in np.flatnonzero((disc[:-1] == 0.0) | (negative[:-1] != negative[1:])).tolist():
-        if disc[i] == 0.0:
-            bifurcations.append(float(deltas[i]))
-        else:
-            bifurcations.append(_bisect_discriminant(p, float(deltas[i]), float(deltas[i + 1])))
+    crossings = np.flatnonzero((disc[:-1] == 0.0) | (negative[:-1] != negative[1:])).tolist()
+    fold = lambda d: steady_state_cubic(p, d).discriminant()
+    bifurcations = [bisect(fold, float(deltas[i]), float(deltas[i + 1]), 1e-10) for i in crossings]
     return ResponseBranch(deltas=deltas, n_roots=n_roots, amp=amp, gamma=gamma,
                           stable=stable, bifurcations=bifurcations)

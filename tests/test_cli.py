@@ -188,6 +188,23 @@ def test_json_config_file(tmp_path, capsys):
     assert float(rows[0][header.index("beta_sq")]) == pytest.approx(1.38569, abs=1e-4)
 
 
+@pytest.mark.parametrize("name, text", [
+    ("bad.cfg", "alpha=0.3\nalpah=0.3\n"),
+    ("bad.json", json.dumps({"alpha": 0.3, "alpah": 0.3})),
+    # a key of another command is as unknown as a typo
+    ("other.cfg", "n_modes=2\n"),
+])
+def test_config_file_unknown_key_exit_code_2(tmp_path, capsys, name, text):
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(cfg), "--t-final", "0.01"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    key = "'n_modes'" if name == "other.cfg" else "'alpah'"
+    assert f"unknown key {key}" in err and "'simulate'" in err
+
+
 def test_usage_error_exit_code_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["modes", "--no-such-flag"])

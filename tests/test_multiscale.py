@@ -64,9 +64,6 @@ def slow_flow_rk4(params, a0, phi0, t_end, h=1e-4):
 def test_params_validation():
     with pytest.raises(ValueError):
         MmsParams(omega0=0.0, c_l=1, c_nl=1, k_nl=1, e_r=1, alpha=0.5)
-    with pytest.raises(ValueError):
-        MmsParams(omega0=1, c_l=1, c_nl=1, k_nl=1, e_r=1, alpha=0.5,
-                  m_nl=1.0, case_tag="no-tip")
     for name in ("omega0", "c_l", "e_r", "f"):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             replace(CASE1, **{name: math.nan})
@@ -129,8 +126,8 @@ def test_free_envelope_phase_vs_log_closed_form():
 def test_free_envelope_tip_mass_phase_term():
     # m_nl only shifts the phase rate, never the amplitude
     p_tip = MmsParams(omega0=1.114, c_l=1.241, c_nl=37.7, k_nl=37.7, e_r=0.1,
-                      alpha=0.5, m_nl=63.36, case_tag="tip-mass")
-    p_plain = replace(p_tip, m_nl=0.0, case_tag="no-tip")
+                      alpha=0.5, m_nl=63.36)
+    p_plain = replace(p_tip, m_nl=0.0)
     t = np.array([0.0, 1.0, 4.0])
     amp_tip, phi_tip = free_envelope(p_tip, 0.5, 0.0, t)
     amp_plain, phi_plain = free_envelope(p_plain, 0.5, 0.0, t)
@@ -276,8 +273,8 @@ def test_cubic_trivials():
 
 def test_cubic_tip_term_reduction():
     tip = MmsParams(omega0=1.114, c_l=1.24, c_nl=37.7, k_nl=37.7, e_r=0.3,
-                    alpha=0.4, m_nl=63.4, f=1.0, case_tag="tip-mass")
-    plain = replace(tip, m_nl=0.0, case_tag="no-tip")
+                    alpha=0.4, m_nl=63.4, f=1.0)
+    plain = replace(tip, m_nl=0.0)
     c_tip = steady_state_cubic(tip, 1.0)
     c_plain = steady_state_cubic(plain, 1.0)
     assert c_tip.a1 == c_plain.a1 and c_tip.a2 == c_plain.a2
@@ -390,6 +387,19 @@ def test_sweep_peak_drops_with_er():
         branch = frequency_sweep(CASE1, np.linspace(-2.0, 4.0, 301), e_r=float(er), f=0.5)
         peaks.append(max(r.amp for rs in branch.root_sets for r in rs))
     assert all(b < a for a, b in zip(peaks, peaks[1:]))
+
+
+@pytest.mark.parametrize("override, n_folds", [
+    ({"alpha": 0.3147 - 0.002}, 2), ({"alpha": 0.3147 + 0.002}, 0),
+    ({"f": 1.7643 - 0.04}, 0), ({"f": 1.7643 + 0.04}, 2),
+])
+def test_sweep_hysteresis_onset(override, n_folds):
+    # the two folds merge at the cusp: for the published rates at E_r = 0.3
+    # that is alpha_c = 0.3147 at f = 1, and f_c = 1.7643 at alpha = 0.4.
+    # A fine grid, because just past the cusp the folds lie 1e-3 apart.
+    branch = frequency_sweep(CASE1, np.linspace(-2.0, 10.0, 120001), **override)
+    assert len(branch.bifurcations) == n_folds
+    assert branch.n_roots.max() == (3 if n_folds else 1)
 
 
 def test_sweep_monotone_grid_required():

@@ -26,7 +26,7 @@ CASES = {
     "lumped": MmsParams(omega0=math.sqrt(1.24), c_l=1.24, c_nl=1.24, k_nl=1.24,
                         e_r=0.3, alpha=0.4, f=1.0),
     "tip-mass": MmsParams(omega0=1.114, c_l=1.241, c_nl=37.7, k_nl=37.7, e_r=0.1,
-                          alpha=0.5, m_nl=63.36, case_tag="tip-mass"),
+                          alpha=0.5, m_nl=63.36),
 }
 
 
