@@ -403,6 +403,21 @@ def _check_domain(cfg: RunConfig) -> None:
             raise ValueError(f"{flag} must be positive, got {value}")
 
 
+def _config_value(typ, raw):
+    """A config-file value converted by the rule its flag follows.
+
+    A string (every value of a key=value file) goes through ``typ`` as a flag
+    does.  A JSON number stands for a float field, and for an int field when
+    it is integral; a bool, a null or any other JSON value is rejected.
+    """
+    if isinstance(raw, str):
+        return typ(raw)
+    if (typ is str or isinstance(raw, bool) or not isinstance(raw, (int, float))
+            or (typ is int and not float(raw).is_integer())):
+        raise ValueError(f"invalid {typ.__name__} value: {json.dumps(raw)}")
+    return typ(raw)
+
+
 def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
     command = args.command
     spec = _SPECS[command]
@@ -416,8 +431,11 @@ def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         if flag_val is not None:
             params[name] = flag_val
         elif name in file_values:
-            raw = file_values[name]
-            params[name] = typ(raw) if not isinstance(raw, typ) else raw
+            try:
+                params[name] = _config_value(typ, file_values[name])
+            except (ValueError, OverflowError) as exc:
+                parser.error(f"bad value for key {name!r} in --config file for command "
+                             f"{command!r}: {exc}")
         else:
             params[name] = default
     return RunConfig(command=command, params=params)

@@ -15,11 +15,18 @@ class QuadratureError(RuntimeError):
 
 
 class StepFailureError(RuntimeError):
-    """Implicit solve failed at one time step, after the bisection fallback."""
+    """Implicit solve failed at one time step, after the bisection fallback.
 
-    def __init__(self, step: int, message: str):
-        super().__init__(f"step {step}: {message}")
-        self.step = step
+    ``step`` and ``t`` name the time level being solved for; ``q`` and ``v``
+    are the state it was stepped from and ``residual`` the smallest
+    |residual| the solve reached.
+    """
+
+    def __init__(self, step: int, message: str, *, t: float, q: float, v: float,
+                 residual: float):
+        super().__init__(f"step {step} (t = {t!r}, q = {q!r}, v = {v!r}, "
+                         f"|residual| = {residual:.3e}): {message}")
+        self.step, self.t, self.q, self.v, self.residual = step, t, q, v, residual
 
 
 class InsufficientDataError(ValueError):

@@ -135,21 +135,37 @@ def critical_alpha(params: MmsParams, mode: str = "decay-peak") -> CriticalAlpha
         pi L cos h + (L^2 - pi^2/4) sin h = 0,
         alpha = (2/pi) atan2(s pi L, -s (L^2 - pi^2/4)) with s = sign L,
         and no root at all when L = 0.
+
+    With h = pi/2 + phi each condition reads tan phi = B/A (A, B the cos h
+    and sin h coefficients), so the root lies below 1 exactly when A B < 0:
+    when L < 0 for the decay peak, and when 0 < L < pi/2 or L < -pi/2 for
+    the sensitivity extremum (fl(pi/2) < pi/2, so these tests are exact in
+    doubles).  Near alpha = 1, atan2 rounds h onto fl(pi/2) and can carry a
+    root just below 1 onto 1; such a root is reported as the double just
+    below 1, next to the root and on its side of 1.  A root that rounds onto
+    an end of (0, 2), as the sensitivity extremum does for |L| below about
+    2e-16, is reported as not found.
     """
     ln = math.log(params.omega0)
     closed = -(2.0 / math.pi) * math.atan(0.5 * math.pi / ln) if ln != 0.0 else -1.0
     if mode == "decay-peak":
         root = 2.0 / math.pi * math.atan2(0.5 * math.pi, -ln)
-        residual = _sensitivity_at(params, root)
+        below_one = ln < 0.0
     elif mode == "sensitivity-extremum":
-        if ln == 0.0:
-            return CriticalAlphaResult(found=False, alpha_cr=None, residual=None,
-                                       in_unit_interval=False, mode=mode, closed_form=closed)
         s = math.copysign(1.0, ln)
-        root = 2.0 / math.pi * math.atan2(s * math.pi * ln, -s * (ln * ln - 0.25 * math.pi**2))
-        residual = _sensitivity_slope(params, root)
+        root = (2.0 / math.pi * math.atan2(s * math.pi * ln, -s * (ln * ln - 0.25 * math.pi**2))
+                if ln != 0.0 else math.nan)
+        below_one = 0.0 < ln <= 0.5 * math.pi or ln < -0.5 * math.pi
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    if not 0.0 < root < 2.0:
+        # L = 0, or h so close to 0 or pi that it rounds onto the end
+        return CriticalAlphaResult(found=False, alpha_cr=None, residual=None,
+                                   in_unit_interval=False, mode=mode, closed_form=closed)
+    if below_one and root >= 1.0:
+        root = math.nextafter(1.0, 0.0)
+    residual = (_sensitivity_at(params, root) if mode == "decay-peak"
+                else _sensitivity_slope(params, root))
     return CriticalAlphaResult(found=True, alpha_cr=root, residual=residual,
                                in_unit_interval=0.0 < root < 1.0, mode=mode,
                                closed_form=closed)

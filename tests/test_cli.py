@@ -205,6 +205,57 @@ def test_config_file_unknown_key_exit_code_2(tmp_path, capsys, name, text):
     assert f"unknown key {key}" in err and "'simulate'" in err
 
 
+@pytest.mark.parametrize("name, text, key", [
+    ("null.json", json.dumps({"alpha": None}), "alpha"),
+    ("list.json", json.dumps({"alpha": [1]}), "alpha"),
+    ("bool.json", json.dumps({"dt": True}), "dt"),
+    ("str.json", json.dumps({"case": 3}), "case"),
+    ("word.json", json.dumps({"alpha": "abc"}), "alpha"),
+    ("word.cfg", "alpha=abc\n", "alpha"),
+])
+def test_config_file_bad_value_exit_code_2(tmp_path, capsys, name, text, key):
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(cfg), "--t-final", "0.01"])
+    assert exc.value.code == 2
+    assert f"bad value for key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text", [
+    ("fraction.json", json.dumps({"n_modes": 2.5})),
+    ("bool.json", json.dumps({"n_modes": True})),
+    ("null.json", json.dumps({"n_modes": None})),
+    ("inf.json", '{"n_modes": 1e400}'),
+    ("fraction.cfg", "n_modes=2.5\n"),
+])
+def test_config_file_int_value_like_flag(tmp_path, capsys, name, text):
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["modes", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "bad value for key 'n_modes'" in capsys.readouterr().err
+    # the same value as a flag is a usage error too
+    with pytest.raises(SystemExit) as exc:
+        main(["modes", "--n-modes", "2.5"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name, text", [
+    ("int.json", json.dumps({"n_modes": 2, "M": 1, "case": "custom", "J": 0.5})),
+    ("integral.json", json.dumps({"n_modes": 2.0, "M": 1.0, "case": "custom", "J": "0.5"})),
+    ("int.cfg", "n_modes=2\nM=1\ncase=custom\nJ=0.5\n"),
+])
+def test_config_file_values_convert_like_flags(tmp_path, capsys, name, text):
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    _, out_cfg = run_cli(capsys, "modes", "--config", str(cfg))
+    _, out_flag = run_cli(capsys, "modes", "--n-modes", "2", "--M", "1", "--case", "custom",
+                          "--J", "0.5")
+    assert out_cfg == out_flag
+
+
 def test_usage_error_exit_code_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["modes", "--no-such-flag"])

@@ -1,0 +1,217 @@
+"""integrate_nonlinear's per-step cubic and Newton solve, against two oracles.
+
+The step residual used to be a closure defined inside the step loop and
+solved by damped Newton with a centred finite-difference slope.  Both live
+on here as oracles: ``closure_residual`` is that closure, and
+``fd_slope_stepper`` is that integrator on the same ``L1History`` kernel.
+"""
+
+import dataclasses
+import math
+from functools import partial
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fracbeam import GridSpec, HarmonicForcing, L1History, MaterialParams, integrate_nonlinear
+from fracbeam.errors import StepFailureError
+from fracbeam.fracode import _bisect_residual, _cubic, _step_cubic, _step_model
+
+EPS = np.finfo(float).eps
+
+
+def closure_residual(co, e_r, alpha, dt, ca, qi, vi, ai, fo, lag_q, lag_c):
+    """The step residual as a function of the new displacement u."""
+    mt, jnl, kl, cl, knl, cnl = co.m_modal, co.j_nl, co.k_l, co.c_l, co.k_nl, co.c_nl
+    classical = alpha == 1.0
+    w0 = 4.0 / dt**2
+    ci = qi**3
+
+    def residual(u):
+        au = w0 * (u - qi - dt * vi) - ai
+        vu = 2.0 / dt * (u - qi) - vi
+        if classical:
+            dq_frac = vu
+            dc_frac = 3.0 * u**2 * vu
+        else:
+            dq_frac = ca * ((u - qi) + lag_q)
+            dc_frac = ca * ((u**3 - ci) + lag_c)
+        return (mt * au + jnl * (au * u**2 + u * vu**2) + kl * u
+                + e_r * cl * dq_frac + 2.0 * knl * u**3
+                + 0.5 * e_r * cnl * (dc_frac + 3.0 * u**2 * dq_frac) - fo)
+
+    return residual
+
+
+def residual_magnitude(co, e_r, alpha, dt, ca, qi, vi, ai, fo, lag_q, lag_c, u):
+    """The sum of the magnitudes of the residual's terms, inner sums included."""
+    mt, jnl, kl, cl, knl, cnl = co.m_modal, co.j_nl, co.k_l, co.c_l, co.k_nl, co.c_nl
+    w0 = 4.0 / dt**2
+    au = w0 * (abs(u) + abs(qi) + dt * abs(vi)) + abs(ai)
+    vu = 2.0 / dt * (abs(u) + abs(qi)) + abs(vi)
+    if alpha == 1.0:
+        dq, dc = vu, 3.0 * u**2 * vu
+    else:
+        dq = ca * (abs(u) + abs(qi) + abs(lag_q))
+        dc = ca * (abs(u)**3 + abs(qi)**3 + abs(lag_c))
+    return (mt * au + abs(jnl) * (au * u**2 + abs(u) * vu**2) + kl * abs(u)
+            + e_r * cl * dq + 2.0 * abs(knl) * abs(u)**3
+            + 0.5 * e_r * abs(cnl) * (dc + 3.0 * u**2 * dq) + abs(fo))
+
+
+def fd_slope_stepper(co, mat, q0, v0, grid, base_accel, newton_tol=1e-10, max_newton=50):
+    """The integrator with the closure residual and a finite-difference slope."""
+    dt, n, alpha, e_r = grid.dt, grid.n_steps, mat.alpha, mat.e_r
+    force = (-co.m_b * base_accel.values(grid.times())).tolist()
+    classical = alpha == 1.0
+    qi, vi = float(q0), float(v0)
+    num0 = force[0] - co.j_nl * qi * vi**2 - co.k_l * qi - 2.0 * co.k_nl * qi**3
+    if classical:
+        num0 -= e_r * co.c_l * vi + 3.0 * e_r * co.c_nl * qi**2 * vi
+    ai = num0 / (co.m_modal + co.j_nl * qi**2)
+    ca = lag_q = lag_c = None
+    if not classical:
+        hist_q, hist_c = L1History(alpha, dt, n), L1History(alpha, dt, n)
+        ca = hist_q.scale
+    w0 = 4.0 / dt**2
+    q = [qi]
+    for i in range(n):
+        if not classical:
+            lag_q, lag_c = hist_q.lag_sum(), hist_c.lag_sum()
+        residual = closure_residual(co, e_r, alpha, dt, ca, qi, vi, ai, force[i + 1],
+                                    lag_q, lag_c)
+        u = qi + dt * vi + 0.5 * dt**2 * ai
+        r = residual(u)
+        tol = max(newton_tol, 64.0 * EPS * co.m_modal * w0 * max(abs(qi), abs(dt * vi), 1.0))
+        for _ in range(max_newton):
+            if abs(r) < tol:
+                break
+            h = 1e-7 * max(1.0, abs(u))
+            step = -r * 2.0 * h / (residual(u + h) - residual(u - h))
+            lam = 1.0
+            while abs(residual(u + lam * step)) >= abs(r):
+                lam *= 0.5
+            u += lam * step
+            r = residual(u)
+        assert abs(r) < tol
+        a1 = w0 * (u - qi - dt * vi) - ai
+        vi = vi + 0.5 * dt * (ai + a1)
+        if not classical:
+            hist_q.push(u - qi)
+            hist_c.push(u**3 - qi**3)
+        qi, ai = u, a1
+        q.append(qi)
+    return np.array(q)
+
+
+def scaled(co, j, k, c):
+    return dataclasses.replace(co, j_nl=j * co.j_nl, k_nl=k * co.k_nl, c_nl=c * co.c_nl)
+
+
+# ------------------------------------------------------------ the cubic
+
+SCALES = st.sampled_from([1.0, 1e-8, 0.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.sampled_from(["no-tip", "tip-mass"]),
+       j=SCALES, k=SCALES, c=SCALES,
+       alpha=st.one_of(st.just(1.0), st.floats(1e-3, 1.0 - 1e-6)),
+       e_r=st.floats(0.0, 2.0),
+       log10_dt=st.floats(-4.0, -1.0),
+       qi=st.floats(-2.0, 2.0), vi=st.floats(-20.0, 20.0), ai=st.floats(-500.0, 500.0),
+       fo=st.floats(-10.0, 10.0), lag_q=st.floats(-5.0, 5.0), lag_c=st.floats(-5.0, 5.0),
+       d=st.floats(-1.0, 1.0))
+def test_step_cubic_matches_closure_residual(case, j, k, c, alpha, e_r, log10_dt, qi, vi,
+                                             ai, fo, lag_q, lag_c, d,
+                                             case1_coeffs, case2_coeffs):
+    co = scaled(case1_coeffs if case == "no-tip" else case2_coeffs, j, k, c)
+    dt = 10.0**log10_dt
+    ca = None if alpha == 1.0 else L1History(alpha, dt, 1).scale
+    c3, c2, c1, c0 = _step_cubic(_step_model(co, e_r, dt, ca), qi, vi, ai, fo, lag_q, lag_c)
+    u = qi + d
+    d = u - qi     # exact, so both sides see the same u
+    got = ((c3 * d + c2) * d + c1) * d + c0
+    state = (co, e_r, alpha, dt, ca, qi, vi, ai, fo, lag_q, lag_c)
+    want = closure_residual(*state)(u)
+    assert abs(got - want) <= 1e-12 * residual_magnitude(*state, u)
+    # the analytic slope against the closure's complex-step derivative; the
+    # magnitude is convex and increasing in |u|, so its forward difference
+    # bounds the sum of the magnitudes of the terms' derivatives
+    slope = (3.0 * c3 * d + 2.0 * c2) * d + c1
+    exact = closure_residual(*state)(u + 1e-30j).imag / 1e-30
+    h = 1e-6 * max(1.0, abs(u))
+    scale = (residual_magnitude(*state, abs(u) + h) - residual_magnitude(*state, abs(u))) / h
+    assert abs(slope - exact) <= 1e-12 * scale
+
+
+# ------------------------------------------------------- the trajectory
+
+def trajectory_bound(co, traj, newton_tol=1e-10):
+    """What the per-step tolerance allows two solves of a run to drift apart.
+
+    Both solves stop with |r| < tol, so at the same state their roots differ
+    by e <= 2 tol / |r'|, and r' >= M_t w0 / 2 on these runs (the inertia
+    term M_t w0 = 4 M_t / dt^2 dominates the slope).  Newmark turns a
+    displacement error e into a velocity error 2 e / dt, which the weakly
+    damped oscillator carries as a displacement amplitude of at most
+    e (1 + 2 / (dt omega)), omega being its lowest linear frequency.  The
+    n steps' errors add up at worst.
+    """
+    dt, n = traj.grid.dt, traj.grid.n_steps
+    w0 = 4.0 / dt**2
+    state = max(np.max(np.abs(traj.q)), dt * np.max(np.abs(traj.v)), 1.0)
+    tol = max(newton_tol, 64.0 * EPS * co.m_modal * w0 * state)
+    omega = math.sqrt(co.k_l / (co.m_modal + co.j_nl * np.max(traj.q**2)))
+    return n * 2.0 * tol / (0.5 * co.m_modal * w0) * (1.0 + 2.0 / (dt * omega))
+
+
+@pytest.mark.parametrize("case", ["no-tip", "tip-mass"])
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+def test_trajectory_matches_fd_slope_stepper(case, alpha, case1_coeffs, case2_coeffs):
+    co = case1_coeffs if case == "no-tip" else case2_coeffs
+    mat = MaterialParams.from_ratio(0.1, alpha)
+    grid = GridSpec(0.01, 3000)
+    base = HarmonicForcing(0.13, 1.02 * math.sqrt(co.k_l / co.m_modal))
+    traj = integrate_nonlinear(co, mat, 0.0, 0.0, grid, base)
+    want = fd_slope_stepper(co, mat, 0.0, 0.0, grid, base)
+    assert np.max(np.abs(traj.q - want)) <= trajectory_bound(co, traj)
+
+
+def test_bisection_fallback_matches_newton(case2_coeffs):
+    # max_newton=0 sends every step the predictor misses to the bracket
+    # search and bisection on the step's cubic
+    co = case2_coeffs
+    mat = MaterialParams.from_ratio(0.1, 0.5)
+    grid = GridSpec(0.01, 300)
+    base = HarmonicForcing(0.13, math.sqrt(co.k_l / co.m_modal))
+    q0 = 0.05
+    newton = integrate_nonlinear(co, mat, q0, 0.0, grid, base)
+    fallback = integrate_nonlinear(co, mat, q0, 0.0, grid, base, max_newton=0)
+    assert np.max(np.abs(fallback.q - newton.q)) <= trajectory_bound(co, newton)
+    # step 1 from rest: the predictor misses, and the step lands on the
+    # bisection of its cubic
+    dt = grid.dt
+    model = _step_model(co, mat.e_r, dt, L1History(mat.alpha, dt, 1).scale)
+    force = -co.m_b * base.values(grid.times())[1]
+    cubic = _step_cubic(model, q0, 0.0, fallback.a[0], force, 0.0, 0.0)
+    d = 0.5 * dt * dt * fallback.a[0]
+    tol = max(1e-10, 64.0 * EPS * co.m_modal * 4.0 / dt**2)
+    assert abs(_cubic(*cubic, d)) >= tol
+    assert fallback.q[1] == q0 + _bisect_residual(partial(_cubic, *cubic), d, 1.0)
+
+
+def test_step_failure_names_time_and_state(case1_coeffs):
+    # the predictor lands so far from the root that no bracket of the
+    # fallback search (at most +-2.048 wide here) holds a sign change
+    mat = MaterialParams.from_ratio(0.1, 0.5)
+    dt, q0, v0 = 0.01, 0.1, -0.2
+    with pytest.raises(StepFailureError) as info:
+        integrate_nonlinear(case1_coeffs, mat, q0, v0, GridSpec(dt, 10),
+                            HarmonicForcing(1e9, 3.0), max_newton=0)
+    err = info.value
+    assert (err.step, err.t, err.q, err.v) == (1, dt, q0, v0)
+    assert err.residual > 1e6
+    assert f"step 1 (t = {dt!r}, q = {q0!r}, v = {v0!r}," in str(err)

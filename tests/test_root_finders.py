@@ -8,6 +8,7 @@ to 1e-15.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -87,6 +88,8 @@ def residual_floor(p, mode, alpha):
 @given(log10_omega0=st.floats(-3.0, 3.0), mode=st.sampled_from(MODES))
 @example(log10_omega0=math.log10(3.5160152685), mode="decay-peak")
 @example(log10_omega0=math.log10(0.5), mode="sensitivity-extremum")
+@example(log10_omega0=math.log10(1.0 - 2.0**-53), mode="decay-peak")   # root 1 - 4.5e-17
+@example(log10_omega0=math.log10(1.0 - 2.0**-52), mode="decay-peak")   # root 1 - 9.0e-17
 def test_critical_alpha_matches_scan_oracle(log10_omega0, mode):
     p = params_at(10.0**log10_omega0, c_l=12.3624, e_r=0.3)
     found, alpha_old, res_old = oracle_critical_alpha(p, mode)
@@ -134,6 +137,50 @@ def test_critical_alpha_at_quarter_period_log(sign):
         assert found
         assert abs(res.alpha_cr - alpha_old) <= 1e-15
         assert abs(res.residual) <= max(abs(res_old), residual_floor(p, mode, res.alpha_cr))
+
+
+@pytest.mark.parametrize("omega0", (1.0 - 2.0**-53, 1.0 - 2.0**-52))
+def test_critical_alpha_never_returns_an_endpoint(omega0):
+    # L = ln(w0) ~ -1e-16: the sensitivity extremum's h = pi - O(L) rounds
+    # to pi, alpha to 2, which is outside the open interval (0, 2); the decay
+    # peak, 1 - 4.5e-17 or 1 - 9.0e-17, stays below 1
+    p = params_at(omega0)
+    res = critical_alpha(p, "sensitivity-extremum")
+    assert (res.found, res.alpha_cr, res.residual) == (False, None, None)
+    assert not oracle_critical_alpha(p, "sensitivity-extremum")[0]
+    peak = critical_alpha(p, "decay-peak")
+    assert peak.found and peak.in_unit_interval
+    assert peak.alpha_cr == 1.0 - 2.0**-53
+
+
+def _doubles_around(x, k):
+    """x and the k doubles on either side of it."""
+    lo, hi, out = x, x, [x]
+    for _ in range(k):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+@pytest.mark.parametrize("omega0", _doubles_around(1.0, 6)[1:]
+                         + _doubles_around(math.exp(0.5 * math.pi), 6)
+                         + _doubles_around(math.exp(-0.5 * math.pi), 6))
+def test_critical_alpha_keeps_the_side_of_one(omega0):
+    # roots within a few ulps of 1, against alpha = 1 + (2/pi) atan(B/A) in
+    # 200-bit arithmetic at the same L; the scan oracle's own condition
+    # evaluation is too coarse here to say on which side of 1 a root lies
+    p = params_at(omega0)
+    with mpmath.workprec(200):
+        ln = mpmath.mpf(math.log(omega0))
+        pi = mpmath.pi
+        for mode, (a, b) in (("decay-peak", (pi / 2, ln)),
+                             ("sensitivity-extremum", (pi * ln, ln * ln - pi**2 / 4))):
+            exact = 1 + 2 / pi * mpmath.atan(b / a)
+            res = critical_alpha(p, mode)
+            if not 0 < exact < 2 or res.alpha_cr is None:
+                continue   # the extremum's root at 2 - O(L), covered above
+            assert res.in_unit_interval == (exact < 1)
+            assert abs(res.alpha_cr - exact) <= 2.0**-51
 
 
 def test_critical_alpha_unknown_mode():
