@@ -24,10 +24,12 @@ DELTAS = np.linspace(-1.0, 4.0, 1001)
 
 def dump_branch(branch, path):
     lines = ["delta,n_roots,a1,a2,a3,stable1,stable2,stable3"]
-    for d, roots in zip(branch.deltas, branch.root_sets):
-        amps = [f"{r.amp:.10g}" for r in roots] + [""] * (3 - len(roots))
-        stab = [str(int(r.stable)) for r in roots] + [""] * (3 - len(roots))
-        lines.append(f"{d:.10g},{len(roots)}," + ",".join(amps + stab))
+    rows = zip(branch.deltas.tolist(), branch.n_roots.tolist(),
+               branch.amp.tolist(), branch.stable.tolist())
+    for d, n, amp, stable in rows:
+        amps = [f"{a:.10g}" for a in amp[:n]] + [""] * (3 - n)
+        stab = [str(int(s)) for s in stable[:n]] + [""] * (3 - n)
+        lines.append(f"{d:.10g},{n}," + ",".join(amps + stab))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -35,14 +35,12 @@ from .fracode import (
 from .modes import (
     ModalCoefficients,
     ModeShape,
-    ScaledCoefficients,
     TipConfig,
     build_mode,
     characteristic_residual,
     characteristic_scale,
     modal_coefficients,
     mode_shape_eval,
-    scale_coefficients,
     solve_eigen,
 )
 from .multiscale import (
@@ -55,6 +53,7 @@ from .multiscale import (
     decay_rate,
     free_envelope,
     frequency_sweep,
+    scale_coefficients,
     sensitivity,
     solve_steady_amplitudes,
     steady_state_cubic,

@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .constitutive import MaterialParams, StrainProgram, complex_modulus, ramp_hold_stress, stress_history_l1, tangent_loss
 from .fracode import GridSpec, HarmonicForcing, integrate_linear, integrate_nonlinear
-from .modes import ModalCoefficients, TipConfig, build_mode, modal_coefficients, mode_shape_eval, scale_coefficients, solve_eigen
-from .multiscale import MmsParams, critical_alpha, decay_rate, free_envelope, frequency_sweep, sensitivity
+from .modes import ModalCoefficients, TipConfig, build_mode, modal_coefficients, mode_shape_eval, solve_eigen
+from .multiscale import MmsParams, critical_alpha, decay_rate, free_envelope, frequency_sweep, scale_coefficients, sensitivity
 
 __all__ = ["RunConfig", "ResultTable", "main"]
 
@@ -130,8 +130,7 @@ def _first_mode(cfg: RunConfig) -> tuple[float, ModalCoefficients]:
 def _mms_params_for(cfg: RunConfig) -> MmsParams:
     _beta, coeffs = _first_mode(cfg)
     mat = MaterialParams.from_ratio(cfg["er"], cfg["alpha"])
-    scaled = scale_coefficients(coeffs, mat, cfg.params.get("f", 0.0))
-    return MmsParams.from_scaled(scaled)
+    return scale_coefficients(coeffs, mat, cfg.params.get("f", 0.0))
 
 
 # ---------------------------------------------------------------- subcommands
@@ -471,14 +470,14 @@ def main(argv=None) -> int:
         _check_domain(cfg)
         table = _COMMANDS[args.command](cfg)
         text = table.to_json() if args.format == "json" else table.to_csv()
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"fracbeam: error: {exc}", file=sys.stderr)
         return 1
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -56,8 +56,9 @@ class MaterialParams:
         return self.e_alpha / self.e_inf
 
     @classmethod
-    def from_ratio(cls, e_r: float, alpha: float, e_inf: float = 1.0) -> "MaterialParams":
-        return cls(e_inf=e_inf, e_alpha=e_r * e_inf, alpha=alpha)
+    def from_ratio(cls, e_r: float, alpha: float) -> "MaterialParams":
+        """The material with E_inf = 1 and E_alpha = e_r."""
+        return cls(e_alpha=e_r, alpha=alpha)
 
 
 @dataclass(frozen=True)

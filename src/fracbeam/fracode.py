@@ -87,7 +87,6 @@ class Trajectory:
     q: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
     a: np.ndarray = field(repr=False)
-    metadata: dict = field(default_factory=dict)
 
     @property
     def t(self) -> np.ndarray:
@@ -285,10 +284,12 @@ def integrate_linear(
         q.append(qi)
         v.append(vi)
         a.append(ai)
+    return Trajectory(grid=grid, q=np.array(q), v=np.array(v), a=np.array(a))
 
-    meta = {"model": "linear", "c_l": c_l, "k_l": k_l, "e_r": e_r, "alpha": alpha,
-            "q0": q0, "v0": v0, "dt": dt, "n_steps": n}
-    return Trajectory(grid=grid, q=np.array(q), v=np.array(v), a=np.array(a), metadata=meta)
+
+# integrate_nonlinear's Newton solve: residual floor and iteration cap per step
+_NEWTON_TOL = 1e-10
+_MAX_NEWTON = 50
 
 
 def integrate_nonlinear(
@@ -298,8 +299,6 @@ def integrate_nonlinear(
     v0: float,
     grid: GridSpec,
     base_accel: HarmonicForcing | None = None,
-    newton_tol: float = 1e-10,
-    max_newton: int = 50,
 ) -> Trajectory:
     """Integrate the full single-mode model under harmonic base acceleration.
 
@@ -311,9 +310,10 @@ def integrate_nonlinear(
     L1 (or, at alpha = 1, Newmark) derivatives all polynomial in the new
     displacement u, each step's residual is a cubic in d = u - q_i whose
     coefficients are built once per step (``_step_cubic``).  It is solved by
-    damped Newton with the analytic slope, both evaluated by Horner's rule;
-    if Newton stalls, a sign-change bracket plus bisection is tried before
-    ``StepFailureError``.
+    damped Newton with the analytic slope, both evaluated by Horner's rule,
+    to a residual below max(1e-10, 64 eps M_t (4/dt^2) max(|q_i|, dt |v_i|,
+    1)) in at most 50 iterations.  If Newton stalls, a
+    sign-change bracket plus bisection is tried before ``StepFailureError``.
     """
     dt, n = grid.dt, grid.n_steps
     alpha, e_r = mat.alpha, mat.e_r
@@ -352,9 +352,9 @@ def integrate_nonlinear(
 
         d = dt * vi + half_dt2 * ai   # predictor
         r = ((c3 * d + c2) * d + c1) * d + c0
-        tol = max(newton_tol, tol_scale * max(abs(qi), abs(dt * vi), 1.0))
+        tol = max(_NEWTON_TOL, tol_scale * max(abs(qi), abs(dt * vi), 1.0))
         converged = abs(r) < tol
-        for _ in range(max_newton):
+        for _ in range(_MAX_NEWTON):
             if converged:
                 break
             slope = (3.0 * c3 * d + 2.0 * c2) * d + c1
@@ -391,13 +391,7 @@ def integrate_nonlinear(
         q.append(qi)
         v.append(vi)
         a.append(ai)
-
-    meta = {"model": "nonlinear", "alpha": alpha, "e_r": e_r, "q0": q0, "v0": v0,
-            "dt": dt, "n_steps": n, "m_modal": mt, "j_nl": jnl, "k_l": kl,
-            "k_nl": knl, "m_b": mb,
-            "base_accel": None if base_accel is None else
-            (base_accel.amplitude, base_accel.frequency, base_accel.phase)}
-    return Trajectory(grid=grid, q=np.array(q), v=np.array(v), a=np.array(a), metadata=meta)
+    return Trajectory(grid=grid, q=np.array(q), v=np.array(v), a=np.array(a))
 
 
 def _step_model(coeffs: ModalCoefficients, e_r: float, dt: float, ca) -> tuple:

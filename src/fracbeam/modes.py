@@ -25,26 +25,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constitutive import MaterialParams
 from .errors import EigenSearchError, QuadratureError
 
 __all__ = [
     "TipConfig",
     "ModeShape",
     "ModalCoefficients",
-    "ScaledCoefficients",
     "characteristic_residual",
     "characteristic_scale",
     "solve_eigen",
     "build_mode",
     "mode_shape_eval",
     "modal_coefficients",
-    "scale_coefficients",
 ]
 
 # beyond this eigenvalue the shape is evaluated through split exponentials to
 # dodge the cosh/sinh cancellation blow-up
 _EXP_SPLIT_BETA = 15.0
+
+# spacing of the beta grid on which the eigen search looks for sign changes
+_GRID_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -114,27 +114,21 @@ def bisect(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_eigen(
-    tip: TipConfig,
-    n_modes: int = 1,
-    search_max_beta: float = 20.0,
-    grid_step: float = 0.01,
-) -> list[float]:
+def solve_eigen(tip: TipConfig, n_modes: int = 1, search_max_beta: float = 20.0) -> list[float]:
     """First ``n_modes`` positive eigenvalues beta, in ascending order.
 
     Sign changes of the characteristic function are located on a uniform
-    beta grid, bracketed roots are bisected to 1e-12 and polished with one
-    Newton step (centered finite-difference slope).
+    beta grid of spacing 0.01, bracketed roots are bisected to 1e-12 and
+    polished with one Newton step (centered finite-difference slope).
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     f = lambda b: characteristic_residual(b, tip)
     betas: list[float] = []
-    lo = grid_step
-    flo = f(lo)
-    b = lo
+    b = _GRID_STEP
+    flo = f(b)
     while b < search_max_beta and len(betas) < n_modes:
-        b_next = b + grid_step
+        b_next = b + _GRID_STEP
         f_next = f(b_next)
         if flo == 0.0:
             betas.append(b)
@@ -272,7 +266,7 @@ class ModalCoefficients:
     m_b: float
 
 
-def modal_coefficients(mode: ModeShape, tip: TipConfig | None = None) -> ModalCoefficients:
+def modal_coefficients(mode: ModeShape) -> ModalCoefficients:
     """Adaptive Gauss-Legendre evaluation of the seven reduction coefficients.
 
     M_t  = int phi^2 + M phi(1)^2 + J phi'(1)^2        (= 1 + tip terms)
@@ -281,8 +275,7 @@ def modal_coefficients(mode: ModeShape, tip: TipConfig | None = None) -> ModalCo
     K_nl = C_nl = int phi'^2 phi''^2
     M_b  = int phi + M phi(1)
     """
-    if tip is None:
-        tip = mode.tip
+    tip = mode.tip
     phi = lambda s, k: mode_shape_eval(mode, s, k)
     int_phi_sq = _adaptive_quad(lambda s: phi(s, 0) ** 2)
     kc_l = _adaptive_quad(lambda s: phi(s, 2) ** 2)
@@ -300,41 +293,3 @@ def modal_coefficients(mode: ModeShape, tip: TipConfig | None = None) -> ModalCo
         m_b=int_phi + tip.m_tip * p1,
     )
 
-
-@dataclass(frozen=True)
-class ScaledCoefficients:
-    """Mass-normalized rates of the single-mode oscillator.
-
-    All slow-time formulas downstream consume only the products of the
-    bookkeeping parameter with these rates, so the bookkeeping parameter is
-    folded in at unity and physical rates are stored directly.
-    """
-
-    omega0: float
-    c_l: float
-    c_nl: float
-    k_nl: float
-    m_nl: float
-    f: float
-    e_r: float
-    alpha: float
-
-
-def scale_coefficients(
-    coeffs: ModalCoefficients,
-    mat: MaterialParams,
-    force_amplitude: float = 0.0,
-) -> ScaledCoefficients:
-    m = coeffs.m_modal
-    if not (m > 0):
-        raise ValueError(f"modal mass must be positive, got {m}")
-    return ScaledCoefficients(
-        omega0=math.sqrt(coeffs.k_l / m),
-        c_l=coeffs.c_l / m,
-        c_nl=coeffs.c_nl / m,
-        k_nl=coeffs.k_nl / m,
-        m_nl=coeffs.j_nl / m,
-        f=force_amplitude,
-        e_r=mat.e_r,
-        alpha=mat.alpha,
-    )

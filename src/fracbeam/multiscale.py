@@ -26,7 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .modes import ScaledCoefficients, bisect
+from .constitutive import MaterialParams
+from .modes import ModalCoefficients, bisect
 
 __all__ = [
     "MmsParams",
@@ -34,6 +35,7 @@ __all__ = [
     "SteadyStateRoot",
     "ResponseBranch",
     "CriticalAlphaResult",
+    "scale_coefficients",
     "free_envelope",
     "decay_rate",
     "sensitivity",
@@ -46,7 +48,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MmsParams:
-    """Rates and material constants feeding the slow-flow formulas."""
+    """Mass-normalised rates and material constants feeding the slow-flow formulas.
+
+    ``scale_coefficients`` builds one from a mode's coefficients.  The
+    slow-time formulas consume only the products of the bookkeeping parameter
+    with these rates, so it is folded in at unity and physical rates are
+    stored directly.
+    """
 
     omega0: float
     c_l: float
@@ -69,9 +77,35 @@ class MmsParams:
             raise ValueError(f"e_r must be non-negative, got {self.e_r}")
 
     @classmethod
-    def from_scaled(cls, sc: ScaledCoefficients) -> "MmsParams":
+    def from_scaled(cls, sc: "MmsParams") -> "MmsParams":
+        """A copy of ``sc``, field by field.
+
+        ``scale_coefficients`` already returns an ``MmsParams``; this stays
+        only because acceptance criteria 7 and 10 call it.
+        """
         return cls(omega0=sc.omega0, c_l=sc.c_l, c_nl=sc.c_nl, k_nl=sc.k_nl,
                    e_r=sc.e_r, alpha=sc.alpha, m_nl=sc.m_nl, f=sc.f)
+
+
+def scale_coefficients(
+    coeffs: ModalCoefficients,
+    mat: MaterialParams,
+    force_amplitude: float = 0.0,
+) -> MmsParams:
+    """Slow-flow rates of one mode: its coefficients divided by the modal mass."""
+    m = coeffs.m_modal
+    if not (m > 0):
+        raise ValueError(f"modal mass must be positive, got {m}")
+    return MmsParams(
+        omega0=math.sqrt(coeffs.k_l / m),
+        c_l=coeffs.c_l / m,
+        c_nl=coeffs.c_nl / m,
+        k_nl=coeffs.k_nl / m,
+        e_r=mat.e_r,
+        alpha=mat.alpha,
+        m_nl=coeffs.j_nl / m,
+        f=force_amplitude,
+    )
 
 
 def _damping_factor(p: MmsParams) -> float:
@@ -458,9 +492,10 @@ class ResponseBranch:
     Row i describes ``deltas[i]``: ``n_roots[i]`` admissible roots, stored in
     ascending amplitude in the (n, 3) arrays ``amp`` (a >= 0), ``gamma``
     (phase) and ``stable``; entries past the count are NaN (False in
-    ``stable``).  With three roots the middle one is the unstable saddle
-    branch.  ``root_sets`` (per-point lists of ``SteadyStateRoot``) and
-    ``branches`` (nearest-amplitude continuation) are built on first access.
+    ``stable``).  With three roots the columns are the lower, middle and
+    upper roots, and the middle one is the unstable saddle branch.
+    ``root_sets`` (per-point lists of ``SteadyStateRoot``) is built on first
+    access.
     """
 
     deltas: np.ndarray
@@ -475,44 +510,6 @@ class ResponseBranch:
         amp, gamma, stable = self.amp.tolist(), self.gamma.tolist(), self.stable.tolist()
         return [_root_list(a, g, s, n)
                 for a, g, s, n in zip(amp, gamma, stable, self.n_roots.tolist())]
-
-    @cached_property
-    def branches(self) -> list:
-        return _match_branches(self.deltas, self.root_sets)
-
-
-def _match_branches(deltas: np.ndarray, root_sets: list) -> list:
-    """Nearest-amplitude continuation of root sets across the sweep."""
-    branches: list[dict] = []
-    open_ids: list[int] = []
-    for i, (d, roots) in enumerate(zip(deltas, root_sets)):
-        amps = [r.amp for r in roots]
-        taken = [False] * len(roots)
-        next_open = []
-        for bid in open_ids:
-            br = branches[bid]
-            last = br["amp"][-1]
-            # local jump threshold: 10x the amplitude step the branch just took
-            if len(br["amp"]) > 1:
-                tol = 10.0 * max(abs(br["amp"][-1] - br["amp"][-2]), 1e-12)
-            else:
-                tol = np.inf
-            best, best_dist = None, np.inf
-            for k, a in enumerate(amps):
-                if not taken[k] and abs(a - last) < best_dist:
-                    best, best_dist = k, abs(a - last)
-            if best is not None and best_dist <= tol:
-                taken[best] = True
-                br["delta"].append(float(d))
-                br["amp"].append(amps[best])
-                br["stable"].append(roots[best].stable)
-                next_open.append(bid)
-        for k, r in enumerate(roots):
-            if not taken[k]:
-                branches.append({"delta": [float(d)], "amp": [r.amp], "stable": [r.stable]})
-                next_open.append(len(branches) - 1)
-        open_ids = next_open
-    return branches
 
 
 def frequency_sweep(

@@ -168,6 +168,17 @@ def test_output_file(tmp_path, capsys):
     assert path.read_text().startswith("# fracbeam=")
 
 
+def test_output_into_missing_directory_exit_code_1(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    code = main(["simulate", "--t-final", "1", "--output", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("fracbeam: error: ")
+    assert str(path) in captured.err
+    assert not path.parent.exists()
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("case=tip-mass\nn_modes=1\nresolution=2\n")

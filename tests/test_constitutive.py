@@ -29,7 +29,6 @@ def test_material_params_validation():
 def test_e_r_is_derived():
     mat = MaterialParams(e_inf=2.0, e_alpha=1.0, alpha=0.5)
     assert mat.e_r == 0.5
-    assert MaterialParams.from_ratio(0.5, 0.5, e_inf=2.0).e_alpha == 1.0
 
 
 def test_modulus_alpha_one_dashpot():

@@ -411,14 +411,6 @@ def test_sweep_monotone_grid_required():
         frequency_sweep(CASE1, [[0.0, 1.0], [2.0, 3.0]])
 
 
-def test_branch_matching_structure():
-    branch = frequency_sweep(LUMPED, np.linspace(-1.0, 4.0, 501))
-    # the upper resonant branch and the low-amplitude tail both persist
-    lengths = sorted(len(b["delta"]) for b in branch.branches)
-    assert len(branch.branches) >= 2
-    assert lengths[-1] > 100
-
-
 # -------------------------------------------- cross-module consistency
 
 def test_steady_state_matches_direct_integration(case1_coeffs):

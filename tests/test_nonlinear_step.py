@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracbeam import GridSpec, HarmonicForcing, L1History, MaterialParams, integrate_nonlinear
+from fracbeam import GridSpec, HarmonicForcing, L1History, MaterialParams, fracode, integrate_nonlinear
 from fracbeam.errors import StepFailureError
 from fracbeam.fracode import _bisect_residual, _cubic, _step_cubic, _step_model
 
@@ -180,37 +180,55 @@ def test_trajectory_matches_fd_slope_stepper(case, alpha, case1_coeffs, case2_co
     assert np.max(np.abs(traj.q - want)) <= trajectory_bound(co, traj)
 
 
-def test_bisection_fallback_matches_newton(case2_coeffs):
-    # max_newton=0 sends every step the predictor misses to the bracket
-    # search and bisection on the step's cubic
+def test_bisection_fallback_matches_newton(case2_coeffs, monkeypatch):
+    # a large-amplitude tip-mass run whose damped Newton stalls at step 91,
+    # far from the root; the step lands on the bisection of its cubic
     co = case2_coeffs
-    mat = MaterialParams.from_ratio(0.1, 0.5)
-    grid = GridSpec(0.01, 300)
-    base = HarmonicForcing(0.13, math.sqrt(co.k_l / co.m_modal))
-    q0 = 0.05
-    newton = integrate_nonlinear(co, mat, q0, 0.0, grid, base)
-    fallback = integrate_nonlinear(co, mat, q0, 0.0, grid, base, max_newton=0)
-    assert np.max(np.abs(fallback.q - newton.q)) <= trajectory_bound(co, newton)
-    # step 1 from rest: the predictor misses, and the step lands on the
-    # bisection of its cubic
-    dt = grid.dt
-    model = _step_model(co, mat.e_r, dt, L1History(mat.alpha, dt, 1).scale)
-    force = -co.m_b * base.values(grid.times())[1]
-    cubic = _step_cubic(model, q0, 0.0, fallback.a[0], force, 0.0, 0.0)
-    d = 0.5 * dt * dt * fallback.a[0]
-    tol = max(1e-10, 64.0 * EPS * co.m_modal * 4.0 / dt**2)
-    assert abs(_cubic(*cubic, d)) >= tol
-    assert fallback.q[1] == q0 + _bisect_residual(partial(_cubic, *cubic), d, 1.0)
+    mat = MaterialParams.from_ratio(0.23608192197325845, 0.5726133457159566)
+    dt, n = 0.02088715983593783, 91
+    grid = GridSpec(dt, n)
+    base = HarmonicForcing(29.150353062206644, math.sqrt(co.k_l / co.m_modal))
+    calls = []
+
+    def spy(residual, center, width):
+        calls.append((center, width))
+        return _bisect_residual(residual, center, width)
+
+    monkeypatch.setattr(fracode, "_bisect_residual", spy)
+    traj = integrate_nonlinear(co, mat, -0.006024160800807912, 17.32884565474078, grid, base)
+    assert len(calls) == 1
+    center, width = calls[0]
+    # step 91's cubic, rebuilt from the trajectory's first 91 levels
+    hist_q, hist_c = L1History(mat.alpha, dt, n), L1History(mat.alpha, dt, n)
+    for u, qi in zip(traj.q[1:n].tolist(), traj.q[:n - 1].tolist()):
+        hist_q.push(u - qi)
+        hist_c.push(u * u * u - qi * qi * qi)
+    model = _step_model(co, mat.e_r, dt, hist_q.scale)
+    force = -co.m_b * base.values(grid.times())[n]
+    qi, vi = traj.q[n - 1], traj.v[n - 1]
+    cubic = _step_cubic(model, qi, vi, traj.a[n - 1], force, hist_q.lag_sum(), hist_c.lag_sum())
+    root = _bisect_residual(partial(_cubic, *cubic), center, width)
+    assert traj.q[n] == traj.q[n - 1] + root
+    # Newton stopped far from the root, with the residual above its tolerance
+    tol = max(1e-10, 64.0 * EPS * co.m_modal * 4.0 / dt**2 * max(abs(qi), abs(dt * vi), 1.0))
+    assert abs(_cubic(*cubic, center)) >= tol
+    assert abs(root - center) > 0.5 * abs(center)
+    # the bisected root is where a converged Newton would land: a Newton
+    # step from it moves it by no more than round-off
+    slope = (3.0 * cubic[0] * root + 2.0 * cubic[1]) * root + cubic[2]
+    assert abs(_cubic(*cubic, root) / slope) <= 1e-12 * max(abs(root), 1.0)
 
 
 def test_step_failure_names_time_and_state(case1_coeffs):
-    # the predictor lands so far from the root that no bracket of the
-    # fallback search (at most +-2.048 wide here) holds a sign change
+    # the predictor lands about 4e15 from the step's root near -1.2e6; 50
+    # damped Newton iterations, each shrinking d by about a third, stop short
+    # of it, and no bracket of the fallback search (at most +-2.048 wide
+    # here) holds a sign change
     mat = MaterialParams.from_ratio(0.1, 0.5)
     dt, q0, v0 = 0.01, 0.1, -0.2
     with pytest.raises(StepFailureError) as info:
         integrate_nonlinear(case1_coeffs, mat, q0, v0, GridSpec(dt, 10),
-                            HarmonicForcing(1e9, 3.0), max_newton=0)
+                            HarmonicForcing(1e20, 3.0))
     err = info.value
     assert (err.step, err.t, err.q, err.v) == (1, dt, q0, v0)
     assert err.residual > 1e6
