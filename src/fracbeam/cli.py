@@ -6,7 +6,7 @@ provenance lines (tool version plus a full parameter echo), written with 17
 significant digits so repeated runs with the same configuration are
 byte-identical and round-trip safely.
 
-Exit codes: 0 success, 1 numerical failure, 2 usage error.
+Exit codes: 0 success, 1 numerical or output failure, 2 usage or domain error.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,22 +26,7 @@ from .fracode import GridSpec, HarmonicForcing, integrate_linear, integrate_nonl
 from .modes import ModalCoefficients, TipConfig, build_mode, modal_coefficients, mode_shape_eval, solve_eigen
 from .multiscale import MmsParams, critical_alpha, decay_rate, free_envelope, frequency_sweep, scale_coefficients, sensitivity
 
-__all__ = ["RunConfig", "ResultTable", "main"]
-
-
-@dataclass
-class RunConfig:
-    """Resolved parameter set for one subcommand run.
-
-    Values are layered: built-in defaults, then config-file entries, then
-    explicit command-line flags.
-    """
-
-    command: str
-    params: dict = field(default_factory=dict)
-
-    def __getitem__(self, key):
-        return self.params[key]
+__all__ = ["ResultTable", "main"]
 
 
 @dataclass
@@ -48,11 +34,22 @@ class ResultTable:
     """Rectangular numeric output with a provenance header.
 
     ``rows`` is a list of equal-length numeric rows or a 2-D float array.
+    ``values`` holds the same cells as one float array; it is built from
+    ``rows`` unless the command passes it.  ``absent`` maps a column to
+    ``(count column, k)``: in rows whose count is at most k the column holds
+    NaN for a value that does not exist (a root past ``n_roots``, a fold the
+    sweep did not cross, an order not found).
     """
 
     columns: list
     rows: list
     provenance: list = field(default_factory=list)
+    absent: dict = field(default_factory=dict)
+    values: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.values is None:
+            self.values = np.asarray(self.rows, dtype=float)
 
     @staticmethod
     def _fmt(x) -> str:
@@ -62,11 +59,22 @@ class ResultTable:
             return str(int(x))
         return format(float(x), ".17g")
 
+    def check_finite(self) -> None:
+        """Raise ``FloatingPointError`` at the first non-finite cell not marked absent."""
+        values = self.values
+        ok = np.isfinite(values)
+        for col, (count, k) in self.absent.items():
+            ok[:, self.columns.index(col)] |= values[:, self.columns.index(count)] <= k
+        if not ok.all():
+            i, j = np.argwhere(~ok)[0]
+            raise FloatingPointError(f"non-finite {self.columns[j]} = {values[i, j]} "
+                                     f"in table row {i + 1}")
+
     def to_csv(self) -> str:
         # "%.17g" prints ints, bools, nan, inf and -0 exactly as _fmt does
         lines = [f"# {k}={v}" for k, v in self.provenance]
         lines.append(",".join(self.columns))
-        values = np.asarray(self.rows, dtype=float)
+        values = self.values
         if values.size:
             row = ",".join(["%.17g"] * values.shape[1])
             lines.append("\n".join([row] * values.shape[0]) % tuple(values.ravel().tolist()))
@@ -96,46 +104,38 @@ def _json_cell(x):
     raise TypeError(f"table cell of type {type(x).__name__} is not numeric")
 
 
-def _tip_from(cfg: RunConfig) -> TipConfig:
-    case = cfg["case"]
-    if case == "no-tip":
-        return TipConfig(0.0, 0.0)
-    if case == "tip-mass":
-        return TipConfig(1.0, 1.0)
-    if case == "custom":
-        m, j = cfg.params.get("M"), cfg.params.get("J")
-        if m is None or j is None:
+def _tip_from(cfg: dict) -> TipConfig:
+    if cfg["case"] == "custom":
+        if cfg["M"] is None or cfg["J"] is None:
             raise ValueError("--case custom requires --M and --J")
-        return TipConfig(m, j)
-    raise ValueError(f"unknown case {case!r}")
+        return TipConfig(cfg["M"], cfg["J"])
+    return TipConfig(1.0, 1.0) if cfg["case"] == "tip-mass" else TipConfig(0.0, 0.0)
 
 
-def _provenance(cfg: RunConfig) -> list:
-    out = [("fracbeam", __version__), ("command", cfg.command)]
-    for k in sorted(cfg.params):
-        v = cfg.params[k]
-        if v is None:
-            continue
-        out.append((k, ResultTable._fmt(v) if not isinstance(v, str) else v))
-    return out
+def _provenance(command: str, cfg: dict) -> list:
+    return [("fracbeam", __version__), ("command", command)] + [
+        (k, v if isinstance(v, str) else ResultTable._fmt(v))
+        for k, v in sorted(cfg.items()) if v is not None]
 
 
-def _first_mode(cfg: RunConfig) -> tuple[float, ModalCoefficients]:
+def _first_mode(cfg: dict) -> tuple[float, ModalCoefficients]:
     """Eigenvalue and reduction coefficients of the first mode of ``--case``."""
     tip = _tip_from(cfg)
     beta = solve_eigen(tip, 1, cfg["search_max_beta"])[0]
     return beta, modal_coefficients(build_mode(tip, beta))
 
 
-def _mms_params_for(cfg: RunConfig) -> MmsParams:
+def _mms_params_for(cfg: dict) -> MmsParams:
     _beta, coeffs = _first_mode(cfg)
     mat = MaterialParams.from_ratio(cfg["er"], cfg["alpha"])
-    return scale_coefficients(coeffs, mat, cfg.params.get("f", 0.0))
+    return scale_coefficients(coeffs, mat, cfg.get("f", 0.0))
 
 
 # ---------------------------------------------------------------- subcommands
+# Each returns its table with only the provenance it computed; main prepends
+# the parameter echo.
 
-def cmd_modes(cfg: RunConfig) -> ResultTable:
+def cmd_modes(cfg: dict) -> ResultTable:
     tip = _tip_from(cfg)
     betas = solve_eigen(tip, cfg["n_modes"], cfg["search_max_beta"])
     res = cfg["resolution"]
@@ -145,140 +145,120 @@ def cmd_modes(cfg: RunConfig) -> ResultTable:
         mode = build_mode(tip, beta)
         for s in s_grid:
             rows.append([idx, beta, beta**2, s, mode_shape_eval(mode, s, 0)])
-    return ResultTable(["mode", "beta", "beta_sq", "s", "phi"], rows, _provenance(cfg))
+    return ResultTable(["mode", "beta", "beta_sq", "s", "phi"], rows)
 
 
-def cmd_coeffs(cfg: RunConfig) -> ResultTable:
+def cmd_coeffs(cfg: dict) -> ResultTable:
     beta, co = _first_mode(cfg)
-    mat = MaterialParams.from_ratio(cfg["er"], cfg["alpha"])
-    sc = scale_coefficients(co, mat, cfg["f"])
+    sc = scale_coefficients(co, MaterialParams.from_ratio(cfg["er"], cfg["alpha"]), cfg["f"])
     cols = ["beta", "beta_sq", "M", "J_nl", "K_l", "C_l", "K_nl", "C_nl", "M_b",
             "omega0", "c_l", "c_nl", "k_nl", "m_nl"]
     row = [beta, beta**2, co.m_modal, co.j_nl, co.k_l, co.c_l, co.k_nl, co.c_nl,
            co.m_b, sc.omega0, sc.c_l, sc.c_nl, sc.k_nl, sc.m_nl]
-    return ResultTable(cols, [row], _provenance(cfg))
+    return ResultTable(cols, [row])
 
 
-def cmd_constitutive(cfg: RunConfig) -> ResultTable:
+def cmd_constitutive(cfg: dict) -> ResultTable:
     kind = cfg["kind"]
     mat = MaterialParams(cfg["e_inf"], cfg["e_alpha"], cfg["alpha"])
     if kind == "moduli":
         omegas = np.linspace(cfg["omega_min"], cfg["omega_max"], cfg["count"])
-        rows = []
-        for w in omegas:
-            g1, g2 = complex_modulus(mat, w)
-            rows.append([w, g1, g2, tangent_loss(mat, w)])
-        return ResultTable(["omega", "storage", "loss", "tan_delta"], rows, _provenance(cfg))
+        rows = [[w, *complex_modulus(mat, w), tangent_loss(mat, w)] for w in omegas]
+        return ResultTable(["omega", "storage", "loss", "tan_delta"], rows)
     if kind == "tanloss":
         alphas = np.linspace(cfg["alpha_min"], cfg["alpha_max"], cfg["count"])
-        rows = []
-        for a in alphas:
-            m = MaterialParams(cfg["e_inf"], cfg["e_alpha"], float(a))
-            g1, g2 = complex_modulus(m, cfg["omega"])
-            rows.append([a, g1, g2, tangent_loss(m, cfg["omega"])])
-        return ResultTable(["alpha", "storage", "loss", "tan_delta"], rows, _provenance(cfg))
-    if kind == "ramp":
-        if not cfg["dt"] > 0:
-            raise ValueError(f"--dt must be positive, got {cfg['dt']}")
-        if cfg["t_final"] < 0:
-            raise ValueError(f"--t-final must be non-negative, got {cfg['t_final']}")
-        n = int(round(cfg["t_final"] / cfg["dt"]))
-        t = np.arange(n + 1) * cfg["dt"]
-        program = StrainProgram.ramp_hold(cfg["rate"], cfg["t_ramp"])
-        eps = program.strain(t)
-        exact = ramp_hold_stress(mat, cfg["rate"], cfg["t_ramp"], t)
-        l1 = stress_history_l1(mat, StrainProgram.sampled(eps, cfg["dt"]))
-        return ResultTable(["t", "strain", "stress_exact", "stress_l1"],
-                           np.column_stack([t, eps, exact, l1]), _provenance(cfg))
-    raise ValueError(f"unknown constitutive kind {kind!r}")
+        mats = [MaterialParams(cfg["e_inf"], cfg["e_alpha"], float(a)) for a in alphas]
+        rows = [[a, *complex_modulus(m, cfg["omega"]), tangent_loss(m, cfg["omega"])]
+                for a, m in zip(alphas, mats)]
+        return ResultTable(["alpha", "storage", "loss", "tan_delta"], rows)
+    n = int(round(cfg["t_final"] / cfg["dt"]))
+    t = np.arange(n + 1) * cfg["dt"]
+    eps = StrainProgram.ramp_hold(cfg["rate"], cfg["t_ramp"]).strain(t)
+    exact = ramp_hold_stress(mat, cfg["rate"], cfg["t_ramp"], t)
+    l1 = stress_history_l1(mat, StrainProgram.sampled(eps, cfg["dt"]))
+    return ResultTable(["t", "strain", "stress_exact", "stress_l1"],
+                       np.column_stack([t, eps, exact, l1]))
 
 
-def cmd_simulate(cfg: RunConfig) -> ResultTable:
+def cmd_simulate(cfg: dict) -> ResultTable:
     grid = GridSpec(cfg["dt"], int(round(cfg["t_final"] / cfg["dt"])))
     if cfg["model"] == "linear":
-        forcing = None
-        if cfg["force_amp"] != 0.0:
-            forcing = HarmonicForcing(cfg["force_amp"], cfg["force_freq"], cfg["force_phase"])
+        forcing = (HarmonicForcing(cfg["force_amp"], cfg["force_freq"], cfg["force_phase"])
+                   if cfg["force_amp"] != 0.0 else None)
         traj = integrate_linear(cfg["c"], cfg["k"], cfg["er"], cfg["alpha"],
                                 cfg["q0"], cfg["v0"], grid, forcing)
     else:
         _beta, coeffs = _first_mode(cfg)
         mat = MaterialParams.from_ratio(cfg["er"], cfg["alpha"])
-        base = None
-        if cfg["base_amp"] != 0.0:
-            base = HarmonicForcing(cfg["base_amp"], cfg["base_freq"], cfg["base_phase"])
+        base = (HarmonicForcing(cfg["base_amp"], cfg["base_freq"], cfg["base_phase"])
+                if cfg["base_amp"] != 0.0 else None)
         traj = integrate_nonlinear(coeffs, mat, cfg["q0"], cfg["v0"], grid, base)
     return ResultTable(["t", "q", "v", "a"],
-                       np.column_stack([traj.t, traj.q, traj.v, traj.a]), _provenance(cfg))
+                       np.column_stack([traj.t, traj.q, traj.v, traj.a]))
 
 
-def cmd_envelope(cfg: RunConfig) -> ResultTable:
+def cmd_envelope(cfg: dict) -> ResultTable:
     params = _mms_params_for(cfg)
-    prov = _provenance(cfg)
-    prov.append(("decay_rate", ResultTable._fmt(decay_rate(params))))
-    prov.append(("sensitivity", ResultTable._fmt(sensitivity(params))))
+    prov = [("decay_rate", ResultTable._fmt(decay_rate(params))),
+            ("sensitivity", ResultTable._fmt(sensitivity(params)))]
     t = np.linspace(0.0, cfg["t_final"], cfg["count"])
     amp, phase = free_envelope(params, cfg["a0"], cfg["phi0"], t)
     return ResultTable(["t", "amp", "phase"], np.column_stack([t, amp, phase]), prov)
 
 
-def cmd_critical_alpha(cfg: RunConfig) -> ResultTable:
-    if cfg.params.get("omega0") is not None:
+def cmd_critical_alpha(cfg: dict) -> ResultTable:
+    if cfg["omega0"] is not None:
         params = MmsParams(omega0=cfg["omega0"], c_l=cfg["cl"], c_nl=0.0, k_nl=0.0,
                            e_r=cfg["er"], alpha=0.5)
     else:
         params = _mms_params_for(cfg)
     res = critical_alpha(params, cfg["mode"])
-    row = [1 if res.found else 0,
-           res.alpha_cr if res.alpha_cr is not None else float("nan"),
-           res.residual if res.residual is not None else float("nan"),
-           1 if res.in_unit_interval else 0,
-           res.closed_form,
-           params.omega0]
+    row = [int(res.found), math.nan if res.alpha_cr is None else res.alpha_cr,
+           math.nan if res.residual is None else res.residual, int(res.in_unit_interval),
+           res.closed_form, params.omega0]
     return ResultTable(["found", "alpha_cr", "residual", "in_unit_interval",
-                        "closed_form", "omega0"], [row], _provenance(cfg))
+                        "closed_form", "omega0"], [row],
+                       absent={"alpha_cr": ("found", 0), "residual": ("found", 0)})
 
 
-def _sweep_rows(branch) -> list:
-    """Fixed-width rows (up to 3 roots), assembled column by column.
+def _sweep_rows(branch) -> tuple[list, np.ndarray]:
+    """Fixed-width rows (up to 3 roots) built column by column, and their float values.
 
     Stability tags are ints 1/0; every unused root cell is NaN.
     """
     n_roots = branch.n_roots
-    cols = [branch.deltas.tolist(), n_roots.tolist()]
+    cols, values = [branch.deltas.tolist(), n_roots.tolist()], [branch.deltas, n_roots]
     for k in range(3):
         tag = branch.stable[:, k].astype(int).astype(object)
         tag[n_roots <= k] = math.nan
         cols += [branch.amp[:, k].tolist(), branch.gamma[:, k].tolist(), tag.tolist()]
-    return list(zip(*cols))
+        values += [branch.amp[:, k], branch.gamma[:, k],
+                   np.where(n_roots <= k, math.nan, branch.stable[:, k])]
+    return list(zip(*cols)), np.column_stack(values)
 
 
-def cmd_sweep(cfg: RunConfig) -> ResultTable:
+def cmd_sweep(cfg: dict) -> ResultTable:
     base = _mms_params_for(cfg)
     var = cfg["var"]
-    prov = _provenance(cfg)
     if var == "delta":
         deltas = np.linspace(cfg["min"], cfg["max"], cfg["count"])
         branch = frequency_sweep(base, deltas)
-        for b in branch.bifurcations:
-            prov.append(("bifurcation_delta", ResultTable._fmt(b)))
+        prov = [("bifurcation_delta", ResultTable._fmt(b)) for b in branch.bifurcations]
         cols = ["delta", "n_roots", "a1", "gamma1", "stable1",
                 "a2", "gamma2", "stable2", "a3", "gamma3", "stable3"]
-        return ResultTable(cols, _sweep_rows(branch), prov)
+        rows, values = _sweep_rows(branch)
+        return ResultTable(cols, rows, prov,
+                           {col: ("n_roots", int(col[-1]) - 1) for col in cols[2:]}, values)
 
-    if var not in ("alpha", "er", "f"):
-        raise ValueError(f"unknown sweep variable {var!r}")
     values = np.linspace(cfg["min"], cfg["max"], cfg["count"])
     deltas = np.linspace(cfg["delta_min"], cfg["delta_max"], cfg["delta_count"])
     rows = []
     for val in values:
-        override = {"alpha": None, "er": None, "f": None}
-        override[var] = float(val)
-        branch = frequency_sweep(base, deltas, alpha=override["alpha"],
-                                 e_r=override["er"], f=override["f"])
+        # the swept parameter overrides its value in base; --er is frequency_sweep's e_r
+        branch = frequency_sweep(base, deltas, **{"e_r" if var == "er" else var: float(val)})
         amps = branch.amp[~np.isnan(branch.amp)]
         if not amps.size:
-            raise ValueError(f"no steady-state root on the detuning grid at {var}={val}")
+            raise RuntimeError(f"no steady-state root on the detuning grid at {var}={val}")
         peak = float(amps.max())
         bifs = branch.bifurcations
         lo = bifs[0] if bifs else float("nan")
@@ -286,158 +266,174 @@ def cmd_sweep(cfg: RunConfig) -> ResultTable:
         width = hi - lo if len(bifs) >= 2 else 0.0
         rows.append([val, peak, len(bifs), lo, hi, width])
     cols = [var, "peak_amp", "n_bifurcations", "bif_lo", "bif_hi", "three_root_width"]
-    return ResultTable(cols, rows, prov)
+    return ResultTable(cols, rows,
+                       absent={"bif_lo": ("n_bifurcations", 0), "bif_hi": ("n_bifurcations", 1)})
 
 
 # ---------------------------------------------------------------- plumbing
 
-_COMMANDS = {
-    "modes": cmd_modes,
-    "coeffs": cmd_coeffs,
-    "constitutive": cmd_constitutive,
-    "simulate": cmd_simulate,
-    "envelope": cmd_envelope,
-    "critical-alpha": cmd_critical_alpha,
-    "sweep": cmd_sweep,
+_COMMANDS = {"modes": cmd_modes, "coeffs": cmd_coeffs, "constitutive": cmd_constitutive,
+             "simulate": cmd_simulate, "envelope": cmd_envelope,
+             "critical-alpha": cmd_critical_alpha, "sweep": cmd_sweep}
+
+
+class _Flag(NamedTuple):
+    # an enumerated flag lists its choices; a grid flag counts points, so is at least 1
+    type: type
+    default: object
+    help: str = ""
+    choices: tuple = ()
+    grid: bool = False
+
+
+# the first mode of the cantilever, for every command that needs one
+_BEAM = {
+    "case": _Flag(str, "no-tip", "tip configuration; tip-mass has unit tip mass and inertia",
+                  ("no-tip", "tip-mass", "custom")),
+    "M": _Flag(float, None, "tip mass for --case custom"),
+    "J": _Flag(float, None, "tip rotatory inertia for --case custom"),
+    "search_max_beta": _Flag(float, 20.0, "upper end of the eigenvalue search"),
 }
 
-# name -> (type, default, help); defaults are echoed in provenance
 _SPECS: dict[str, dict] = {
     "modes": {
-        "case": (str, "no-tip", "no-tip | tip-mass | custom"),
-        "M": (float, None, "tip mass for --case custom"),
-        "J": (float, None, "tip rotatory inertia for --case custom"),
-        "n_modes": (int, 1, "number of eigenvalues"),
-        "resolution": (int, 11, "shape sample count over s in [0,1]"),
-        "search_max_beta": (float, 20.0, "upper end of the eigenvalue search"),
+        **_BEAM,
+        "n_modes": _Flag(int, 1, "number of eigenvalues"),
+        "resolution": _Flag(int, 11, "shape sample count over s in [0,1]", grid=True),
     },
     "coeffs": {
-        "case": (str, "no-tip", "no-tip | tip-mass | custom"),
-        "M": (float, None, ""), "J": (float, None, ""),
-        "er": (float, 1.0, "modulus ratio E_alpha/E_inf"),
-        "alpha": (float, 0.5, "fractional order"),
-        "f": (float, 0.0, "effective forcing amplitude"),
-        "search_max_beta": (float, 20.0, ""),
+        **_BEAM,
+        "er": _Flag(float, 1.0, "modulus ratio E_alpha/E_inf"),
+        "alpha": _Flag(float, 0.5, "fractional order"),
+        "f": _Flag(float, 0.0, "effective forcing amplitude"),
     },
     "constitutive": {
-        "kind": (str, "moduli", "moduli | tanloss | ramp"),
-        "e_inf": (float, 1.0, ""), "e_alpha": (float, 1.0, ""),
-        "alpha": (float, 0.5, ""),
-        "omega": (float, 1.0, "frequency for kind=tanloss"),
-        "omega_min": (float, 0.1, ""), "omega_max": (float, 10.0, ""),
-        "alpha_min": (float, 0.05, ""), "alpha_max": (float, 0.95, ""),
-        "count": (int, 100, "sweep point count"),
-        "rate": (float, 1.0 / 24.0, "ramp strain rate"),
-        "t_ramp": (float, 2.5, "hold onset time"),
-        "t_final": (float, 6.0, ""), "dt": (float, 1e-3, ""),
+        "kind": _Flag(str, "moduli", "", ("moduli", "tanloss", "ramp")),
+        "e_inf": _Flag(float, 1.0), "e_alpha": _Flag(float, 1.0), "alpha": _Flag(float, 0.5),
+        "omega": _Flag(float, 1.0, "frequency for kind=tanloss"),
+        "omega_min": _Flag(float, 0.1), "omega_max": _Flag(float, 10.0),
+        "alpha_min": _Flag(float, 0.05), "alpha_max": _Flag(float, 0.95),
+        "count": _Flag(int, 100, "sweep point count", grid=True),
+        "rate": _Flag(float, 1.0 / 24.0, "ramp strain rate"),
+        "t_ramp": _Flag(float, 2.5, "hold onset time"),
+        "t_final": _Flag(float, 6.0), "dt": _Flag(float, 1e-3),
     },
     "simulate": {
-        "model": (str, "linear", "linear | nonlinear"),
-        "case": (str, "no-tip", ""), "M": (float, None, ""), "J": (float, None, ""),
-        "k": (float, 1.24, "linear stiffness rate"),
-        "c": (float, 1.24, "linear fractional-damping rate"),
-        "er": (float, 1.0, ""), "alpha": (float, 0.5, ""),
-        "q0": (float, 1.0, ""), "v0": (float, 0.0, ""),
-        "dt": (float, 1e-3, ""), "t_final": (float, 200.0, ""),
-        "force_amp": (float, 0.0, "harmonic forcing amplitude (linear model)"),
-        "force_freq": (float, 0.0, ""), "force_phase": (float, 0.0, ""),
-        "base_amp": (float, 0.0, "base acceleration amplitude (nonlinear model)"),
-        "base_freq": (float, 0.0, ""), "base_phase": (float, 0.0, ""),
-        "search_max_beta": (float, 20.0, ""),
+        **_BEAM,
+        "model": _Flag(str, "linear", "", ("linear", "nonlinear")),
+        "k": _Flag(float, 1.24, "linear stiffness rate"),
+        "c": _Flag(float, 1.24, "linear fractional-damping rate"),
+        "er": _Flag(float, 1.0), "alpha": _Flag(float, 0.5), "q0": _Flag(float, 1.0),
+        "v0": _Flag(float, 0.0), "dt": _Flag(float, 1e-3), "t_final": _Flag(float, 200.0),
+        "force_amp": _Flag(float, 0.0, "harmonic forcing amplitude (linear model)"),
+        "force_freq": _Flag(float, 0.0), "force_phase": _Flag(float, 0.0),
+        "base_amp": _Flag(float, 0.0, "base acceleration amplitude (nonlinear model)"),
+        "base_freq": _Flag(float, 0.0), "base_phase": _Flag(float, 0.0),
     },
     "envelope": {
-        "case": (str, "no-tip", ""), "M": (float, None, ""), "J": (float, None, ""),
-        "er": (float, 0.1, ""), "alpha": (float, 0.5, ""),
-        "a0": (float, 1.0, "initial amplitude"), "phi0": (float, 0.0, ""),
-        "t_final": (float, 100.0, ""), "count": (int, 501, ""),
-        "search_max_beta": (float, 20.0, ""),
+        **_BEAM,
+        "er": _Flag(float, 0.1), "alpha": _Flag(float, 0.5), "phi0": _Flag(float, 0.0),
+        "a0": _Flag(float, 1.0, "initial amplitude"), "t_final": _Flag(float, 100.0),
+        "count": _Flag(int, 501, "", grid=True),
     },
     "critical-alpha": {
-        "mode": (str, "decay-peak", "decay-peak | sensitivity-extremum"),
-        "case": (str, "no-tip", ""), "M": (float, None, ""), "J": (float, None, ""),
-        "omega0": (float, None, "explicit natural frequency (overrides --case)"),
-        "cl": (float, 1.0, "damping rate used with --omega0"),
-        "er": (float, 1.0, ""), "alpha": (float, 0.5, ""),
-        "search_max_beta": (float, 20.0, ""),
+        **_BEAM,
+        "mode": _Flag(str, "decay-peak", "", ("decay-peak", "sensitivity-extremum")),
+        "omega0": _Flag(float, None, "explicit natural frequency (overrides --case)"),
+        "cl": _Flag(float, 1.0, "damping rate used with --omega0"),
+        "er": _Flag(float, 1.0), "alpha": _Flag(float, 0.5),
     },
     "sweep": {
-        "var": (str, "delta", "delta | alpha | er | f"),
-        "min": (float, -2.0, "sweep range start"),
-        "max": (float, 4.0, "sweep range end"),
-        "count": (int, 601, "sweep point count"),
-        "case": (str, "no-tip", ""), "M": (float, None, ""), "J": (float, None, ""),
-        "alpha": (float, 0.4, ""), "er": (float, 0.3, ""), "f": (float, 1.0, ""),
-        "delta_min": (float, -2.0, "inner detuning grid (non-delta sweeps)"),
-        "delta_max": (float, 4.0, ""), "delta_count": (int, 601, ""),
-        "search_max_beta": (float, 20.0, ""),
+        **_BEAM,
+        "var": _Flag(str, "delta", "", ("delta", "alpha", "er", "f")),
+        "min": _Flag(float, -2.0, "sweep range start"), "max": _Flag(float, 4.0, "sweep range end"),
+        "count": _Flag(int, 601, "sweep point count", grid=True),
+        "alpha": _Flag(float, 0.4), "er": _Flag(float, 0.3), "f": _Flag(float, 1.0),
+        "delta_min": _Flag(float, -2.0, "inner detuning grid (non-delta sweeps)"),
+        "delta_max": _Flag(float, 4.0), "delta_count": _Flag(int, 601, "", grid=True),
     },
 }
+
+
+def _option(name: str) -> str:
+    return f"--{name.replace('_', '-')}"
 
 
 def _read_config_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         return json.loads(text)
     out = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line (want key=value): {line!r}")
-        key, _, val = line.partition("=")
-        out[key.strip()] = val.strip()
+    for line in map(str.strip, text.splitlines()):
+        if line and not line.startswith("#"):
+            if "=" not in line:
+                raise ValueError(f"bad config line (want key=value): {line!r}")
+            key, _, val = line.partition("=")
+            out[key.strip()] = val.strip()
     return out
 
 
-def _check_domain(cfg: RunConfig) -> None:
-    """Reject a non-finite float flag or an empty grid, naming the flag."""
-    for name, (typ, _default, _help) in _SPECS[cfg.command].items():
-        value, flag = cfg[name], f"--{name.replace('_', '-')}"
-        if typ is float and value is not None and not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value}")
-        if name in ("count", "delta_count") and value < 1:
-            raise ValueError(f"{flag} must be positive, got {value}")
+def _config_value(flag: _Flag, raw):
+    """A config-file value converted and checked as its flag would be.
 
-
-def _config_value(typ, raw):
-    """A config-file value converted by the rule its flag follows.
-
-    A string (every value of a key=value file) goes through ``typ`` as a flag
-    does.  A JSON number stands for a float field, and for an int field when
-    it is integral; a bool, a null or any other JSON value is rejected.
+    A string (every value of a key=value file) goes through the flag's type.
+    A JSON number stands for a float field, and for an int field when it is
+    integral; a bool, a null or any other JSON value is rejected.
     """
-    if isinstance(raw, str):
-        return typ(raw)
-    if (typ is str or isinstance(raw, bool) or not isinstance(raw, (int, float))
-            or (typ is int and not float(raw).is_integer())):
-        raise ValueError(f"invalid {typ.__name__} value: {json.dumps(raw)}")
-    return typ(raw)
+    if not isinstance(raw, str) and (
+            flag.type is str or isinstance(raw, bool) or not isinstance(raw, (int, float))
+            or (flag.type is int and not float(raw).is_integer())):
+        raise ValueError(f"invalid {flag.type.__name__} value: {json.dumps(raw)}")
+    value = flag.type(raw)
+    if flag.choices and value not in flag.choices:
+        raise ValueError(f"invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, flag.choices))})")
+    return value
 
 
-def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
+def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """Each flag's value: from the command line, else the config file, else its default."""
     command = args.command
     spec = _SPECS[command]
     file_values = _read_config_file(args.config) if args.config else {}
     for key in file_values:
         if key not in spec:
             parser.error(f"unknown key {key!r} in --config file for command {command!r}")
-    params = {}
-    for name, (typ, default, _help) in spec.items():
-        flag_val = getattr(args, name.replace("-", "_"), None)
-        if flag_val is not None:
-            params[name] = flag_val
+    cfg = {}
+    for name, flag in spec.items():
+        if getattr(args, name) is not None:
+            cfg[name] = getattr(args, name)
         elif name in file_values:
             try:
-                params[name] = _config_value(typ, file_values[name])
+                cfg[name] = _config_value(flag, file_values[name])
             except (ValueError, OverflowError) as exc:
                 parser.error(f"bad value for key {name!r} in --config file for command "
                              f"{command!r}: {exc}")
         else:
-            params[name] = default
-    return RunConfig(command=command, params=params)
+            cfg[name] = flag.default
+    return cfg
+
+
+def _check_domain(command: str, cfg: dict) -> None:
+    """The domain rules of the CLI itself, checked before any work, naming the flag.
+
+    Every float is finite and every grid has a point.  Where the CLI divides
+    the run time by ``dt`` (simulate, the constitutive ramp), dt is positive
+    and t_final non-negative.  Ranges the library enforces (alpha, e_r,
+    n_modes, the tip inertias, a0, ...) are left to it.
+    """
+    for name, flag in _SPECS[command].items():
+        value = cfg[name]
+        if flag.type is float and value is not None and not math.isfinite(value):
+            raise ValueError(f"{_option(name)} must be finite, got {value}")
+        if flag.grid and value < 1:
+            raise ValueError(f"{_option(name)} must be positive, got {value}")
+    if command == "simulate" or cfg.get("kind") == "ramp":
+        if not cfg["dt"] > 0:
+            raise ValueError(f"--dt must be positive, got {cfg['dt']}")
+        if cfg["t_final"] < 0:
+            raise ValueError(f"--t-final must be non-negative, got {cfg['t_final']}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -454,11 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="key=value or JSON config file")
         p.add_argument("--output", default=None, help="output path (default stdout)")
         p.add_argument("--format", default="csv", choices=("csv", "json"))
-        for key, (typ, default, help_text) in spec.items():
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key.replace("-", "_"),
-                           type=typ, default=None,
-                           help=f"{help_text} (default {default})" if help_text
-                           else f"(default {default})")
+        for key, flag in spec.items():
+            p.add_argument(_option(key), dest=key, type=flag.type, default=None,
+                           choices=flag.choices or None,
+                           help=f"{flag.help} (default {flag.default})".lstrip())
     return parser
 
 
@@ -467,8 +462,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(parser, args)
-        _check_domain(cfg)
+        _check_domain(args.command, cfg)
         table = _COMMANDS[args.command](cfg)
+        table.provenance[:0] = _provenance(args.command, cfg)
+        table.check_finite()
         text = table.to_json() if args.format == "json" else table.to_csv()
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -476,8 +473,9 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+        # a ValueError is a domain error; the rest are numerical or I/O failures
         print(f"fracbeam: error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValueError) else 1
     return 0
 
 

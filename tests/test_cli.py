@@ -289,7 +289,7 @@ def test_numerical_failure_exit_code_1(capsys):
 def test_simulate_rejects_non_finite(capsys, flag, value):
     code = main(["simulate", "--t-final", "1", f"{flag}={value}"])
     captured = capsys.readouterr()
-    assert code == 1
+    assert code == 2
     assert captured.out == ""
     assert f"{flag} must be finite" in captured.err
 
@@ -375,7 +375,7 @@ def test_sweep_rejects_non_finite(capsys, flag, value):
     code = main(["sweep", "--var", var, "--count", "5", "--delta-count", "5",
                  f"{flag}={value}"])
     captured = capsys.readouterr()
-    assert code == 1
+    assert code == 2
     assert captured.out == ""
     assert f"{flag} must be finite, got {value}" in captured.err
 
@@ -391,7 +391,7 @@ def test_sweep_rejects_non_finite(capsys, flag, value):
 def test_constitutive_ramp_domain(capsys, argv, message):
     code = main(["constitutive", "--kind", "ramp", *argv])
     captured = capsys.readouterr()
-    assert code == 1
+    assert code == 2
     assert captured.out == ""
     assert message in captured.err
 
@@ -408,7 +408,7 @@ def test_constitutive_ramp_domain(capsys, argv, message):
 def test_empty_grid_rejected(capsys, argv, flag, count):
     code = main([*argv, f"{flag}={count}"])
     captured = capsys.readouterr()
-    assert code == 1
+    assert code == 2
     assert captured.out == ""
     assert f"{flag} must be positive, got {count}" in captured.err
 
@@ -421,3 +421,89 @@ def test_sweep_overflow_is_numerical_failure(capsys):
     assert code == 1
     assert captured.out == ""
     assert "fracbeam: error: math range error" in captured.err
+
+
+# every enumerated flag, with a command that takes it
+_ENUMERATED = [("modes", "case"), ("constitutive", "kind"), ("simulate", "model"),
+               ("sweep", "var"), ("critical-alpha", "mode")]
+
+
+@pytest.mark.parametrize("command, key", _ENUMERATED)
+def test_unknown_choice_exit_code_2(capsys, command, key):
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{key}", "bogus"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument --{key}: invalid choice: 'bogus'" in captured.err
+
+
+@pytest.mark.parametrize("command, key", _ENUMERATED)
+@pytest.mark.parametrize("name", ["run.cfg", "run.json"])
+def test_config_file_unknown_choice_exit_code_2(tmp_path, capsys, command, key, name):
+    cfg = tmp_path / name
+    cfg.write_text(json.dumps({key: "bogus"}) if name.endswith(".json") else f"{key}=bogus\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"bad value for key {key!r}" in captured.err
+    assert "invalid choice: 'bogus'" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["modes", "--resolution", "0"], "--resolution must be positive, got 0"),
+    (["modes", "--resolution", "-5"], "--resolution must be positive, got -5"),
+    (["simulate", "--dt", "0"], "--dt must be positive, got 0.0"),
+    (["simulate", "--dt", "-1"], "--dt must be positive, got -1.0"),
+    (["simulate", "--t-final=-1"], "--t-final must be non-negative, got -1.0"),
+    # ranges the library enforces, reported with its parameter name
+    (["simulate", "--alpha", "0"], "alpha must lie in (0, 1], got 0.0"),
+    (["modes", "--n-modes", "0"], "n_modes must be >= 1, got 0"),
+    (["envelope", "--alpha", "1.5"], "alpha must lie in (0, 1], got 1.5"),
+    (["envelope", "--a0", "0"], "a0 must be positive, got 0.0"),
+    (["modes", "--case", "custom", "--M", "1"], "--case custom requires --M and --J"),
+])
+def test_domain_error_exit_code_2(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--force-amp", "1e308", "--force-freq", "1", "--t-final", "0.01"],
+     "non-finite q = inf in table row 2"),
+    (["envelope", "--a0", "1e200", "--count", "3"], "non-finite amp = nan in table row 1"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_table_exit_code_1(capsys, argv, message, fmt):
+    code = main([*argv, "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"fracbeam: error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--var", "er", "--min", "0.1", "--max", "1", "--count", "10", "--f", "0.5"],
+    ["critical-alpha", "--omega0", "1", "--mode", "sensitivity-extremum"],
+    ["sweep", "--var", "delta", "--count", "41", "--min", "0", "--max", "3", "--er", "0.1"],
+])
+def test_absent_values_are_not_failures(capsys, argv):
+    # NaN for a fold not crossed, an order not found, a root past n_roots
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert ",nan" in out
+
+
+def test_check_finite_exempts_only_absent_cells():
+    absent = {"x": ("n", 0)}
+    ResultTable(["n", "x"], [[0, math.nan], [1, 2.0]], absent=absent).check_finite()
+    for rows in ([[1, math.nan]], [[0, 1.0], [math.inf, 2.0]]):
+        with pytest.raises(FloatingPointError):
+            ResultTable(["n", "x"], rows, absent=absent).check_finite()
