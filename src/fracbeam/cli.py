@@ -140,12 +140,13 @@ def cmd_modes(cfg: dict) -> ResultTable:
     betas = solve_eigen(tip, cfg["n_modes"], cfg["search_max_beta"])
     res = cfg["resolution"]
     s_grid = np.linspace(0.0, 1.0, res) if res > 1 else np.array([1.0])
-    rows = []
-    for idx, beta in enumerate(betas, start=1):
-        mode = build_mode(tip, beta)
-        for s in s_grid:
-            rows.append([idx, beta, beta**2, s, mode_shape_eval(mode, s, 0)])
-    return ResultTable(["mode", "beta", "beta_sq", "s", "phi"], rows)
+    phi = [mode_shape_eval(build_mode(tip, beta), s_grid, 0) for beta in betas]
+    # one block of rows per mode, built column by column so mode stays an int
+    n, k = len(s_grid), len(betas)
+    cols = [np.repeat(np.arange(1, k + 1), n), np.repeat(betas, n),
+            np.repeat([beta**2 for beta in betas], n), np.tile(s_grid, k), np.concatenate(phi)]
+    return ResultTable(["mode", "beta", "beta_sq", "s", "phi"],
+                       list(zip(*[c.tolist() for c in cols])), values=np.column_stack(cols))
 
 
 def cmd_coeffs(cfg: dict) -> ResultTable:
@@ -162,15 +163,15 @@ def cmd_constitutive(cfg: dict) -> ResultTable:
     kind = cfg["kind"]
     mat = MaterialParams(cfg["e_inf"], cfg["e_alpha"], cfg["alpha"])
     if kind == "moduli":
-        omegas = np.linspace(cfg["omega_min"], cfg["omega_max"], cfg["count"])
-        rows = [[w, *complex_modulus(mat, w), tangent_loss(mat, w)] for w in omegas]
-        return ResultTable(["omega", "storage", "loss", "tan_delta"], rows)
-    if kind == "tanloss":
-        alphas = np.linspace(cfg["alpha_min"], cfg["alpha_max"], cfg["count"])
-        mats = [MaterialParams(cfg["e_inf"], cfg["e_alpha"], float(a)) for a in alphas]
-        rows = [[a, *complex_modulus(m, cfg["omega"]), tangent_loss(m, cfg["omega"])]
-                for a, m in zip(alphas, mats)]
-        return ResultTable(["alpha", "storage", "loss", "tan_delta"], rows)
+        x = omega = np.linspace(cfg["omega_min"], cfg["omega_max"], cfg["count"])
+    elif kind == "tanloss":
+        # one material over the grid of orders, at one omega
+        x, omega = np.linspace(cfg["alpha_min"], cfg["alpha_max"], cfg["count"]), cfg["omega"]
+        mat = MaterialParams(cfg["e_inf"], cfg["e_alpha"], x)
+    if kind != "ramp":
+        storage, loss = complex_modulus(mat, omega)
+        return ResultTable(["omega" if kind == "moduli" else "alpha", "storage", "loss", "tan_delta"],
+                           np.column_stack([x, storage, loss, tangent_loss(mat, omega)]))
     n = int(round(cfg["t_final"] / cfg["dt"]))
     t = np.arange(n + 1) * cfg["dt"]
     eps = StrainProgram.ramp_hold(cfg["rate"], cfg["t_ramp"]).strain(t)
@@ -419,9 +420,9 @@ def _check_domain(command: str, cfg: dict) -> None:
     """The domain rules of the CLI itself, checked before any work, naming the flag.
 
     Every float is finite and every grid has a point.  Where the CLI divides
-    the run time by ``dt`` (simulate, the constitutive ramp), dt is positive
-    and t_final non-negative.  Ranges the library enforces (alpha, e_r,
-    n_modes, the tip inertias, a0, ...) are left to it.
+    the run time by ``dt`` (simulate, the constitutive ramp), dt is positive,
+    t_final non-negative and their ratio a step count.  Ranges the library
+    enforces (alpha, e_r, n_modes, the tip inertias, a0, ...) are left to it.
     """
     for name, flag in _SPECS[command].items():
         value = cfg[name]
@@ -434,6 +435,10 @@ def _check_domain(command: str, cfg: dict) -> None:
             raise ValueError(f"--dt must be positive, got {cfg['dt']}")
         if cfg["t_final"] < 0:
             raise ValueError(f"--t-final must be non-negative, got {cfg['t_final']}")
+        # the step count must be an array length (this also rejects an inf ratio)
+        if not cfg["t_final"] / cfg["dt"] < sys.maxsize:
+            raise ValueError(f"--t-final / --dt = {cfg['t_final']} / {cfg['dt']} "
+                             "is too large for a step count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,8 +477,8 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
-        # a ValueError is a domain error; the rest are numerical or I/O failures
+    except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
+        # a ValueError is a domain error; the rest are numerical, memory or I/O failures
         print(f"fracbeam: error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
     return 0

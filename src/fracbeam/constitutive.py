@@ -16,6 +16,7 @@ the stress for arbitrary sampled strain histories.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +38,9 @@ class MaterialParams:
 
     ``e_inf`` and ``e_alpha`` are stored; the ratio ``e_r = e_alpha/e_inf``
     is always derived so the two representations cannot drift apart.
+    ``alpha`` may be a 1-D array of orders for the moduli
+    (``complex_modulus``, ``tangent_loss``), which then give one value per
+    order; every other consumer needs a single order.
     """
 
     e_inf: float = 1.0
@@ -48,8 +52,10 @@ class MaterialParams:
             raise ValueError(f"e_inf must be positive, got {self.e_inf}")
         if not (self.e_alpha >= 0):
             raise ValueError(f"e_alpha must be non-negative, got {self.e_alpha}")
-        if not (0 < self.alpha <= 1):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        alpha = np.atleast_1d(self.alpha)
+        bad = alpha[~((alpha > 0) & (alpha <= 1))]
+        if bad.size:
+            raise ValueError(f"alpha must lie in (0, 1], got {bad[0]}")
 
     @property
     def e_r(self) -> float:
@@ -103,23 +109,54 @@ class StrainProgram:
         return self.rate * np.minimum(t, self.t_ramp)
 
 
-def complex_modulus(mat: MaterialParams, omega: float) -> tuple[float, float]:
+def _libm(fn, *args):
+    """``fn`` from ``math`` applied elementwise over 1-D arrays (scalars repeat).
+
+    numpy's SIMD pow, cos, arccos, cosh, arctan2 and friends can differ from
+    libm in the last bit.  Routing such calls through ``math`` keeps every
+    grid point bit-identical to the same formula evaluated one point at a
+    time.
+    """
+    sizes = {len(a) for a in args if np.ndim(a)}
+    if not sizes:
+        return fn(*args)
+    if len(sizes) > 1:
+        raise ValueError(f"{fn.__name__} over arrays of unequal lengths {sorted(sizes)}")
+    cols = [a.tolist() if np.ndim(a) else itertools.repeat(a) for a in args]
+    return np.fromiter(map(fn, *cols), dtype=float, count=sizes.pop())
+
+
+def _pow(x, k):
+    """x**k with libm's rounding, elementwise for arrays."""
+    return _libm(math.pow, x, k)
+
+
+def complex_modulus(mat: MaterialParams, omega):
     """Storage and loss moduli of the fractional Kelvin-Voigt element.
 
     G'(w)  = E_inf + E_alpha * w^alpha * cos(alpha*pi/2)
     G''(w) =         E_alpha * w^alpha * sin(alpha*pi/2)
+
+    ``omega`` may be a 1-D array, and ``mat.alpha`` a 1-D array of orders
+    (of the same length, when both are); the moduli are then arrays, each
+    entry equal to the scalar evaluation.
     """
-    if not (omega > 0):
-        raise ValueError(f"omega must be positive, got {omega}")
-    wa = omega ** mat.alpha
+    omega = np.asarray(omega, dtype=float)
+    bad = omega[~(omega > 0)]
+    if bad.size:
+        raise ValueError(f"omega must be positive, got {bad[0]}")
+    wa = _pow(omega, mat.alpha)
     half = 0.5 * math.pi * mat.alpha
-    storage = mat.e_inf + mat.e_alpha * wa * math.cos(half)
-    loss = mat.e_alpha * wa * math.sin(half)
+    storage = mat.e_inf + mat.e_alpha * wa * _libm(math.cos, half)
+    loss = mat.e_alpha * wa * _libm(math.sin, half)
     return storage, loss
 
 
-def tangent_loss(mat: MaterialParams, omega: float) -> float:
-    """Ratio of dissipated to stored energy per cycle, tan(delta) = G''/G'."""
+def tangent_loss(mat: MaterialParams, omega):
+    """Ratio of dissipated to stored energy per cycle, tan(delta) = G''/G'.
+
+    Elementwise over the arrays ``complex_modulus`` accepts.
+    """
     storage, loss = complex_modulus(mat, omega)
     return loss / storage
 

@@ -19,14 +19,13 @@ the cubic coefficient B2; setting m_nl = 0 recovers the plain cantilever.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .constitutive import MaterialParams
+from .constitutive import MaterialParams, _libm, _pow
 from .modes import ModalCoefficients, bisect
 
 __all__ = [
@@ -265,25 +264,6 @@ def free_envelope(params: MmsParams, a0: float, phi0: float, t):
     if np.isscalar(t) or np.asarray(t).ndim == 0:
         return float(amp[0]), float(phases[0])
     return amp, phases
-
-
-def _libm(fn, *args):
-    """``fn`` from ``math`` applied elementwise over 1-D arrays (scalars repeat).
-
-    numpy's SIMD pow, arccos, cosh, arctan2 and friends can differ from libm
-    in the last bit.  Routing the root solver's few such calls through
-    ``math`` keeps every grid point bit-identical to the same formula
-    evaluated one point at a time.
-    """
-    if not any(np.ndim(a) for a in args):
-        return fn(*args)
-    cols = [a.tolist() if np.ndim(a) else itertools.repeat(a) for a in args]
-    return np.fromiter(map(fn, *cols), dtype=float)
-
-
-def _pow(x, k: float):
-    """x**k with libm's rounding, elementwise for arrays."""
-    return _libm(math.pow, x, float(k))
 
 
 @dataclass(frozen=True)

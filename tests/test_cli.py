@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from fracbeam import build_mode, mode_shape_eval, solve_eigen
+from fracbeam import cli
 from fracbeam.cli import ResultTable, main
 
 
@@ -507,3 +509,81 @@ def test_check_finite_exempts_only_absent_cells():
     for rows in ([[1, math.nan]], [[0, 1.0], [math.inf, 2.0]]):
         with pytest.raises(FloatingPointError):
             ResultTable(["n", "x"], rows, absent=absent).check_finite()
+
+
+def _modes_per_row(cfg):
+    """The per-point modes table the one-call-per-mode builder replaced."""
+    tip = cli._tip_from(cfg)
+    betas = solve_eigen(tip, cfg["n_modes"], cfg["search_max_beta"])
+    res = cfg["resolution"]
+    s_grid = np.linspace(0.0, 1.0, res) if res > 1 else np.array([1.0])
+    rows = []
+    for idx, beta in enumerate(betas, start=1):
+        mode = build_mode(tip, beta)
+        for s in s_grid:
+            rows.append([idx, beta, beta**2, s, mode_shape_eval(mode, s, 0)])
+    return ResultTable(["mode", "beta", "beta_sq", "s", "phi"], rows)
+
+
+def _moduli_per_row(cfg):
+    """The per-row moduli and tanloss tables the array builder replaced.
+
+    Each row is the scalar formula in Python floats, so pow, cos and sin are
+    libm's, as the tables have always printed them.
+    """
+    def row(x, alpha, omega):
+        wa = float(omega) ** float(alpha)
+        half = 0.5 * math.pi * alpha
+        storage = cfg["e_inf"] + cfg["e_alpha"] * wa * math.cos(half)
+        loss = cfg["e_alpha"] * wa * math.sin(half)
+        return [x, storage, loss, loss / storage]
+    if cfg["kind"] == "moduli":
+        omegas = np.linspace(cfg["omega_min"], cfg["omega_max"], cfg["count"])
+        return ResultTable(["omega", "storage", "loss", "tan_delta"],
+                           [row(w, cfg["alpha"], w) for w in omegas])
+    alphas = np.linspace(cfg["alpha_min"], cfg["alpha_max"], cfg["count"])
+    return ResultTable(["alpha", "storage", "loss", "tan_delta"],
+                       [row(a, float(a), cfg["omega"]) for a in alphas])
+
+
+@pytest.mark.parametrize("argv, oracle", [
+    (["modes", "--case", "no-tip", "--n-modes", "4", "--resolution", "2001"], _modes_per_row),
+    (["modes", "--case", "tip-mass", "--n-modes", "2", "--resolution", "2001"], _modes_per_row),
+    (["modes", "--case", "no-tip", "--n-modes", "3", "--resolution", "1"], _modes_per_row),
+    (["modes", "--case", "tip-mass", "--n-modes", "2", "--resolution", "1"], _modes_per_row),
+    (["constitutive", "--kind", "moduli", "--alpha", "0.37", "--e-alpha", "1.3",
+      "--omega-min", "1e-3", "--omega-max", "1e3", "--count", "5000"], _moduli_per_row),
+    (["constitutive", "--kind", "tanloss", "--omega", "3.5160152685", "--e-alpha", "0.8",
+      "--alpha-min", "0.001", "--alpha-max", "1", "--count", "5000"], _moduli_per_row),
+    (["constitutive", "--kind", "tanloss", "--count", "1"], _moduli_per_row),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_array_tables_match_per_row_builders(monkeypatch, capsys, argv, oracle, fmt):
+    code, out = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    monkeypatch.setitem(cli._COMMANDS, argv[0], oracle)
+    assert run_cli(capsys, *argv, "--format", fmt) == (0, out)
+    if argv[0] == "modes" and fmt == "json":
+        assert all(isinstance(row[0], int) for row in json.loads(out)["rows"])
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["constitutive", "--kind", "ramp"]])
+@pytest.mark.parametrize("t_final, dt", [("1e300", "1e-300"), ("1e20", "1")])
+def test_step_count_out_of_range_exit_code_2(capsys, command, t_final, dt):
+    code = main([*command, "--t-final", t_final, "--dt", dt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "fracbeam: error: --t-final / --dt" in captured.err
+    assert "too large for a step count" in captured.err
+
+
+def test_memory_error_exit_code_1(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.49 GiB for an array")
+    monkeypatch.setattr(cli, "integrate_linear", exhausted)
+    code = main(["simulate", "--t-final", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "fracbeam: error: Unable to allocate 1.49 GiB for an array\n"

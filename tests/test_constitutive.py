@@ -216,3 +216,60 @@ def test_stress_history_alpha_one_ramp():
     sigma = stress_history_l1(mat, StrainProgram.sampled(0.5 * t, dt))
     # interior: sigma = E_inf*0.5*t + E_alpha*0.5
     np.testing.assert_allclose(sigma[1:-1], 0.5 * t[1:-1] + 1.0, rtol=1e-12)
+
+
+_ALPHA = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+_OMEGA = st.floats(min_value=1e-6, max_value=1e6)
+
+
+def _libm_moduli(e_inf, e_alpha, alpha, omega):
+    """Storage, loss and tan(delta) in Python floats: libm's pow, cos and sin."""
+    wa = omega ** alpha
+    half = 0.5 * math.pi * alpha
+    storage = e_inf + e_alpha * wa * math.cos(half)
+    loss = e_alpha * wa * math.sin(half)
+    return storage, loss, loss / storage
+
+
+@settings(max_examples=200)
+@given(alphas=st.lists(_ALPHA, min_size=1, max_size=30),
+       omegas=st.lists(_OMEGA, min_size=1, max_size=30),
+       e_inf=st.floats(min_value=1e-3, max_value=1e3),
+       e_alpha=st.floats(min_value=0.0, max_value=1e3))
+def test_moduli_arrays_equal_scalar_calls(alphas, omegas, e_inf, e_alpha):
+    def columns(mat, omega):
+        return [*complex_modulus(mat, omega), tangent_loss(mat, omega)]
+
+    # omega grid at one order
+    mat = MaterialParams(e_inf, e_alpha, alphas[0])
+    want = [_libm_moduli(e_inf, e_alpha, alphas[0], w) for w in omegas]
+    assert [tuple(columns(mat, w)) for w in omegas] == want
+    assert [c.tolist() for c in columns(mat, np.array(omegas))] == [list(c) for c in zip(*want)]
+
+    # grid of orders at one omega
+    want = [_libm_moduli(e_inf, e_alpha, a, omegas[0]) for a in alphas]
+    assert [tuple(columns(MaterialParams(e_inf, e_alpha, a), omegas[0])) for a in alphas] == want
+    grid = MaterialParams(e_inf, e_alpha, np.array(alphas))
+    assert [c.tolist() for c in columns(grid, omegas[0])] == [list(c) for c in zip(*want)]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_moduli_array_domain_errors(bad):
+    mat = MaterialParams()
+    with pytest.raises(ValueError, match=f"omega must be positive, got {bad}"):
+        complex_modulus(mat, np.array([1.0, bad, 2.0]))
+    with pytest.raises(ValueError, match="omega must be positive"):
+        tangent_loss(mat, np.array([bad]))
+    with pytest.raises(ValueError, match=f"alpha must lie in \\(0, 1\\], got {bad}"):
+        MaterialParams(alpha=np.array([0.5, bad, 1.0]))
+    with pytest.raises(ValueError, match="alpha must lie in \\(0, 1\\], got 1.5"):
+        MaterialParams(alpha=np.array([0.5, 1.5]))
+
+
+def test_moduli_unequal_grids_rejected():
+    # an omega grid and a grid of orders pair up entry by entry, so lengths must agree
+    grid = MaterialParams(alpha=np.array([0.5, 0.6]))
+    with pytest.raises(ValueError, match=r"pow over arrays of unequal lengths \[2, 3\]"):
+        complex_modulus(grid, np.array([1.0, 2.0, 3.0]))
+    storage, loss = complex_modulus(grid, np.array([1.0, 2.0]))
+    assert storage.shape == loss.shape == (2,)

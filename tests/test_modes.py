@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -264,3 +265,25 @@ def test_large_beta_rescaled_evaluation(no_tip):
     assert co.k_l == pytest.approx(beta6**4, rel=1e-7)
     # the free-end displacement of a clamped-free mode alternates near +/-2
     assert abs(mode_shape_eval(mode, 1.0, 0)) == pytest.approx(2.0, abs=1e-4)
+
+
+_GRID_CASES = {"no-tip": (TipConfig(0.0, 0.0), 6), "tip-mass": (TipConfig(1.0, 1.0), 2),
+               "custom": (TipConfig(0.5, 0.02), 2)}
+
+
+@functools.cache
+def _grid_mode(case, k):
+    """Mode k of a case, built once; no-tip mode 6 lies past the exponential split."""
+    tip, n = _GRID_CASES[case]
+    return build_mode(tip, solve_eigen(tip, n, 20.0)[k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case_mode=st.sampled_from([(c, k) for c, (_, n) in _GRID_CASES.items() for k in range(n)]),
+       order=st.integers(min_value=0, max_value=3),
+       s=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40))
+def test_mode_shape_grid_equals_pointwise(case_mode, order, s):
+    mode = _grid_mode(*case_mode)
+    grid = mode_shape_eval(mode, np.array(s), order)
+    assert grid.tolist() == [mode_shape_eval(mode, x, order) for x in s]
+
