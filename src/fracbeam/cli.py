@@ -2,9 +2,10 @@
 
 Every subcommand is a thin wrapper over the library modules; this file holds
 no numerics.  Output is a rectangular table preceded by '#'-prefixed
-provenance lines (tool version plus a full parameter echo), written with 17
-significant digits so repeated runs with the same configuration are
-byte-identical and round-trip safely.
+provenance lines (tool version plus a full parameter echo).  CSV cells carry
+17 significant digits and JSON cells the shortest round-trip repr, so
+repeated runs with the same configuration are byte-identical and every finite
+value reads back exactly.
 
 Exit codes: 0 success, 1 numerical or output failure, 2 usage or domain error.
 """
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, g17
 from .constitutive import MaterialParams, StrainProgram, complex_modulus, ramp_hold_stress, stress_history_l1, tangent_loss
 from .fracode import GridSpec, HarmonicForcing, integrate_linear, integrate_nonlinear
 from .modes import ModalCoefficients, TipConfig, build_mode, modal_coefficients, mode_shape_eval, solve_eigen
@@ -39,6 +40,10 @@ class ResultTable:
     ``(count column, k)``: in rows whose count is at most k the column holds
     NaN for a value that does not exist (a root past ``n_roots``, a fold the
     sweep did not cross, an order not found).
+
+    ``to_csv`` prints each cell as ``'%.17g' % float(x)`` (``nan``, ``inf``,
+    ``-inf`` and ``-0`` included); ``to_json`` prints Python's shortest
+    round-trip repr, with ``null`` for a non-finite cell.
     """
 
     columns: list
@@ -71,14 +76,10 @@ class ResultTable:
                                      f"in table row {i + 1}")
 
     def to_csv(self) -> str:
-        # "%.17g" prints ints, bools, nan, inf and -0 exactly as _fmt does
+        # cells are '%.17g' % float(x), so ints and bools print as _fmt prints them
         lines = [f"# {k}={v}" for k, v in self.provenance]
         lines.append(",".join(self.columns))
-        values = self.values
-        if values.size:
-            row = ",".join(["%.17g"] * values.shape[1])
-            lines.append("\n".join([row] * values.shape[0]) % tuple(values.ravel().tolist()))
-        return "\n".join(lines) + "\n"
+        return "".join(["\n".join(lines) + "\n", *g17.csv_chunks(self.values)])
 
     def to_json(self) -> str:
         # Bytes of json.dumps(doc, indent=1) with non-finite cells as null.

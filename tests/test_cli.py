@@ -1,11 +1,14 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracbeam import build_mode, mode_shape_eval, solve_eigen
-from fracbeam import cli
+from fracbeam import cli, g17
 from fracbeam.cli import ResultTable, main
 
 
@@ -321,6 +324,112 @@ def test_csv_bytes_match_cell_join():
     array_table = ResultTable(list("abcdefg"), np.asarray(rows, dtype=float), table.provenance)
     assert array_table.to_csv() == table.to_csv()
     assert ResultTable(["a"], [], []).to_csv() == "a\n"
+
+
+def _template_csv(table):
+    """The '%'-template writer the array formatter replaced: one dtoa call per cell."""
+    lines = [f"# {k}={v}" for k, v in table.provenance]
+    lines.append(",".join(table.columns))
+    values = table.values
+    if values.size:
+        row = ",".join(["%.17g"] * values.shape[1])
+        lines.append("\n".join([row] * values.shape[0]) % tuple(values.ravel().tolist()))
+    return "\n".join(lines) + "\n"
+
+
+def _assert_csv_matches_template(values):
+    values = np.asarray(values, dtype=float)
+    table = ResultTable([f"c{j}" for j in range(values.shape[1])], values, [("x", "1")])
+    got, want = table.to_csv().splitlines(), _template_csv(table).splitlines()
+    assert len(got) == len(want)
+    bad = [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert not bad, bad[:5]
+
+
+def _near_ties():
+    """Doubles within about 1e-16 of a 17-digit rounding midpoint where 10^(16-E) is inexact.
+
+    For k = 16 - E > 22, x = M 2^-(g+k) gives x 10^k = M 5^k / 2^g, whose
+    fraction is 1/2 + delta / 2^g when M 5^k = 2^(g-1) + delta (mod 2^g).
+    Below the formatter's double-double error these need its fallback band;
+    delta = 0 (k = 23, 24) gives exact ties.
+    """
+    out = []
+    for k in range(23, 297):
+        p5 = 5 ** k
+        for g in range(p5.bit_length() - 4, p5.bit_length() - 1):
+            inverse = pow(p5, -1, 2 ** g)
+            for delta in range(-32, 33):
+                M = ((2 ** (g - 1) + delta) * inverse) % 2 ** g
+                if 2 ** 52 <= M < 2 ** 53 and 10 ** 16 <= (M * p5) >> g < 10 ** 17:
+                    out.append(math.ldexp(M, -g - k))
+    return out
+
+
+def test_csv_random_bit_patterns_match_template():
+    rng = np.random.default_rng(20260419)
+    bits = rng.integers(0, 2 ** 64, size=1_000_000, dtype=np.uint64, endpoint=False)
+    specials = np.array([0, 2 ** 63, 0x7FF0000000000000, 0xFFF0000000000000,   # +-0, +-inf
+                         0x7FF8000000000000, 0xFFF8000000000000,                # quiet NaNs
+                         0x7FF0000000000001, 0xFFF4000000000123,                # payload NaNs
+                         1, 2 ** 63 + 1, 0x000FFFFFFFFFFFFF, 0x0010000000000000],  # subnormal edges
+                        dtype=np.uint64)
+    bits[:specials.size] = specials
+    values = bits.view(np.float64)
+    assert np.isnan(values).sum() > 100 and (np.abs(values) < 2.3e-308).sum() > 100
+    _assert_csv_matches_template(values.reshape(-1, 4))
+
+
+def test_csv_edge_cases_match_template():
+    edges = []
+    for k in range(-323, 309):
+        x = float(f"1e{k}")
+        edges += [x, np.nextafter(x, math.inf), np.nextafter(x, -math.inf)]
+    near_ties = _near_ties()
+    assert len(near_ties) > 50
+    ties = [1 + 2 ** -17, 2 ** 53 + 2.0, 0.5, 2.5e-5] + near_ties
+    switches = [1e-5, 1e-4, 1e16, 1e17, 9.9999999999999995e-5, 99999999999999984.0]
+    switches += [np.nextafter(x, s) for x in switches[:4] for s in (math.inf, -math.inf)]
+    integral = [float(2 ** j) for j in range(64)] + [float(2 ** j - 1) for j in range(1, 54)]
+    integral += [float(i) for i in range(-1000, 1001)]
+    cases = np.array(edges + ties + switches + integral)
+    _assert_csv_matches_template(np.concatenate([cases, -cases])[:, None])
+    # 1 + 2**-17 = 1.00000762939453125 lies halfway between two 17-digit values
+    assert ResultTable(["a"], [[1 + 2 ** -17]]).to_csv() == "a\n1.0000076293945312\n"
+
+
+@pytest.mark.parametrize("n_cols", [1, 3, 4])
+def test_csv_chunk_boundaries_match_template(n_cols):
+    rows = g17._CHUNK_CELLS // n_cols
+    rng = np.random.default_rng(n_cols)
+    for n_rows in (0, 1, rows - 1, rows, rows + 1, 2 * rows + 1):
+        values = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-20, 20, (n_rows, n_cols))
+        values[::7] = 0.0
+        _assert_csv_matches_template(values)
+
+
+@given(st.lists(st.lists(st.floats(width=64), min_size=3, max_size=3), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_csv_hypothesis_tables_match_template(rows):
+    _assert_csv_matches_template(np.array(rows, dtype=float).reshape(-1, 3))
+
+
+def test_csv_writer_peak_memory_below_template_writer():
+    # a table the size of the constitutive ramp's: the writer works on
+    # bounded chunks and must not build whole-table temporaries
+    t = np.arange(60_001) * 1e-4
+    values = np.column_stack([t, np.minimum(t, 2.5) / 24, np.exp(-t) * np.cos(7 * t), np.sqrt(t)])
+    table = ResultTable(["t", "strain", "stress", "x"], values, [("x", "1")])
+
+    def peak(write):
+        tracemalloc.start()
+        try:
+            write()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(table.to_csv) < peak(lambda: _template_csv(table))
 
 
 def _indent_json(table):
