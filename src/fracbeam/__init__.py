@@ -7,7 +7,7 @@ modes         cantilever eigenproblem, mode shapes, single-mode reduction
 fracode       L1 + Newmark time integration of the reduced oscillator
 multiscale    slow-flow envelopes, decay-rate sensitivity, resonance cubic, sweeps
 cli           `fracbeam` command-line front end (CSV/JSON tables)
-g17           byte-exact '%.17g' CSV text of float arrays
+g17           byte-exact CSV ('%.17g') and JSON (shortest repr) text of float arrays
 """
 
 __version__ = "0.1.0"

@@ -3,9 +3,13 @@
 Every subcommand is a thin wrapper over the library modules; this file holds
 no numerics.  Output is a rectangular table preceded by '#'-prefixed
 provenance lines (tool version plus a full parameter echo).  CSV cells carry
-17 significant digits and JSON cells the shortest round-trip repr, so
-repeated runs with the same configuration are byte-identical and every finite
-value reads back exactly.
+17 significant digits; JSON cells are the shortest round-trip repr, or int text
+in the integer columns a command names.  Both are printed by ``g17`` over
+whole-array chunks, which leaves a cell to Python's ``%`` or ``repr`` only near
+a rounding tie or round-trip boundary, for a power of two (JSON), where log10
+misjudges the decade and for |x| outside [1e-279, 1e280).  Repeated runs with
+the same configuration are byte-identical and every finite value reads back
+exactly.
 
 Exit codes: 0 success, 1 numerical or output failure, 2 usage or domain error.
 """
@@ -13,6 +17,7 @@ Exit codes: 0 success, 1 numerical or output failure, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -34,27 +39,33 @@ __all__ = ["ResultTable", "main"]
 class ResultTable:
     """Rectangular numeric output with a provenance header.
 
-    ``rows`` is a list of equal-length numeric rows or a 2-D float array.
-    ``values`` holds the same cells as one float array; it is built from
-    ``rows`` unless the command passes it.  ``absent`` maps a column to
-    ``(count column, k)``: in rows whose count is at most k the column holds
-    NaN for a value that does not exist (a root past ``n_roots``, a fold the
-    sweep did not cross, an order not found).
+    ``rows`` is a list of equal-length numeric rows or a 2-D float array, and
+    ``values`` holds the same cells as one float array.  ``ints`` names the
+    integer columns (counts and 0/1 tags): their cells are integers below 2^53
+    in magnitude, or NaN.  ``absent`` maps a column to ``(count column, k)``:
+    in rows whose count is at most k the column holds NaN for a value that
+    does not exist (a root past ``n_roots``, a fold the sweep did not cross,
+    an order not found).
 
-    ``to_csv`` prints each cell as ``'%.17g' % float(x)`` (``nan``, ``inf``,
-    ``-inf`` and ``-0`` included); ``to_json`` prints Python's shortest
-    round-trip repr, with ``null`` for a non-finite cell.
+    ``to_csv`` prints each cell as ``'%.17g' % x`` (``nan``, ``inf``, ``-inf``
+    and ``-0`` included).  ``to_json`` prints the bytes of
+    ``json.dumps(doc, indent=1)`` with ``int(x)`` in an integer column,
+    Python's shortest round-trip ``repr(x)`` elsewhere and ``null`` for a
+    non-finite cell.  Both write whole-array chunks through ``g17``, which
+    hands a cell to Python's own formatting only near a rounding tie or a
+    round-trip boundary, for a power of two (JSON), where log10 misjudges the
+    decade and for |x| outside [1e-279, 1e280).
     """
 
     columns: list
     rows: list
     provenance: list = field(default_factory=list)
     absent: dict = field(default_factory=dict)
-    values: np.ndarray | None = None
+    ints: tuple = ()
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.values is None:
-            self.values = np.asarray(self.rows, dtype=float)
+        self.values = np.asarray(self.rows, dtype=float).reshape(len(self.rows), len(self.columns))
 
     @staticmethod
     def _fmt(x) -> str:
@@ -76,33 +87,23 @@ class ResultTable:
                                      f"in table row {i + 1}")
 
     def to_csv(self) -> str:
-        # cells are '%.17g' % float(x), so ints and bools print as _fmt prints them
         lines = [f"# {k}={v}" for k, v in self.provenance]
         lines.append(",".join(self.columns))
         return "".join(["\n".join(lines) + "\n", *g17.csv_chunks(self.values)])
 
     def to_json(self) -> str:
-        # Bytes of json.dumps(doc, indent=1) with non-finite cells as null.
-        # indent forces json's pure-Python encoder, so the rows go through
-        # the C encoder compactly and the indent=1 layout is spliced in; the
-        # cells are numbers, so commas and brackets are all separators.
-        rows = self.rows.tolist() if isinstance(self.rows, np.ndarray) else self.rows
+        is_int = np.isin(self.columns, self.ints)
+        cells = self.values[:, is_int]
+        cells = cells[np.isfinite(cells)]
+        if not np.all((np.abs(cells) < 2**53) & (cells == np.trunc(cells))):
+            raise TypeError(f"integer columns {self.ints} hold a value that is not "
+                            "an integer below 2^53")
         head = json.dumps({"provenance": dict(self.provenance), "columns": self.columns,
-                           "rows": None}, indent=1)
-        body = json.dumps(rows, separators=(",", ":"), default=_json_cell)
-        body = body.replace("-Infinity", "null").replace("Infinity", "null").replace("NaN", "null")
-        if body != "[]":
-            body = ("[\n  [\n   "
-                    + body[2:-2].replace(",", ",\n   ").replace("],\n   [", "\n  ],\n  [\n   ")
-                    + "\n  ]\n ]")
-        return head[:-len("null\n}")] + body + "\n}\n"
-
-
-def _json_cell(x):
-    """numpy scalars and arrays as the Python values json can encode."""
-    if isinstance(x, (np.generic, np.ndarray)):
-        return x.tolist()
-    raise TypeError(f"table cell of type {type(x).__name__} is not numeric")
+                           "rows": None}, indent=1)[:-len("null\n}")]
+        body = list(g17.json_chunks(self.values, is_int))
+        if not body:
+            return head + "[]\n}\n"
+        return "".join([head, "[\n  [\n   ", *body, "\n  ]\n ]\n}\n"])
 
 
 def _tip_from(cfg: dict) -> TipConfig:
@@ -142,12 +143,12 @@ def cmd_modes(cfg: dict) -> ResultTable:
     res = cfg["resolution"]
     s_grid = np.linspace(0.0, 1.0, res) if res > 1 else np.array([1.0])
     phi = [mode_shape_eval(build_mode(tip, beta), s_grid, 0) for beta in betas]
-    # one block of rows per mode, built column by column so mode stays an int
+    # one block of rows per mode
     n, k = len(s_grid), len(betas)
     cols = [np.repeat(np.arange(1, k + 1), n), np.repeat(betas, n),
             np.repeat([beta**2 for beta in betas], n), np.tile(s_grid, k), np.concatenate(phi)]
-    return ResultTable(["mode", "beta", "beta_sq", "s", "phi"],
-                       list(zip(*[c.tolist() for c in cols])), values=np.column_stack(cols))
+    return ResultTable(["mode", "beta", "beta_sq", "s", "phi"], np.column_stack(cols),
+                       ints=("mode",))
 
 
 def cmd_coeffs(cfg: dict) -> ResultTable:
@@ -220,23 +221,21 @@ def cmd_critical_alpha(cfg: dict) -> ResultTable:
            res.closed_form, params.omega0]
     return ResultTable(["found", "alpha_cr", "residual", "in_unit_interval",
                         "closed_form", "omega0"], [row],
-                       absent={"alpha_cr": ("found", 0), "residual": ("found", 0)})
+                       absent={"alpha_cr": ("found", 0), "residual": ("found", 0)},
+                       ints=("found", "in_unit_interval"))
 
 
-def _sweep_rows(branch) -> tuple[list, np.ndarray]:
-    """Fixed-width rows (up to 3 roots) built column by column, and their float values.
+def _sweep_values(branch) -> np.ndarray:
+    """Fixed-width rows (up to 3 roots) as one float array.
 
-    Stability tags are ints 1/0; every unused root cell is NaN.
+    Stability tags are 1/0; every unused root cell is NaN.
     """
     n_roots = branch.n_roots
-    cols, values = [branch.deltas.tolist(), n_roots.tolist()], [branch.deltas, n_roots]
+    cols = [branch.deltas, n_roots]
     for k in range(3):
-        tag = branch.stable[:, k].astype(int).astype(object)
-        tag[n_roots <= k] = math.nan
-        cols += [branch.amp[:, k].tolist(), branch.gamma[:, k].tolist(), tag.tolist()]
-        values += [branch.amp[:, k], branch.gamma[:, k],
-                   np.where(n_roots <= k, math.nan, branch.stable[:, k])]
-    return list(zip(*cols)), np.column_stack(values)
+        cols += [branch.amp[:, k], branch.gamma[:, k],
+                 np.where(n_roots <= k, math.nan, branch.stable[:, k])]
+    return np.column_stack(cols)
 
 
 def cmd_sweep(cfg: dict) -> ResultTable:
@@ -248,9 +247,9 @@ def cmd_sweep(cfg: dict) -> ResultTable:
         prov = [("bifurcation_delta", ResultTable._fmt(b)) for b in branch.bifurcations]
         cols = ["delta", "n_roots", "a1", "gamma1", "stable1",
                 "a2", "gamma2", "stable2", "a3", "gamma3", "stable3"]
-        rows, values = _sweep_rows(branch)
-        return ResultTable(cols, rows, prov,
-                           {col: ("n_roots", int(col[-1]) - 1) for col in cols[2:]}, values)
+        return ResultTable(cols, _sweep_values(branch), prov,
+                           {col: ("n_roots", int(col[-1]) - 1) for col in cols[2:]},
+                           ("n_roots", "stable1", "stable2", "stable3"))
 
     values = np.linspace(cfg["min"], cfg["max"], cfg["count"])
     deltas = np.linspace(cfg["delta_min"], cfg["delta_max"], cfg["delta_count"])
@@ -269,7 +268,8 @@ def cmd_sweep(cfg: dict) -> ResultTable:
         rows.append([val, peak, len(bifs), lo, hi, width])
     cols = [var, "peak_amp", "n_bifurcations", "bif_lo", "bif_hi", "three_root_width"]
     return ResultTable(cols, rows,
-                       absent={"bif_lo": ("n_bifurcations", 0), "bif_hi": ("n_bifurcations", 1)})
+                       absent={"bif_lo": ("n_bifurcations", 0), "bif_hi": ("n_bifurcations", 1)},
+                       ints=("n_bifurcations",))
 
 
 # ---------------------------------------------------------------- plumbing
@@ -442,7 +442,13 @@ def _check_domain(command: str, cfg: dict) -> None:
                              "is too large for a step count")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and then shared.
+
+    Every flag defaults to None and ``parse_args`` returns a new namespace,
+    so no value carries over from one ``main`` call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="fracbeam",
         description="Fractional Kelvin-Voigt cantilever toolkit: modes, "

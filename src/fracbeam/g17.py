@@ -1,37 +1,53 @@
-"""CSV text of a float array, byte for byte what ``'%.17g' % x`` prints per cell.
+"""Table text of a float array: CSV cells byte for byte ``'%.17g' % x``, JSON
+cells byte for byte Python's shortest round-trip ``repr(x)``.
 
-``csv_chunks(values)`` yields the rows of a 2-D float array as text: cells
-joined by ``,``, every row ended by ``\\n``.  It works on bounded chunks of
-whole rows, with a fixed number of numpy passes per chunk instead of one
-CPython dtoa call per cell.
+``csv_chunks(values)`` yields the rows of a 2-D float array as CSV text: cells
+joined by ``,``, every row ended by ``\\n``.  ``json_chunks(values, is_int)``
+yields the cells of the ``rows`` list of ``json.dumps(doc, indent=1)``: cells
+joined by ``,\\n   ``, rows by ``\\n  ],\\n  [\\n   ``, with no separator after
+the last cell.  Both work on bounded chunks of whole rows, with a fixed number
+of numpy passes per chunk instead of one CPython dtoa call per cell.
 
 Per cell with 1e-279 <= |x| < 1e280 and E = floor(log10 |x|):
 
-- The 17-digit integer N in [10^16, 10^17) is |x| * 10^(16-E) rounded half
-  to even.  10^k is a double-double hi + lo built from exact integers, and
-  |x| * hi is split exactly into p + e by Dekker's two-product, so the
-  product's fraction is exact wherever lo is 0 (k = 0..22) and within about
-  1e-15 elsewhere.
-- A cell is handed to Python's ``'%.16e'`` (the same 17 correctly rounded
-  digits) when that fraction lies within 1e-7 of one half and lo is not 0,
-  when log10 misjudged the decade (the unrounded N falls outside
-  [10^16, 10^17)), or when |x| is outside [1e-279, 1e280).  Zeros, infinities
-  and NaNs (whatever their sign bit) are printed from the layout table.
+- |x| * 10^(16-E) is split into its floor Y in [10^16, 10^17) and fraction f.
+  10^k is a double-double hi + lo built from exact integers, and |x| * hi is
+  split exactly into p + e by Dekker's two-product, so f is exact wherever lo
+  is 0 (k = 0..22) and within about 1e-15 elsewhere.  A cell whose decade
+  log10 misjudged (Y outside [10^16, 10^17)) or with |x| outside
+  [1e-279, 1e280) goes to Python.  Zeros, infinities and NaNs are printed from
+  the layout table.
+- CSV: the 17 digits N are Y + f rounded half to even.  Python's ``'%.16e'``
+  (the same 17 correctly rounded digits) is used when f lies within 1e-7 of
+  one half and lo is not 0.
+- JSON: let u be the gap from |x| to the next double, in units of Y (1.1 <
+  u < 22.3).  N is the multiple of 100 nearest to Y + f if it lies within u/2,
+  else the nearest multiple of 10 if it does, else the nearest integer; the
+  trailing zeros are dropped as below.  An interval under 100 units wide holds
+  at most one multiple of 100, so if any decimal of 15 or fewer digits reads
+  back as x it is that one, and among 16 or 17 digits repr takes the nearest.
+  Python's ``repr`` is used for ties between two candidates, for distances
+  within a band of u/2 (1e-7, and 1e-12 for the rounding of the distances where
+  lo is 0), and for powers of two, whose interval below x is half as wide.  In
+  an integer column (integral |x| < 2^53) N is Y itself.
 - N becomes ASCII through a 10^4-entry table of 4-digit chunks, and the
   number of significant digits d (trailing zeros dropped) comes from the
   same chunks.
-- Each cell is laid out in a 32-byte row: sign, leading ``0.000``, the digit
-  run with its point, exponent and separator sit in fixed columns and unused
-  bytes are zero.  One gather from a table keyed by (decimal exponent, d,
-  sign) gives the constant bytes and the masks that pick the digits before
-  and after the point; the zero bytes are then dropped.  The table encodes
+- Each cell is laid out in a fixed-width row: sign, leading ``0.000``, the
+  digit run with its point, exponent and separator sit in fixed columns and
+  unused bytes are zero.  One gather from a table keyed by (decimal exponent,
+  d, sign) gives the constant bytes and the masks that pick the digits before
+  and after the point; the zero bytes are then dropped.  The CSV table encodes
   ``%g``'s exponent form below 1e-4 and from 1e17, the stripped zeros and
-  point, and the two- or three-digit exponent.
+  point, and the two- or three-digit exponent; the JSON table encodes repr's
+  exponent form below 1e-4 and from 1e16 and its ``.0`` after an integral
+  value, and an integer column's cells print as ``int(x)`` would.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,30 +56,53 @@ _CHUNK_CELLS = 2048   # cells per chunk; bounds the per-chunk temporaries
 _EMIN, _EMAX = -280, 280          # decades computed in double-double
 _TINY, _HUGE = 1e-279, 1e280      # |x| outside [_TINY, _HUGE) goes to the fallback
 _XMIN, _XMAX = -324, 308          # decimal exponents of finite non-zero doubles
-_SPECIALS = (b"0", b"-0", b"inf", b"-inf", b"nan")
+_N_X = _XMAX - _XMIN + 1
 _SPLIT = 134217729.0              # 2^27 + 1, Dekker's splitter
+_MANTISSA = np.uint64(2**52 - 1)  # stored mantissa bits; 0 for a power of two
 
-# Columns of a cell's 32-byte row.  The digit run holds D0..D16 with the
-# point at position q; DL puts D_j at column _RUN + j, DR at _RUN + j + 1.
-_W = 32
+# Columns of a cell's row.  The digit run holds D0..D16 with the point at
+# position q; DL puts D_j at column _RUN + j, DR at _RUN + j + 1.  The
+# separator starts at _SEP and runs to the end of the row.
 _RUN = 7
 _EXP = 25
 _SEP = 30
 
 
-def _layout_block(X: int) -> np.ndarray:
-    """(3, 34, 32): template, DL mask and DR mask rows for exponent X, per (d, sign)."""
+class _Format(NamedTuple):
+    """A cell syntax: row width, separators, digit rule and layout families.
+
+    Each family is (texts of +0, -0, +inf, -inf and NaN, top, pad): numbers
+    are in fixed notation for -4 <= X < top, and from X >= 0 keep at least
+    X + 1 + pad digits.
+    """
+    width: int
+    cell_sep: bytes
+    row_sep: bytes
+    last_sep: bool        # whether the last row ends with row_sep
+    shortest: bool        # shortest round-trip digits, else 17
+    families: tuple
+
+
+_CSV = _Format(32, b",", b"\n", True, False,
+               (((b"0", b"-0", b"inf", b"-inf", b"nan"), 17, 0),))
+_JSON = _Format(48, b",\n   ", b"\n  ],\n  [\n   ", False, True,
+                (((b"0.0", b"-0.0", b"null", b"null", b"null"), 16, 1),    # float
+                 ((b"0", b"0", b"null", b"null", b"null"), 17, 0)))        # integer column
+
+
+def _layout_block(X: int, top: int, pad: int, width: int) -> np.ndarray:
+    """(3, 34, width): template, DL mask and DR mask rows for exponent X, per (d, sign)."""
     lead, exp = b"", b""
-    if 0 <= X < 17:
+    if 0 <= X < top:
         q = X + 1                     # the point follows the integer digits
     elif -4 <= X < 0:
         lead, q = b"0." + b"0" * (-X - 1), 17      # no point in the run
     else:
         exp, q = b"e%+03d" % X, 1
-    col = np.arange(_W)
+    col = np.arange(width)
     d = np.arange(1, 18)[:, None]
-    kept = np.maximum(d, X + 1) if 0 <= X < 17 else d     # digits printed
-    rows = np.zeros((3, 17, 2, _W), np.uint8)
+    kept = np.maximum(d, X + 1 + pad) if 0 <= X < top else d     # digits printed
+    rows = np.zeros((3, 17, 2, width), np.uint8)
     rows[0, :, :, 1:1 + len(lead)] = np.frombuffer(lead, np.uint8)
     rows[0, :, :, _EXP:_EXP + len(exp)] = np.frombuffer(exp, np.uint8)
     rows[0, :, 1, 0] = ord("-")
@@ -71,13 +110,13 @@ def _layout_block(X: int) -> np.ndarray:
     if q < 17:
         rows[0, :, :, _RUN + q] = np.where(point, ord("."), 0)
     in_run = (col >= _RUN) & (col <= _RUN + kept)
-    rows[1] = np.where((in_run & (col < _RUN + np.minimum(q, kept))) | (col == _SEP), 255, 0)[:, None]
+    rows[1] = np.where((in_run & (col < _RUN + np.minimum(q, kept))) | (col >= _SEP), 255, 0)[:, None]
     rows[2] = np.where(in_run & point & (col > _RUN + q), 255, 0)[:, None]
-    return rows.reshape(3, 34, _W)
+    return rows.reshape(3, 34, width)
 
 
 class _Tables:
-    """Constants of the formatter, each decade filled on first use.
+    """Digit constants shared by every format, each decade filled on first use.
 
     Filling is idempotent, so one instance serves the whole process.
     """
@@ -99,13 +138,6 @@ class _Tables:
         # around one half (0 where 10^(16-E) is an exact double)
         self.pow = np.empty((5, _EMAX - _EMIN + 1))
         self.pow_done = np.zeros(_EMAX - _EMIN + 1, bool)
-        n_x = _XMAX - _XMIN + 1
-        self.layout = np.empty((3, len(_SPECIALS) + 34 * n_x, _W), np.uint8)
-        self.layout_done = np.zeros(n_x, bool)
-        self.layout[:, :len(_SPECIALS)] = 0
-        for i, text in enumerate(_SPECIALS):
-            self.layout[0, i, :len(text)] = np.frombuffer(text, np.uint8)
-            self.layout[1, i, _SEP] = 255
 
     def fill_powers(self, lo: int, hi: int) -> None:
         """10^(16-E) as hi + lo, and hi's Dekker split, for E - _EMIN in [lo, hi]."""
@@ -127,12 +159,33 @@ class _Tables:
             self.pow[:, i] = (h, h_hi, h - h_hi, low, 0.0 if low == 0 else 1e-7)
             self.pow_done[i] = True
 
-    def fill_layouts(self, lo: int, hi: int) -> None:
-        for i in range(lo, hi + 1):
-            if not self.layout_done[i]:
-                row = len(_SPECIALS) + 34 * i
-                self.layout[:, row:row + 34] = _layout_block(i + _XMIN)
-                self.layout_done[i] = True
+
+class _Layout:
+    """The layout table of one format, each (family, exponent) block filled on first use.
+
+    Rows: the specials of each family, then 34 rows per block (family * _N_X
+    + X - _XMIN), 2 per digit count d, one per sign.
+    """
+
+    def __init__(self, fmt: _Format):
+        self.fmt = fmt
+        self.n_specials = 5 * len(fmt.families)
+        n_rows = self.n_specials + 34 * _N_X * len(fmt.families)
+        self.table = np.empty((3, n_rows, fmt.width), np.uint8)
+        self.done = np.zeros(_N_X * len(fmt.families), bool)
+        self.table[:, :self.n_specials] = 0
+        texts = [text for specials, _top, _pad in fmt.families for text in specials]
+        for i, text in enumerate(texts):
+            self.table[0, i, :len(text)] = np.frombuffer(text, np.uint8)
+            self.table[1, i, _SEP:] = 255
+
+    def fill(self, blocks) -> None:
+        for b in blocks:
+            family, i = divmod(b, _N_X)
+            _specials, top, pad = self.fmt.families[family]
+            row = self.n_specials + 34 * b
+            self.table[:, row:row + 34] = _layout_block(i + _XMIN, top, pad, self.fmt.width)
+            self.done[b] = True
 
 
 @functools.cache
@@ -140,11 +193,19 @@ def _tables() -> _Tables:
     return _Tables()
 
 
-def _decimal(v: np.ndarray, tab: _Tables):
-    """The 17-digit integer N and decimal exponent X of each cell of ``v``.
+@functools.cache
+def _layout(fmt: _Format) -> _Layout:
+    return _Layout(fmt)
 
-    Returns (N, X, special): ``special`` marks zeros, infinities and NaNs (or
-    is None when there are none); their N and X are placeholders.
+
+def _product(v: np.ndarray, tab: _Tables):
+    """|x| * 10^(16-E) of each cell of ``v`` as its floor Y and fraction f.
+
+    Returns (|x|, Y, f, E - _EMIN, hi, band, bad, special): hi and band are the
+    decade's 10^(16-E) and fallback band, ``bad`` marks the cells that need
+    the fallback whatever their digits, and ``special`` marks zeros,
+    infinities and NaNs (or is None when there are none).  The other outputs
+    of bad and special cells are placeholders.
     """
     a = np.abs(v)
     slow = (a < _TINY) | ~(a < _HUGE)
@@ -169,17 +230,33 @@ def _decimal(v: np.ndarray, tab: _Tables):
     e += a * low
     fl = np.floor(e)
     e -= fl                                  # the fraction
-    # p >= 2^53 is an integer; the unrounded N must lie in [10^16, 10^17)
-    N = p.astype(np.int64)
-    N += fl.astype(np.int64)
-    fallback = (N < 10**16) | (N >= 10**17) | (np.abs(e - 0.5) < band)
-    N += (e > 0.5) | ((e == 0.5) & (N & 1 == 1))
+    # p >= 2^53 is an integer; Y must lie in [10^16, 10^17)
+    Y = p.astype(np.int64)
+    Y += fl.astype(np.int64)
+    bad = (Y < 10**16) | (Y >= 10**17)
+    if special is not None:
+        bad |= slow & ~special
+    return a, Y, e, ei, h, band, bad, special
+
+
+def _exponents(N: np.ndarray, ei: np.ndarray) -> np.ndarray:
+    """Fold a rounded N of 10^17 into 10^16; return the decimal exponents."""
     carry = N == 10**17
     N[carry] = 10**16
     X = ei + carry
     X += _EMIN
-    if special is not None:
-        fallback |= slow & ~special
+    return X
+
+
+def _decimal(v: np.ndarray, tab: _Tables):
+    """The 17-digit integer N and decimal exponent X of ``'%.17g'`` for each cell.
+
+    Returns (N, X, special) as ``_product`` marks special cells.
+    """
+    _a, N, f, ei, _h, band, fallback, special = _product(v, tab)
+    fallback |= np.abs(f - 0.5) < band
+    N += (f > 0.5) | ((f == 0.5) & (N & 1 == 1))
+    X = _exponents(N, ei)
     for i in np.flatnonzero(fallback):
         text = "%.16e" % abs(v[i])
         N[i] = int(text[0] + text[2:18])
@@ -187,30 +264,79 @@ def _decimal(v: np.ndarray, tab: _Tables):
     return N, X, special
 
 
-def csv_chunks(values: np.ndarray):
-    """Yield the CSV rows of a 2-D float array as text, a chunk of rows at a time."""
+def _shortest(v: np.ndarray, tab: _Tables, is_int: np.ndarray | None):
+    """Shortest round-trip digits, as a 17-digit N with trailing zeros, and X per cell.
+
+    Cells marked in ``is_int`` hold integers below 2^53, whose N is Y.
+    """
+    a, Y, f, ei, h, band, fallback, special = _product(v, tab)
+    half = np.spacing(a)
+    half *= h
+    half *= 0.5                              # half the gap to the next double
+    tol = band + 1e-12
+    r100 = Y % 100
+    r10 = r100 % 10
+    s15 = r100 + f                           # above the multiple of 100 below
+    s16 = r10 + f
+    d15 = np.minimum(s15, 100 - s15)         # to the nearest multiple of 100
+    d16 = np.minimum(s16, 10 - s16)
+    ambiguous = (np.abs(d15 - half) <= tol) | (np.abs(d16 - half) <= tol)
+    by15 = d15 < half
+    by16 = d16 < half
+    if is_int is not None:
+        by15 &= ~is_int
+        by16 &= ~is_int
+    unit = np.where(by15, 100, np.where(by16, 10, 1))
+    rem = Y % unit
+    s = rem + f
+    ambiguous |= np.abs(s - 0.5 * unit) <= tol        # a tie between two candidates
+    ambiguous |= (v.view(np.uint64) & _MANTISSA) == 0  # a power of two (or 0, inf)
+    if is_int is not None:
+        ambiguous &= ~is_int
+    if special is not None:
+        ambiguous &= ~special
+    fallback |= ambiguous
+    Y -= rem
+    Y += unit * (s > 0.5 * unit)
+    X = _exponents(Y, ei)
+    for i in np.flatnonzero(fallback):
+        text, _, exp = repr(abs(v.item(i))).partition("e")
+        whole, _, frac = text.partition(".")
+        digits = (whole + frac).lstrip("0")
+        lead = len(whole) + len(frac) - len(digits)      # zeros before the first digit
+        Y[i] = int(digits.ljust(17, "0"))
+        X[i] = len(whole) - 1 - lead + int(exp or 0)
+    return Y, X, special
+
+
+def _chunks(values: np.ndarray, fmt: _Format, is_int=None):
+    """Yield the text of a 2-D float array in ``fmt``, a chunk of whole rows at a time."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.size == 0:
         return
-    tab = _tables()
+    tab, lay = _tables(), _layout(fmt)
     n_rows, n_cols = values.shape
     rows = max(1, min(n_rows, _CHUNK_CELLS // n_cols))
     size = rows * n_cols
     # DR is DL shifted right by one byte: the digits after the point
-    buf = np.zeros(size * _W + 4, np.uint8)
-    dl = buf[4:].reshape(size, _W)
-    dr = buf[3:-1].reshape(size, _W)
-    seps = dl.reshape(rows, n_cols, _W)
-    seps[:, :, _SEP] = ord(",")
-    seps[:, -1, _SEP] = ord("\n")
+    buf = np.zeros(size * fmt.width + 4, np.uint8)
+    dl = buf[4:].reshape(size, fmt.width)
+    dr = buf[3:-1].reshape(size, fmt.width)
+    seps = dl.reshape(rows, n_cols, fmt.width)
+    seps[:, :-1, _SEP:_SEP + len(fmt.cell_sep)] = np.frombuffer(fmt.cell_sep, np.uint8)
+    seps[:, -1, _SEP:_SEP + len(fmt.row_sep)] = np.frombuffer(fmt.row_sep, np.uint8)
+    family = None
+    if is_int is not None and np.any(is_int):
+        family = np.tile(np.asarray(is_int, bool), rows)
     dl32 = dl.view(np.uint32)
     chunk4 = np.empty((size, 5), np.intp)
     ascii4 = np.empty((size, 5), np.uint32)
-    text, left, right = np.empty((3, size, _W), np.uint8)
+    text, left, right = np.empty((3, size, fmt.width), np.uint8)
     for r0 in range(0, n_rows, rows):
         v = values[r0:r0 + rows].ravel()
         m = v.size
-        N, X, special = _decimal(v, tab)
+        fam = None if family is None else family[:m]
+        N, X, special = _shortest(v, tab, fam) if fmt.shortest else _decimal(v, tab)
         # the 17 digits: D0 then four 4-digit chunks
         c = chunk4[:m]
         hi9, lo8 = np.divmod(N, 10**8)
@@ -224,24 +350,44 @@ def csv_chunks(values: np.ndarray):
         np.maximum(d, sig[1].take(c[:, 2]), out=d)
         np.maximum(d, sig[0].take(c[:, 1]), out=d)
         np.maximum(d, 1, out=d)
+        # layout block: family * _N_X + X - _XMIN, then 34 rows per block
         X -= _XMIN
-        lo, hi = X.min(), X.max()
-        if not tab.layout_done[lo:hi + 1].all():
-            tab.fill_layouts(lo, hi)
-        # layout row: after the specials, 34 per exponent, 2 per digit count
+        if fam is not None:
+            X += fam * _N_X
+        missing = X[~lay.done.take(X)]
+        if missing.size:
+            lay.fill(set(missing.tolist()))
         key = X * 34
         key += d * 2
         key += np.signbit(v)
-        key += len(_SPECIALS) - 2
+        key += lay.n_specials - 2
         if special is not None:
             vs = v[special]
             code = np.where(vs == 0, 0, 2) + np.signbit(vs)
             code[np.isnan(vs)] = 4
+            if fam is not None:
+                code += 5 * fam[special]
             key[special] = code
-        for table, part in zip(tab.layout, (text, left, right)):
+        for table, part in zip(lay.table, (text, left, right)):
             np.take(table, key, axis=0, out=part[:m], mode="clip")
         left[:m] &= dl[:m]
         right[:m] &= dr[:m]
         text[:m] |= left[:m]
         text[:m] |= right[:m]
+        if r0 + rows >= n_rows and not fmt.last_sep:
+            text[m - 1, _SEP:] = 0
         yield text[:m].tobytes().translate(None, b"\0").decode("ascii")
+
+
+def csv_chunks(values: np.ndarray):
+    """Yield the CSV rows of a 2-D float array as text, a chunk of rows at a time."""
+    return _chunks(values, _CSV)
+
+
+def json_chunks(values: np.ndarray, is_int: np.ndarray):
+    """Yield the JSON cells of a 2-D float array as text, a chunk of rows at a time.
+
+    ``is_int`` marks the integer columns, whose cells must be integers below
+    2^53 in magnitude (or non-finite, printed ``null``).
+    """
+    return _chunks(values, _JSON, is_int)

@@ -20,6 +20,7 @@ has coefficients given by the quadratures exposed here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -217,9 +218,17 @@ def mode_shape_eval(mode: ModeShape, s, deriv_order: int = 0):
     return out if out.ndim else float(out)
 
 
+@functools.cache
+def _gauss_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per node count (read-only)."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gauss_panels(f, n_panels: int, n_nodes: int = 12) -> float:
     """Composite Gauss-Legendre quadrature of f over [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _gauss_rule(n_nodes)
     h = 1.0 / n_panels
     starts = np.arange(n_panels) * h
     nodes = (starts[:, None] + 0.5 * h * (x[None, :] + 1.0)).ravel()

@@ -432,36 +432,74 @@ def test_csv_writer_peak_memory_below_template_writer():
     assert peak(table.to_csv) < peak(lambda: _template_csv(table))
 
 
+def _json_rows(table):
+    """The table's cells as json encodes them: int in an integer column, else float."""
+    ints = [col in table.ints for col in table.columns]
+    return [[int(x) if is_int and math.isfinite(x) else x for x, is_int in zip(row, ints)]
+            for row in table.values.tolist()]
+
+
 def _indent_json(table):
-    """The pure-Python indent=1 writer the C-encoded splice replaced."""
-    def clean(x):
-        if isinstance(x, (bool, np.bool_)):
-            return bool(x)
-        if isinstance(x, (int, np.integer)):
-            return int(x)
-        x = float(x)
-        return x if math.isfinite(x) else None
-    doc = {"provenance": dict(table.provenance), "columns": table.columns,
-           "rows": [[clean(x) for x in row] for row in table.rows]}
+    """The pure-Python indent=1 writer, with non-finite cells as null."""
+    rows = [[x if not isinstance(x, float) or math.isfinite(x) else None for x in row]
+            for row in _json_rows(table)]
+    doc = {"provenance": dict(table.provenance), "columns": table.columns, "rows": rows}
     return json.dumps(doc, indent=1) + "\n"
+
+
+def _dumps_json(table):
+    """The json.dumps writer the array formatter replaced.
+
+    The rows go through the C encoder compactly and the indent=1 layout is
+    spliced in; the cells are numbers, so commas and brackets are all
+    separators.
+    """
+    head = json.dumps({"provenance": dict(table.provenance), "columns": table.columns,
+                       "rows": None}, indent=1)
+    body = json.dumps(_json_rows(table), separators=(",", ":"))
+    body = body.replace("-Infinity", "null").replace("Infinity", "null").replace("NaN", "null")
+    if body != "[]":
+        body = ("[\n  [\n   "
+                + body[2:-2].replace(",", ",\n   ").replace("],\n   [", "\n  ],\n  [\n   ")
+                + "\n  ]\n ]")
+    return head[:-len("null\n}")] + body + "\n}\n"
+
+
+def _assert_json_matches_dumps(values, ints=()):
+    values = np.asarray(values, dtype=float)
+    table = ResultTable([f"c{j}" for j in range(values.shape[1])], values, [("x", "1")], ints=ints)
+    got, want = table.to_json(), _dumps_json(table)
+    if got != want:
+        got_cells = got.replace("\n  ],\n  [\n   ", ",\n   ").split(",\n   ")
+        want_cells = want.replace("\n  ],\n  [\n   ", ",\n   ").split(",\n   ")
+        assert len(got_cells) == len(want_cells)
+        bad = [(i, g, w) for i, (g, w) in enumerate(zip(got_cells, want_cells)) if g != w]
+        assert not bad, bad[:5]
 
 
 def test_json_bytes_match_indent_writer():
     rows = [
         [0, True, math.nan, math.inf, -0.0, 1e-300, 1e300],
         [-7, False, -math.inf, -math.nan, 0.0, -1e-300, -1e300],
-        [2**60, True, np.float64(0.1), 1 / 3, -2.5e-17, 5e-324, 1.7976931348623157e308],
+        [2**53 - 1, True, np.float64(0.1), 1 / 3, -2.5e-17, 5e-324, 1.7976931348623157e308],
         [np.int64(3), np.bool_(False), np.float64(math.nan), np.float64(-math.inf), 1, 2, 3],
+        [-0.0, math.nan, 1e16, 1e-5, 1e-4, 123.0, -(2**53 - 1)],
     ]
     prov = [("fracbeam", "0"), ("x", "1"), ("bifurcation_delta", "2.5")]
-    table = ResultTable(list("abcdefg"), rows, prov)
-    assert table.to_json() == _indent_json(table)
-    array_table = ResultTable(list("abcdefg"), np.asarray(rows, dtype=float), prov)
-    assert array_table.to_json() == _indent_json(array_table)
+    table = ResultTable(list("abcdefg"), rows, prov, ints=("a", "b"))
+    assert table.to_json() == _indent_json(table) == _dumps_json(table)
+    doc = json.loads(table.to_json())
+    assert [row[:2] for row in doc["rows"]] == [[0, 1], [-7, 0], [2**53 - 1, 1], [3, 0], [0, None]]
+    assert doc["rows"][3][4:] == [1.0, 2.0, 3.0] and "\n   -0.0,\n" in table.to_json()
+    array_table = ResultTable(list("abcdefg"), np.asarray(rows, dtype=float), prov, ints=("a", "b"))
+    assert array_table.to_json() == table.to_json()
+    floats = ResultTable(list("abcdefg"), rows, prov)
+    assert floats.to_json() == _indent_json(floats) == _dumps_json(floats)
     single = ResultTable(["a"], np.array([[1.5]]), prov)
     assert single.to_json() == _indent_json(single)
-    for empty in (ResultTable(["a"], [], []), ResultTable(["a", "b"], np.empty((0, 2)), prov)):
-        assert empty.to_json() == _indent_json(empty)
+    for empty in (ResultTable(["a"], [], []),
+                  ResultTable(["a", "b"], np.empty((0, 2)), prov, ints=("a",))):
+        assert empty.to_json() == _indent_json(empty) == _dumps_json(empty)
 
 
 def test_sweep_json_matches_indent_writer(capsys):
@@ -470,10 +508,111 @@ def test_sweep_json_matches_indent_writer(capsys):
     assert code == 0
     doc = json.loads(out)
     rows = [[math.nan if x is None else x for x in row] for row in doc["rows"]]
-    table = ResultTable(doc["columns"], rows, list(doc["provenance"].items()))
+    table = ResultTable(doc["columns"], rows, list(doc["provenance"].items()),
+                        ints=("n_roots", "stable1", "stable2", "stable3"))
     assert out == _indent_json(table)
     assert {len(r) for r in doc["rows"]} == {11}
     assert None in doc["rows"][0] or None in doc["rows"][-1]     # NaN padding as null
+    assert {type(r[1]) for r in doc["rows"]} == {int}
+
+
+def test_json_random_bit_patterns_match_dumps():
+    rng = np.random.default_rng(20261019)
+    bits = rng.integers(0, 2 ** 64, size=1_000_000, dtype=np.uint64, endpoint=False)
+    specials = np.array([0, 2 ** 63, 0x7FF0000000000000, 0xFFF0000000000000,   # +-0, +-inf
+                         0x7FF8000000000000, 0xFFF8000000000000,                # quiet NaNs
+                         0x7FF0000000000001, 0xFFF4000000000123,                # payload NaNs
+                         1, 2 ** 63 + 1, 0x000FFFFFFFFFFFFF, 0x0010000000000000],  # subnormal edges
+                        dtype=np.uint64)
+    bits[:specials.size] = specials
+    values = bits.view(np.float64)
+    assert np.isnan(values).sum() > 100 and (np.abs(values) < 2.3e-308).sum() > 100
+    _assert_json_matches_dumps(values.reshape(-1, 4))
+
+
+def test_json_edge_cases_match_dumps():
+    rng = np.random.default_rng(15)
+    powers = [float(f"1e{k}") for k in range(-323, 309)]
+    # short decimals: up to 15 digits, over the whole exponent range
+    short = [float(f"{m}e{e}") for m, e in zip(rng.integers(1, 10 ** rng.integers(1, 16, 4000)),
+                                                 rng.integers(-320, 300, 4000))]
+    short += [round(x, int(k)) for x, k in zip(rng.uniform(-4, 4, 4000), rng.integers(0, 16, 4000))]
+    near = np.array(powers + short)
+    near = np.concatenate([near, np.nextafter(near, math.inf), np.nextafter(near, -math.inf)])
+    # exact halves and ties between two candidates
+    halves = [j + 0.5 for j in range(-1000, 1000)] + [2.0 ** 52 - 0.5, 2.0 ** 51 + 0.5]
+    halves += [1 + j * 2.0 ** -17 for j in range(1, 2000, 2)]
+    halves += [j * 2.0 ** -20 for j in range(1, 3000, 7)]
+    # integers at and above 2^53, some exactly on a round-trip boundary
+    big = [2.0 ** 53 + 2 * j for j in range(500)] + [2.0 ** 54 + 4 * j for j in range(500)]
+    big += [2.0 ** 55 + 8 * j for j in range(500)]
+    big += [20000000000000008.0, 1e17, 1e22, 1e23, 2.0 ** 63]
+    big += rng.integers(2 ** 53, 2 ** 63, 5000, dtype=np.int64).astype(float).tolist()
+    pow2 = [2.0 ** k for k in range(-1074, 1024)]
+    switches = [1e-5, 1e-4, 1e15, 1e16, 9.999999999999999e-5, 9999999999999998.0, 0.0, -0.0,
+                math.inf, -math.inf, math.nan]
+    switches += [np.nextafter(x, s) for x in switches[:4] for s in (math.inf, -math.inf)]
+    cases = np.concatenate([near, halves, big, pow2, np.nextafter(pow2, 0), switches])
+    _assert_json_matches_dumps(np.concatenate([cases, -cases])[:, None])
+    # 1 + 3 * 2**-17 = 1.00002288818359375 is a tie at 17 digits; repr rounds it to even
+    assert '1.0000228881835938' in ResultTable(["a"], [[1 + 3 * 2 ** -17]]).to_json()
+
+
+def test_json_integer_columns_match_dumps():
+    rng = np.random.default_rng(7)
+    ints = rng.integers(-2 ** 53 + 1, 2 ** 53, 20_000).astype(float)
+    ints[::3] = rng.integers(-20, 20, ints[::3].size)
+    ints[::11] = math.nan
+    ints[:8] = [0.0, -0.0, 1.0, -1.0, 2.0 ** 52, 1e15, 2.0 ** 53 - 2, -(2.0 ** 53 - 1)]
+    floats = rng.standard_normal(ints.size) * 10.0 ** rng.integers(-8, 8, ints.size)
+    floats[::5] = ints[::5]
+    values = np.column_stack([ints, floats, ints[::-1]])
+    _assert_json_matches_dumps(values, ints=("c0", "c2"))
+    for bad in (0.5, 2.0 ** 53, -(2.0 ** 60)):
+        with pytest.raises(TypeError):
+            ResultTable(["n", "x"], [[1, 1.5], [bad, 2.0]], ints=("n",)).to_json()
+
+
+@pytest.mark.parametrize("n_cols", [1, 3, 11])
+def test_json_chunk_boundaries_match_dumps(n_cols):
+    rows = g17._CHUNK_CELLS // n_cols
+    rng = np.random.default_rng(n_cols)
+    for n_rows in (0, 1, rows - 1, rows, rows + 1, 2 * rows + 1):
+        values = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-20, 20, (n_rows, n_cols))
+        values[::7] = 0.0
+        values[:, 0] = np.arange(n_rows) - 5.0
+        values[::5, 0] = math.nan
+        _assert_json_matches_dumps(values)
+        _assert_json_matches_dumps(values, ints=("c0",))
+
+
+@given(st.lists(st.tuples(st.one_of(st.integers(-2 ** 53 + 1, 2 ** 53 - 1), st.just(math.nan)),
+                          st.floats(width=64), st.floats(width=64)), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_json_hypothesis_tables_match_dumps(rows):
+    values = np.array(rows, dtype=float).reshape(-1, 3)
+    _assert_json_matches_dumps(values)
+    _assert_json_matches_dumps(values, ints=("c0",))
+
+
+def test_json_writer_peak_memory_below_dumps_writer():
+    # a 10 001-point detuning sweep; the writer works on bounded chunks and
+    # builds no per-cell Python objects.  The dumps path's row lists count
+    # against it, as they were built only for JSON.
+    cfg = {name: flag.default for name, flag in cli._SPECS["sweep"].items()}
+    table = cli.cmd_sweep({**cfg, "count": 10_001})
+    assert table.values.shape == (10_001, 11)
+    assert table.to_json() == _dumps_json(table)    # also builds the layout tables
+
+    def peak(write):
+        tracemalloc.start()
+        try:
+            write()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(table.to_json) < peak(lambda: _dumps_json(table))
 
 
 _SWEEP_FLOATS = ["--f", "--er", "--alpha", "--min", "--max", "--delta-min", "--delta-max"]
@@ -631,7 +770,7 @@ def _modes_per_row(cfg):
         mode = build_mode(tip, beta)
         for s in s_grid:
             rows.append([idx, beta, beta**2, s, mode_shape_eval(mode, s, 0)])
-    return ResultTable(["mode", "beta", "beta_sq", "s", "phi"], rows)
+    return ResultTable(["mode", "beta", "beta_sq", "s", "phi"], rows, ints=("mode",))
 
 
 def _moduli_per_row(cfg):
@@ -696,3 +835,43 @@ def test_memory_error_exit_code_1(monkeypatch, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "fracbeam: error: Unable to allocate 1.49 GiB for an array\n"
+
+
+def test_parser_reused_across_main_calls(tmp_path, capsys):
+    # main builds its parser once per process; nothing may carry over from
+    # one call to the next, so each call must print what a fresh parser gives
+    cfg = tmp_path / "tip.cfg"
+    cfg.write_text("case=tip-mass\nresolution=3\n")
+    jcfg = tmp_path / "run.json"
+    jcfg.write_text(json.dumps({"alpha": 0.3, "count": 7}))
+    calls = [
+        ["modes", "--config", str(cfg), "--n-modes", "2", "--format", "json"],
+        ["modes"],
+        ["coeffs", "--alpha", "0.3", "--case", "tip-mass"],
+        ["coeffs"],
+        ["sweep", "--config", str(jcfg), "--format", "json"],
+        ["sweep", "--count", "5"],
+        ["critical-alpha", "--omega0", "1"],
+        ["modes", "--config", str(cfg)],
+    ]
+    usage_errors = [["modes", "--bogus"], ["coeffs", "--case", "x"], ["nosuch"], [],
+                    ["sweep", "--config", str(cfg)], ["modes", "--n-modes", "two"]]
+
+    def fresh(argv):
+        cli.build_parser.cache_clear()
+        return outcome(argv)
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    want = [fresh(argv) for argv in calls + usage_errors]
+    got = [outcome(argv) for argv in calls + usage_errors]
+    assert got == want
+    assert {code for code, _, _ in got[len(calls):]} == {2}
+    assert all(code == 0 for code, _, _ in got[:len(calls)])
+    assert cli.build_parser() is cli.build_parser()

@@ -18,6 +18,7 @@ from fracbeam import (
     solve_eigen,
 )
 from fracbeam.errors import EigenSearchError
+from fracbeam import modes
 from fracbeam.modes import _adaptive_quad, _gauss_panels
 
 
@@ -287,3 +288,16 @@ def test_mode_shape_grid_equals_pointwise(case_mode, order, s):
     grid = mode_shape_eval(mode, np.array(s), order)
     assert grid.tolist() == [mode_shape_eval(mode, x, order) for x in s]
 
+
+
+def test_gauss_rule_built_once(monkeypatch):
+    tip = TipConfig(1.0, 1.0)
+    beta = solve_eigen(tip, 1)[0]
+    want = modal_coefficients(build_mode(tip, beta))
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or leggauss(n))
+    modes._gauss_rule.cache_clear()
+    for _ in range(3):
+        assert modal_coefficients(build_mode(tip, beta)) == want    # every bit kept
+    assert calls == [12]
