@@ -280,12 +280,14 @@ _COMMANDS = {"modes": cmd_modes, "coeffs": cmd_coeffs, "constitutive": cmd_const
 
 
 class _Flag(NamedTuple):
-    # an enumerated flag lists its choices; a grid flag counts points, so is at least 1
+    # an enumerated flag lists its choices; a grid flag counts points, so is at least 1;
+    # by_var replaces the default for the --var values it names
     type: type
     default: object
     help: str = ""
     choices: tuple = ()
     grid: bool = False
+    by_var: dict = {}
 
 
 # the first mode of the cantilever, for every command that needs one
@@ -348,7 +350,9 @@ _SPECS: dict[str, dict] = {
     "sweep": {
         **_BEAM,
         "var": _Flag(str, "delta", "", ("delta", "alpha", "er", "f")),
-        "min": _Flag(float, -2.0, "sweep range start"), "max": _Flag(float, 4.0, "sweep range end"),
+        # the detuning range, or one inside the swept parameter's domain
+        "min": _Flag(float, -2.0, "sweep range start", by_var={"alpha": 0.1, "er": 0.05, "f": 0.1}),
+        "max": _Flag(float, 4.0, "sweep range end", by_var={"alpha": 1.0, "er": 1.0, "f": 2.0}),
         "count": _Flag(int, 601, "sweep point count", grid=True),
         "alpha": _Flag(float, 0.4), "er": _Flag(float, 0.3), "f": _Flag(float, 1.0),
         "delta_min": _Flag(float, -2.0, "inner detuning grid (non-delta sweeps)"),
@@ -413,7 +417,8 @@ def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -
                 parser.error(f"bad value for key {name!r} in --config file for command "
                              f"{command!r}: {exc}")
         else:
-            cfg[name] = flag.default
+            # --var comes before the flags whose default depends on it
+            cfg[name] = flag.by_var.get(cfg.get("var"), flag.default)
     return cfg
 
 
@@ -442,6 +447,11 @@ def _check_domain(command: str, cfg: dict) -> None:
                              "is too large for a step count")
 
 
+def _default_text(flag: _Flag) -> str:
+    by_var = ", ".join(f"{var} {value}" for var, value in flag.by_var.items())
+    return f"{flag.default}; by --var: {by_var}" if by_var else str(flag.default)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built on first use and then shared.
@@ -465,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key, flag in spec.items():
             p.add_argument(_option(key), dest=key, type=flag.type, default=None,
                            choices=flag.choices or None,
-                           help=f"{flag.help} (default {flag.default})".lstrip())
+                           help=f"{flag.help} (default {_default_text(flag)})".lstrip())
     return parser
 
 

@@ -10,13 +10,16 @@ step's residual is a cubic in the new displacement; its four coefficients
 are built once per step and damped Newton with the analytic slope solves it,
 in one iteration on typical steps.
 
-Every L1 sum goes through one kernel, ``L1History``: direct sums in Python
-floats over the open block of up to 31 increments plus FFT convolutions over
-dyadic blocks of the older history, O(N log^2 N) over N steps instead of the
-O(N^2) direct sum and equal to it up to FFT round-off (about 1e-13
+Every L1 sum goes through one kernel, ``L1History``, with one channel (the
+linear model's q increments) or two (the nonlinear model's q and q^3
+increments) over one weight sequence: direct sums in Python floats over the
+open block of up to 31 increments, plus dyadic blocks of the older history
+added to every channel at once, by a dense Toeplitz product up to 128
+increments and by FFT above.  That is O(N log^2 N) over N steps instead of
+the O(N^2) direct sum, and equal to it up to round-off (about 1e-13
 relative).  On a 2-vCPU x86 machine with Python 3.11 a 200k-step linear run
-takes about 0.6 s, and a nonlinear step about 7 us (fractional) or 3 us
-(alpha = 1); the machine's speed drifts by up to 1.6x.
+takes about 0.55 s, and a nonlinear step about 5.5 us (fractional) or
+2.3 us (alpha = 1); the machine's speed drifts by up to 1.6x.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from functools import partial
 from operator import mul
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .constitutive import MaterialParams
 from .errors import InsufficientDataError, StepFailureError
@@ -110,82 +114,152 @@ def l1_weights(alpha: float, n: int) -> np.ndarray:
 
 # lags inside the current block of this many increments are summed directly
 _BASE = 32
+# dyadic squares up to this size reach the far sums by one dense Toeplitz
+# product, larger ones by FFT: below it numpy's FFT call overhead costs more
+# than the O(L^2) product, above it the FFT keeps the kernel O(N log^2 N)
+_DENSE = 128
+
+
+def _l1_constants(alpha: float, dt: float, n: int) -> tuple[np.ndarray, float]:
+    """The L1 weights b_0..b_m (m = max(n, _BASE)) and dt^(-alpha)/Gamma(2-alpha)."""
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    return l1_weights(alpha, max(n, _BASE) + 1), dt ** (-alpha) / math.gamma(2.0 - alpha)
 
 
 class L1History:
-    """Incremental L1 history sum over a stream of increments x_0, x_1, ...
+    """Incremental L1 history sums over one or two streams of increments.
 
-    After n pushes ``lag_sum()`` returns sum_{j=1..n} b_j x_{n-j}, the part of
-    the L1 sum that is known before the next increment x_n (whose weight is
-    b_0 = 1) arrives.  ``weights`` holds b_0..b_m (m >= capacity) and
-    ``scale`` the factor dt^(-alpha)/Gamma(2-alpha), so the Caputo derivative
-    after x_n is ``scale * (x_n + lag_sum())``.
+    Each channel k is a stream x_0, x_1, ... of increments, and all channels
+    share one weight sequence and one step count.  After n pushes the sum of
+    channel k is sum_{j=1..n} b_j x_{n-j}, the part of its L1 sum that is
+    known before the next increment x_n (whose weight is b_0 = 1) arrives.
+    A one-channel history takes ``push(x)`` and answers ``lag_sum()``; a
+    two-channel one (``channels=2``) takes ``push_pair(x, y)`` and answers
+    ``lag_sums()`` with both sums.  ``weights`` holds b_0..b_m
+    (m >= capacity) and ``scale`` the factor dt^(-alpha)/Gamma(2-alpha), so
+    the Caputo derivative after x_n is ``scale * (x_n + lag_sum())``.
 
-    The sum is split by the blocked convolution of Hairer, Lubich and
+    The sums are split by the blocked convolution of Hairer, Lubich and
     Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985).  Lags inside the current
     block of _BASE increments are summed directly.  The rest are dyadic
     squares: when push i closes the source block [i-L, i) with i/L odd
-    (L = _BASE * 2^k), one length-2L FFT adds that block's contribution to
-    the targets [i, i+L).  Each (source, target) pair is counted exactly once,
-    at the level where their blocks are siblings, so the result equals the
-    direct sum up to FFT round-off, at O(n log^2 n) total cost.
+    (L = _BASE * 2^k), that block's contribution is added to the targets
+    [i, i+L) of every channel at once: by one dense L x L Toeplitz product
+    for L <= _DENSE, by one length-2L FFT above.  Each (source, target) pair
+    is counted exactly once, at the level where their blocks are siblings,
+    so the result equals the direct sum up to round-off (about 1e-13
+    relative), at O(n log^2 n) total cost.
 
-    The open block, its far-field sums and the near weights are Python lists,
-    so ``lag_sum`` and every ``push`` that does not close a block run in
-    Python floats alone; numpy is used once per block.
+    The open block, its far-field sums and the near weights are Python
+    lists, one per channel, so ``lag_sum`` and every push that does not
+    close a block run in Python floats alone; numpy is used once per closed
+    block for all channels, with the increments and far sums stored as
+    (capacity, channels) arrays.
     """
 
-    def __init__(self, alpha: float, dt: float, capacity: int):
-        if not (dt > 0 and math.isfinite(dt)):
-            raise ValueError(f"dt must be positive and finite, got {dt}")
+    def __init__(self, alpha: float, dt: float, capacity: int, channels: int = 1):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.weights = l1_weights(alpha, max(capacity, _BASE) + 1)
-        self.scale = dt ** (-alpha) / math.gamma(2.0 - alpha)
+        if channels not in (1, 2):
+            raise ValueError(f"channels must be 1 or 2, got {channels}")
+        self.weights, self.scale = _l1_constants(alpha, dt, capacity)
         self.capacity = capacity
+        self.channels = channels
         self._n = 0
-        self._x = np.zeros(capacity)
-        self._far = np.zeros(capacity + 1)     # far-field part of each target's sum
-        self._block = []                       # increments of the open block
-        self._block_far = self._far[:_BASE].tolist()
+        # a push of the wrong arity meets a history with no room
+        self._room = capacity if channels == 1 else 0
+        self._room_pair = capacity if channels == 2 else 0
+        self._x = np.zeros((capacity, channels))
+        self._far = np.zeros((capacity + 1, channels))   # far-field part of each target's sums
+        self._blocks = [[] for _ in range(channels)]     # increments of the open block
+        self._block_fars = self._far[:_BASE].T.tolist()
         b = self.weights[:_BASE].tolist()
         self._near = [b[r:0:-1] for r in range(_BASE)]   # b_r .. b_1
-        self._spectra = {}
+        self._toeplitz = None                            # built at the first closed block
+        self._spectra = {}                               # block size -> kernel spectrum
 
     def push(self, increment: float) -> None:
-        """Append the next increment; closing a block adds its far field."""
-        block = self._block
-        if self._n == self.capacity:
-            raise ValueError(f"L1History is full ({self.capacity} increments)")
+        """Append the next increment of a one-channel history."""
+        if self._n >= self._room:
+            self._refuse(1)
+        block = self._blocks[0]
         block.append(increment)
         self._n += 1
         if len(block) == _BASE:
-            i = self._n
-            self._x[i - _BASE:i] = block
-            block.clear()
-            self._add_far_field(i)
-            self._block_far = self._far[i:i + _BASE].tolist()
+            self._close_block()
+
+    def push_pair(self, first: float, second: float) -> None:
+        """Append the next increments of a two-channel history, one per channel."""
+        if self._n >= self._room_pair:
+            self._refuse(2)
+        block, block2 = self._blocks
+        block.append(first)
+        block2.append(second)
+        self._n += 1
+        if len(block) == _BASE:
+            self._close_block()
 
     def lag_sum(self) -> float:
-        """sum_{j=1..n} b_j x_{n-j} over the n increments pushed so far."""
-        block = self._block
+        """sum_{j=1..n} b_j x_{n-j} over channel 0's n increments so far."""
+        block = self._blocks[0]
         r = len(block)
-        return self._block_far[r] + sum(map(mul, self._near[r], block))
+        return self._block_fars[0][r] + sum(map(mul, self._near[r], block))
 
-    def _add_far_field(self, i: int) -> None:
+    def lag_sums(self) -> tuple[float, float]:
+        """Both channels' lag sums of a two-channel history."""
+        block, block2 = self._blocks
+        far, far2 = self._block_fars
+        r = len(block)
+        near = self._near[r]
+        return far[r] + sum(map(mul, near, block)), far2[r] + sum(map(mul, near, block2))
+
+    def _refuse(self, arity: int):
+        if arity != self.channels:
+            raise ValueError(f"this L1History has {self.channels} channel(s); "
+                             f"a push gives one increment per channel, not {arity}")
+        raise ValueError(f"L1History is full ({self.capacity} increments)")
+
+    def _close_block(self) -> None:
+        i = self._n
+        for k, block in enumerate(self._blocks):
+            self._x[i - _BASE:i, k] = block
+            block.clear()
         size = _BASE
         while (i // size) % 2 == 0:
             size *= 2
         m = min(size, self.capacity + 1 - i)   # targets that exist
-        spec = self._spectra.get(size)
-        if spec is None:
-            # lag 0 never pairs a source block with a target block
-            kernel = np.zeros(2 * size)
-            b = self.weights[1:2 * size]
-            kernel[1:1 + b.size] = b
-            spec = self._spectra[size] = np.fft.rfft(kernel)
-        y = np.fft.irfft(np.fft.rfft(self._x[i - size:i], 2 * size) * spec, 2 * size)
-        self._far[i:i + m] += y[size:size + m]
+        source = self._x[i - size:i]
+        if size <= _DENSE:
+            if self._toeplitz is None:
+                self._toeplitz = self._build_toeplitz()
+            self._far[i:i + m] += self._toeplitz[:m, _DENSE - size:] @ source
+        else:
+            spec = self._spectra.get(size)
+            if spec is None:
+                spec = self._spectra[size] = np.fft.rfft(self._lag_kernel(size))[:, None]
+            y = np.fft.irfft(np.fft.rfft(source, 2 * size, axis=0) * spec, 2 * size, axis=0)
+            self._far[i:i + m] += y[size:size + m]
+        self._block_fars = self._far[i:i + _BASE].T.tolist()
+
+    def _lag_kernel(self, size: int) -> np.ndarray:
+        """b_1..b_{2 size - 1} at their lags, zero at lag 0 and past the capacity.
+
+        Lag 0 never pairs a source block with a target block, and a weight
+        past the capacity reaches only targets that do not exist.
+        """
+        kernel = np.zeros(2 * size)
+        b = self.weights[1:2 * size]
+        kernel[1:1 + b.size] = b
+        return kernel
+
+    def _build_toeplitz(self) -> np.ndarray:
+        """The _DENSE x _DENSE matrix of lags _DENSE + t - s, target t, source s.
+
+        Its top-right L x L corner, rows t and columns _DENSE - L + s, holds
+        lags L + t - s: the square of a closed block of size L <= _DENSE.
+        """
+        return sliding_window_view(self._lag_kernel(_DENSE)[1:], _DENSE)[:, ::-1].copy()
 
 
 def caputo_l1_series(samples, dt: float, alpha: float) -> np.ndarray:
@@ -203,12 +277,12 @@ def caputo_l1_series(samples, dt: float, alpha: float) -> np.ndarray:
     if q.size < 2:
         raise ValueError("need at least two samples of history")
     n = q.size - 1
-    kernel = L1History(alpha, dt, n)
+    weights, scale = _l1_constants(alpha, dt, n)
     size = 1 << (2 * n - 1).bit_length()   # no wrap-around into the first n outputs
     conv = np.fft.irfft(np.fft.rfft(np.diff(q), size)
-                        * np.fft.rfft(kernel.weights[:n], size), size)
+                        * np.fft.rfft(weights[:n], size), size)
     out = np.zeros(n + 1)
-    out[1:] = conv[:n] * kernel.scale
+    out[1:] = conv[:n] * scale
     return out
 
 
@@ -335,58 +409,46 @@ def integrate_nonlinear(
 
     lag_q = lag_c = 0.0
     if not classical:
-        hist_q = L1History(alpha, dt, n)   # displacement increments
-        hist_c = L1History(alpha, dt, n)   # q^3 increments
-        lag_sum_q, push_q = hist_q.lag_sum, hist_q.push
-        lag_sum_c, push_c = hist_c.lag_sum, hist_c.push
-    model = _step_model(coeffs, e_r, dt, None if classical else hist_q.scale)
+        history = L1History(alpha, dt, n, channels=2)   # q and q^3 increments
+        lag_sums, push_pair = history.lag_sums, history.push_pair
+    model = _step_model(coeffs, e_r, dt, None if classical else history.scale)
     w0 = 4.0 / dt**2
     tol_scale = 64.0 * np.finfo(float).eps * mt * w0
     half_dt2 = 0.5 * dt * dt
 
     for i in range(n):
         if not classical:
-            lag_q = lag_sum_q()
-            lag_c = lag_sum_c()
+            lag_q, lag_c = lag_sums()
         c3, c2, c1, c0 = _step_cubic(model, qi, vi, ai, rhs_force[i + 1], lag_q, lag_c)
 
         d = dt * vi + half_dt2 * ai   # predictor
         r = ((c3 * d + c2) * d + c1) * d + c0
         tol = max(_NEWTON_TOL, tol_scale * max(abs(qi), abs(dt * vi), 1.0))
-        converged = abs(r) < tol
-        for _ in range(_MAX_NEWTON):
-            if converged:
-                break
+        if not abs(r) < tol:
+            # Newton's first step, undamped, settles a typical step; the damped
+            # loop goes on from it, or starts over if it did not shrink r
+            iterations = _MAX_NEWTON
             slope = (3.0 * c3 * d + 2.0 * c2) * d + c1
-            if slope == 0.0:
-                break
-            step = -r / slope
-            # damped update: halve until the residual actually shrinks
-            lam = 1.0
-            for _ in range(30):
-                d_new = d + lam * step
+            if slope != 0.0:
+                d_new = d - r / slope
                 r_new = ((c3 * d_new + c2) * d_new + c1) * d_new + c0
                 if abs(r_new) < abs(r):
-                    break
-                lam *= 0.5
-            else:
-                break
-            d, r = d_new, r_new
-            converged = abs(r) < tol
-        if not converged:
-            cubic = partial(_cubic, c3, c2, c1, c0)
-            d_b = _bisect_residual(cubic, d, max(abs(qi) + abs(dt * vi), 1.0))
-            if d_b is None:
-                raise StepFailureError(i + 1, "Newton stalled and no sign change was bracketed",
-                                       t=(i + 1) * dt, q=qi, v=vi, residual=abs(r))
-            d = d_b
+                    d, r, iterations = d_new, r_new, _MAX_NEWTON - 1
+            if not abs(r) < tol:
+                d, r = _damped_newton(c3, c2, c1, c0, d, r, tol, iterations)
+            if not abs(r) < tol:
+                cubic = partial(_cubic, c3, c2, c1, c0)
+                d_b = _bisect_residual(cubic, d, max(abs(qi) + abs(dt * vi), 1.0))
+                if d_b is None:
+                    raise StepFailureError(i + 1, "Newton stalled and no sign change was bracketed",
+                                           t=(i + 1) * dt, q=qi, v=vi, residual=abs(r))
+                d = d_b
 
         u = qi + d
         a1 = w0 * (u - qi - dt * vi) - ai
         vi = vi + 0.5 * dt * (ai + a1)
         if not classical:
-            push_q(u - qi)
-            push_c(u * u * u - qi * qi * qi)
+            push_pair(u - qi, u * u * u - qi * qi * qi)
         qi, ai = u, a1
         q.append(qi)
         v.append(vi)
@@ -394,14 +456,53 @@ def integrate_nonlinear(
     return Trajectory(grid=grid, q=np.array(q), v=np.array(v), a=np.array(a))
 
 
+def _damped_newton(c3, c2, c1, c0, d, r, tol, iterations):
+    """Damped Newton on the cubic from d, whose residual is r: the last d and r.
+
+    Each step is halved until the residual shrinks; the loop stops when it
+    falls below ``tol``, after ``iterations`` steps, at a zero slope or when
+    30 halvings do not help.
+    """
+    for _ in range(iterations):
+        slope = (3.0 * c3 * d + 2.0 * c2) * d + c1
+        if slope == 0.0:
+            break
+        step = -r / slope
+        lam = 1.0
+        for _ in range(30):
+            d_new = d + lam * step
+            r_new = ((c3 * d_new + c2) * d_new + c1) * d_new + c0
+            if abs(r_new) < abs(r):
+                break
+            lam *= 0.5
+        else:
+            break
+        d, r = d_new, r_new
+        if abs(r) < tol:
+            break
+    return d, r
+
+
 def _step_model(coeffs: ModalCoefficients, e_r: float, dt: float, ca) -> tuple:
-    """Constants of ``integrate_nonlinear``'s step residual, for ``_step_cubic``.
+    """Per-run constants of ``integrate_nonlinear``'s step cubic, for ``_step_cubic``.
 
     ``ca`` is the L1 scale dt^(-alpha)/Gamma(2-alpha), or None for the
-    classical (alpha = 1) viscous path.
+    classical (alpha = 1) viscous path.  Beside the constants of the model
+    and Newmark, the tuple carries what no state changes (see
+    ``_step_cubic``): c3, the factors of q_i in c2 and of q_i^2 in c1, and
+    c1's constant part.
     """
-    return (coeffs.m_modal, coeffs.j_nl, coeffs.k_l, e_r * coeffs.c_l, coeffs.k_nl,
-            0.5 * e_r * coeffs.c_nl, ca, 4.0 / dt**2, 2.0 / dt)
+    mt, jnl, kl, knl = coeffs.m_modal, coeffs.j_nl, coeffs.k_l, coeffs.k_nl
+    ecl, hc = e_r * coeffs.c_l, 0.5 * e_r * coeffs.c_nl
+    w0, g = 4.0 / dt**2, 2.0 / dt
+    if ca is None:
+        p1, h, hs = g, 6.0 * hc, 0.0
+    else:
+        p1, h, hs = ca, 3.0 * hc, hc * ca
+    m1 = jnl * w0 + 2.0 * knl + h * p1
+    jg2 = jnl * g * g
+    return (ca, m1 + jg2 + hs, 2.0 * m1 + jg2 + 3.0 * hs, m1 + 3.0 * hs,
+            mt * w0 + kl + ecl * p1, mt, jnl, kl, 2.0 * knl, h, ecl, hs, 2.0 * g, 2.0 * jnl * g)
 
 
 def _step_cubic(model: tuple, qi, vi, ai, force, lag_q, lag_c):
@@ -416,24 +517,25 @@ def _step_cubic(model: tuple, qi, vi, ai, force, lag_q, lag_c):
     V = g d - v_i (g = 2/dt).  P and S are the step's D^a q and D^a q^3: the
     L1 values ca (d + lag_q) and ca (u^3 - q_i^3 + lag_c), or at alpha = 1
     the classical V and 3 u^2 V, which fold into the u^2 term as 6 h V.
-    Every factor is a polynomial in d, and so r is a cubic.
+    Every factor is a polynomial in d, and so r is a cubic.  Write P =
+    p1 d + p0, hs = h ca (0 at alpha = 1) and the u^2 term's factor as
+    m1 d + m0, with m1 = Jnl w0 + 2 K_nl + k h p1 and m0 = Jnl a0 +
+    2 K_nl q_i + k h p0 (k = 3, or 6 at alpha = 1).  Then
+
+        c3 = m1 + Jnl g^2 + hs
+        c2 = m0 + q_i (2 m1 + Jnl g^2 + 3 hs) - 2 Jnl g v_i
+        c1 = q_i (2 m0 + q_i (m1 + 3 hs)) + v_i (Jnl v_i - 2 Jnl g q_i)
+             + M_t w0 + K_l + E_r C_l p1
+        c0 = q_i (q_i m0 + Jnl v_i^2 + K_l) + hs lag_c + M_t a0
+             + E_r C_l p0 - force.
     """
-    mt, jnl, kl, ecl, knl, hc, ca, w0, g = model
-    a0 = -(2.0 * g * vi + ai)
-    if ca is None:
-        p1, p0, h, hs = g, -vi, 6.0 * hc, 0.0
-    else:
-        p1, p0, h, hs = ca, ca * lag_q, 3.0 * hc, hc * ca
-    q2 = qi * qi
-    gv = g * vi
-    # u^2 (m1 d + m0) + Jnl u V^2 + hs (d^3 + 3 q_i d^2 + 3 q_i^2 d + lag_c) + the linear terms
-    m1 = jnl * w0 + 2.0 * knl + h * p1
-    m0 = jnl * a0 + 2.0 * knl * qi + h * p0
-    c3 = m1 + jnl * g * g + hs
-    c2 = m0 + 2.0 * qi * m1 + jnl * (qi * g * g - 2.0 * gv) + 3.0 * hs * qi
-    c1 = (2.0 * qi * m0 + q2 * m1 + jnl * (vi * vi - 2.0 * gv * qi) + 3.0 * hs * q2
-          + mt * w0 + kl + ecl * p1)
-    c0 = q2 * m0 + jnl * qi * vi * vi + hs * lag_c + mt * a0 + kl * qi + ecl * p0 - force
+    ca, c3, c2q, c1q2, c1k, mt, jnl, kl, knl2, h, ecl, hs, g2, j2g = model
+    a0 = -(g2 * vi + ai)
+    p0 = -vi if ca is None else ca * lag_q
+    m0 = jnl * a0 + knl2 * qi + h * p0
+    c2 = m0 + qi * c2q - j2g * vi
+    c1 = qi * (2.0 * m0 + qi * c1q2) + vi * (jnl * vi - j2g * qi) + c1k
+    c0 = qi * (qi * m0 + jnl * vi * vi + kl) + hs * lag_c + mt * a0 + ecl * p0 - force
     return c3, c2, c1, c0
 
 

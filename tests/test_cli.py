@@ -148,6 +148,19 @@ def test_sweep_er_peak_monotone(capsys):
     assert peaks[0] > peaks[1] > peaks[2]
 
 
+@pytest.mark.parametrize("var, lo, hi", [("delta", -2.0, 4.0), ("alpha", 0.1, 1.0),
+                                         ("er", 0.05, 1.0), ("f", 0.1, 2.0)])
+def test_sweep_runs_at_its_defaults(capsys, var, lo, hi):
+    # --min/--max default to a range inside the swept variable's domain
+    code, out = run_cli(capsys, "sweep", "--var", var)
+    assert code == 0
+    echo = dict(line[2:].split("=", 1) for line in out.splitlines() if line.startswith("# "))
+    assert (float(echo["min"]), float(echo["max"])) == (lo, hi)
+    header, rows = data_rows(out)
+    swept = [float(r[0]) for r in rows]
+    assert header[0] == var and (swept[0], swept[-1]) == (lo, hi) and len(rows) == 601
+
+
 def test_json_output(capsys):
     code, out = run_cli(capsys, "coeffs", "--case", "no-tip", "--format", "json")
     assert code == 0

@@ -5,7 +5,9 @@ below are the integrators written with one ``np.dot`` over the whole stored
 history per step.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from fracbeam import (
     L1History,
     MaterialParams,
     caputo_l1_series,
+    fracode,
     integrate_linear,
     integrate_nonlinear,
     l1_weights,
@@ -63,6 +66,81 @@ def test_lag_sum_matches_direct_sum(alpha, n, seed, pattern):
     assert np.all(np.abs(got - want) <= bound)
 
 
+def _pair_sums(history, x, y):
+    got = np.empty((len(x) + 1, 2))
+    for k in range(len(x)):
+        got[k] = history.lag_sums()
+        history.push_pair(x[k], y[k])
+    got[-1] = history.lag_sums()
+    return got
+
+
+# n on both sides of the first FFT block (2 * _DENSE), and long runs
+@pytest.mark.parametrize("n", [1, 33, fracode._DENSE + 1, 2 * fracode._DENSE - 1,
+                               2 * fracode._DENSE + 1, 4097, 5000])
+@pytest.mark.parametrize("pattern", ["random", "old-large"])
+def test_pair_lag_sums_match_direct_sums(n, pattern):
+    x = _increments(n, 7, pattern)
+    y = _increments(n, 8, "first-block") * 1e6
+    got = _pair_sums(L1History(0.37, 0.01, n, channels=2), x, y)
+    assert np.all(got[0] == 0.0)
+    for k, data in enumerate((x, y)):
+        bound = 1e-12 * _direct_lag_sums(np.abs(data), 0.37)
+        assert np.all(np.abs(got[:, k] - _direct_lag_sums(data, 0.37)) <= bound)
+
+
+@pytest.mark.parametrize("n", [2 * fracode._DENSE + 1, 4097])
+def test_pair_channels_do_not_mix(n):
+    # channel 0's sums are its own whatever channel 1 carries, and equal the
+    # one-channel kernel's
+    x = _increments(n, 3, "random")
+    single = L1History(0.6, 0.01, n)
+    want = np.empty(n + 1)
+    for k in range(n):
+        want[k] = single.lag_sum()
+        single.push(x[k])
+    want[n] = single.lag_sum()
+    bound = 1e-12 * _direct_lag_sums(np.abs(x), 0.6)
+    for y in (np.zeros(n), _increments(n, 4, "old-large") * 1e12):
+        got = _pair_sums(L1History(0.6, 0.01, n, channels=2), x, y)
+        assert np.all(np.abs(got[:, 0] - want) <= bound)
+
+
+def test_histories_are_freed_by_reference_counting(monkeypatch, case1_coeffs):
+    # a history that holds a reference to itself (a bound method stored on
+    # the instance, say) lives on until the cycle collector runs, and each
+    # run's arrays with it
+    made = []
+
+    class Recorded(L1History):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(fracode, "L1History", Recorded)
+    grid = GridSpec(0.01, 2 * fracode._DENSE + 40)    # dense and FFT blocks
+    gc.collect()
+    gc.disable()
+    try:
+        for channels in (1, 2):
+            history = Recorded(0.5, 0.01, grid.n_steps, channels)
+            for k in range(grid.n_steps):
+                if channels == 1:
+                    history.push(0.1 * k)
+                else:
+                    history.push_pair(0.1 * k, 0.2 * k)
+            del history
+        traj = integrate_linear(1.24, 1.24, 0.1, 0.5, 1.0, 0.0, grid)
+        traj = integrate_nonlinear(case1_coeffs, MaterialParams.from_ratio(0.1, 0.5),
+                                   0.1, 0.0, grid, HarmonicForcing(0.13, 3.5))
+        del traj
+        assert len(made) == 4
+        assert all(ref() is None for ref in made)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_history_weights_and_scale():
     history = L1History(0.4, 0.02, 10)
     np.testing.assert_array_equal(history.weights[:11], l1_weights(0.4, 11))
@@ -78,11 +156,25 @@ def test_history_domain():
             L1History(0.5, dt, 10)
     with pytest.raises(ValueError):
         L1History(0.5, 0.01, 0)
+    for channels in (0, 3):
+        with pytest.raises(ValueError):
+            L1History(0.5, 0.01, 10, channels)
     history = L1History(0.5, 0.01, 2)
     history.push(1.0)
     history.push(2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="full"):
         history.push(3.0)
+    with pytest.raises(ValueError, match="channel"):
+        history.push_pair(3.0, 4.0)
+    pair = L1History(0.5, 0.01, 2, channels=2)
+    with pytest.raises(ValueError, match="channel"):
+        pair.push(1.0)
+    pair.push_pair(1.0, 2.0)
+    pair.push_pair(3.0, 4.0)
+    with pytest.raises(ValueError, match="full"):
+        pair.push_pair(5.0, 6.0)
+    assert pair.lag_sums() == (3.0 * pair.weights[1] + pair.weights[2] * 1.0,
+                               4.0 * pair.weights[1] + pair.weights[2] * 2.0)
 
 
 @settings(max_examples=30, deadline=None)
