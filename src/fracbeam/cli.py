@@ -262,8 +262,9 @@ def cmd_sweep(cfg: dict) -> ResultTable:
             raise RuntimeError(f"no steady-state root on the detuning grid at {var}={val}")
         peak = float(amps.max())
         bifs = branch.bifurcations
-        lo = bifs[0] if bifs else float("nan")
-        hi = bifs[-1] if len(bifs) >= 2 else float("nan")
+        # a descending inner grid lists its folds from the top down
+        lo = min(bifs) if bifs else float("nan")
+        hi = max(bifs) if len(bifs) >= 2 else float("nan")
         width = hi - lo if len(bifs) >= 2 else 0.0
         rows.append([val, peak, len(bifs), lo, hi, width])
     cols = [var, "peak_amp", "n_bifurcations", "bif_lo", "bif_hi", "three_root_width"]

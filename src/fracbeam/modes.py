@@ -93,17 +93,18 @@ def characteristic_scale(beta: float, tip: TipConfig) -> float:
 
 
 def bisect(f, lo: float, hi: float, tol: float) -> float:
-    """Root of f on a sign-change bracket [lo, hi].
+    """Root of f on a sign-change bracket [lo, hi] (or [hi, lo]: hi < lo is allowed).
 
     Halves the bracket until it is narrower than ``tol`` and returns its
     midpoint; returns ``lo`` or a midpoint at once where f is exactly zero.
+    A reversed bracket walks the same halves to the same midpoint.
     """
     flo = f(lo)
     if flo == 0.0:
         return lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
+        if abs(hi - lo) < tol:
             return mid
         fmid = f(mid)
         if fmid == 0.0:

@@ -138,6 +138,50 @@ def test_sweep_delta_three_root_interval(capsys):
     assert 3 in n_roots and 1 in n_roots
 
 
+def test_sweep_delta_descending_grid_bisects_folds(capsys):
+    # a descending grid once returned its grid-interval midpoints (1.9375, 1.0875)
+    folds = []
+    for lo, hi in (("0", "3"), ("3", "0")):
+        code, out = run_cli(capsys, "sweep", "--var", "delta", "--alpha", "0.4", "--er", "0.1",
+                            "--f", "1", "--count", "121", "--min", lo, "--max", hi)
+        assert code == 0
+        folds.append(sorted(line for line in out.splitlines()
+                            if line.startswith("# bifurcation_delta=")))
+    assert folds[0] == folds[1] == ["# bifurcation_delta=1.0790707677137108",
+                                    "# bifurcation_delta=1.9270034689921889"]
+
+
+def test_nested_sweep_fold_columns_ordered_on_descending_grid(capsys):
+    tables = []
+    for dmin, dmax in (("-2", "4"), ("4", "-2")):
+        code, out = run_cli(capsys, "sweep", "--var", "er", "--alpha", "0.5", "--f", "1",
+                            "--count", "2", "--min", "0.08", "--max", "0.1",
+                            "--delta-min", dmin, "--delta-max", dmax, "--delta-count", "1001")
+        assert code == 0
+        header, rows = data_rows(out)
+        tables.append([dict(zip(header, map(float, r))) for r in rows])
+    for up, down in zip(*tables):
+        assert down["n_bifurcations"] == up["n_bifurcations"] == 2
+        assert down["bif_lo"] < down["bif_hi"] and down["three_root_width"] > 0.0
+        # the two grids' nodes differ in the last bits, so the folds do too
+        for col in ("bif_lo", "bif_hi", "three_root_width"):
+            assert down[col] == pytest.approx(up[col], rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the discriminant is positive only on [0.907870, 0.908029], narrower than the "
+    "6e-4 step of the default grid, so no node falls inside the band and no sign "
+    "change is seen; locating folds from the roots of the discriminant in delta, "
+    "not from grid sign changes, would find both"))
+def test_sweep_finds_folds_narrower_than_the_grid_step(capsys):
+    flags = ("sweep", "--var", "delta", "--case", "no-tip", "--alpha", "0.698313294254312",
+             "--er", "0.0903357227059046", "--f", "1.02642058879028")
+    code, fine = run_cli(capsys, *flags, "--min", "0.9", "--max", "0.92", "--count", "2001")
+    assert code == 0 and fine.count("# bifurcation_delta=0.908") == 2
+    code, out = run_cli(capsys, *flags)
+    assert code == 0 and out.count("# bifurcation_delta=") == 2
+
+
 def test_sweep_er_peak_monotone(capsys):
     code, out = run_cli(capsys, "sweep", "--var", "er", "--min", "0.2", "--max", "0.6",
                         "--count", "3", "--f", "0.5", "--alpha", "0.4",

@@ -224,6 +224,17 @@ def test_bisect_stops_at_tol():
     assert bisect(lambda x: x - root, 0.0, 1.0, 1e-15) == pytest.approx(root, abs=1e-15)
 
 
+def test_bisect_reversed_bracket_walks_the_same_halves():
+    # hi < lo: the width test takes |hi - lo|, so a descending bracket is not
+    # returned at once as its own midpoint
+    root = 1.0 / 3.0
+    up, up_calls = counted(lambda x: x - root)
+    down, down_calls = counted(lambda x: x - root)
+    assert bisect(down, 1.0, 0.0, 1e-3) == bisect(up, 0.0, 1.0, 1e-3)
+    assert len(down_calls) == len(up_calls) == 11
+    assert down_calls[1:] == up_calls[1:]
+
+
 # ------------------------------------------------------- _bisect_residual
 
 def test_bisect_residual_finds_root_to_relative_precision():

@@ -6,6 +6,10 @@ a whole detuning grid in one numpy pass.  The oracle below is the earlier
 implementation, one grid point at a time in Python floats: it rebuilds the
 coefficients, solves and tags the roots, and scans and bisects the
 discriminant without calling into the library's solver.
+
+The sweep signs its grid discriminant with numpy products and bisects folds
+on a plain-float closure; both are checked here against the libm formula of
+``CubicCoeffs.discriminant``, bit for bit, also next to and on the folds.
 """
 
 import math
@@ -16,7 +20,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracbeam import CubicCoeffs, MmsParams, frequency_sweep, solve_steady_amplitudes
+from fracbeam import (CubicCoeffs, MmsParams, frequency_sweep, solve_steady_amplitudes,
+                      steady_state_cubic)
+from fracbeam.modes import bisect
+from fracbeam.multiscale import _discriminant, _fold_discriminant, _grid_discriminant
 
 # published no-tip rates, the lumped oscillator of the time-domain study
 # (pronounced folds at f = 1), and a tip-mass rate set
@@ -141,7 +148,7 @@ def oracle_sweep(p, deltas):
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
                 d_mid = oracle_discriminant(oracle_coeffs(p, mid))
-                if d_mid == 0.0 or hi - lo < 1e-10:
+                if d_mid == 0.0 or abs(hi - lo) < 1e-10:
                     break
                 if (d_lo < 0) == (d_mid < 0):
                     lo, d_lo = mid, d_mid
@@ -245,3 +252,76 @@ def test_single_point_solver_matches_oracle():
                   rng.choice([0.0, rng.uniform(1e-4, 4.0)]))
         got = solve_steady_amplitudes(CubicCoeffs(*coeffs))
         assert [(r.amp, r.gamma, r.stable) for r in got] == oracle_roots(coeffs)
+
+
+# ------------------------------------- the sweep's discriminants, bit for bit
+
+@settings(max_examples=120, deadline=None)
+@given(
+    case=st.sampled_from(sorted(CASES)),
+    nonlinearity=st.sampled_from([1.0, 1e-8, 0.0]),
+    alpha=st.floats(0.0, 1.0, exclude_min=True),
+    e_r=st.just(0.0) | st.floats(0.01, 1.0),
+    f=st.floats(0.0, 3.0),
+    delta=st.floats(-5.0, 25.0),
+)
+@example(case="no-tip", nonlinearity=1.0, alpha=0.2, e_r=0.3, f=1.0, delta=1.5)
+@example(case="tip-mass", nonlinearity=1.0, alpha=0.5, e_r=0.1, f=0.5, delta=2.5)
+@example(case="lumped", nonlinearity=1.0, alpha=0.4, e_r=0.3, f=0.0, delta=1.0)
+def test_fold_closure_is_the_discriminant(case, nonlinearity, alpha, e_r, f, delta):
+    base = CASES[case]
+    params = replace(base, c_nl=base.c_nl * nonlinearity, k_nl=base.k_nl * nonlinearity,
+                     m_nl=base.m_nl * nonlinearity, alpha=alpha, e_r=e_r, f=f)
+    fold = _fold_discriminant(params)
+    # a free detuning, then every fold the sweep bisects and its two neighbours
+    points = [delta]
+    for x in frequency_sweep(params, np.linspace(-5.0, 25.0, 121)).bifurcations:
+        points += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+    for d in points:
+        assert fold(d).hex() == float(steady_state_cubic(params, d).discriminant()).hex()
+
+
+@pytest.mark.parametrize("case, alpha, f", [("no-tip", 0.2, 1.0), ("lumped", 0.2, 1.0),
+                                            ("lumped", 0.4, 1.0), ("tip-mass", 0.4, 0.5)])
+def test_grid_discriminant_signs_on_folds(case, alpha, f):
+    # nodes one ulp apart across each fold: the numpy products alone get the
+    # sign wrong at some of them, and the libm recomputation must mend each
+    params = replace(CASES[case], alpha=alpha, f=f)
+    coarse = np.linspace(-5.0, 25.0, 3001)
+    folds = frequency_sweep(params, coarse).bifurcations
+    assert folds
+    for x in folds:
+        # bisected with no tolerance, down to a double next to the sign change
+        i = int(np.searchsorted(coarse, x))
+        x = bisect(_fold_discriminant(params), float(coarse[i - 1]), float(coarse[i]), 0.0)
+        nodes = x + np.arange(-1000, 1001) * math.ulp(x)
+        cubic = steady_state_cubic(params, nodes).cubic()
+        got, want = _grid_discriminant(*cubic), _discriminant(*cubic)
+        assert ((got < 0) == (want < 0)).all() and ((got == 0.0) == (want == 0.0)).all()
+        assert_matches_oracle(frequency_sweep(params, nodes), *oracle_sweep(params, nodes))
+
+
+def test_grid_discriminant_out_of_range_factors():
+    # factors near under- and overflow, and exact zeros, take the libm path
+    a, d = 2.0, -0.5
+    b = np.array([0.0, 1e-70, -1e-70, 1e70, 3.0, -2.5, 1e-200])
+    c = np.array([1.0, 1e-65, 1e65, 2.0, 0.0, 1e-300, 1.0])
+    got, want = _grid_discriminant(a, b, c, d), _discriminant(a, b, c, d)
+    assert ((got < 0) == (want < 0)).all() and ((got == 0.0) == (want == 0.0)).all()
+    # and a power that overflows raises there, as the libm formula does
+    with pytest.raises(OverflowError):
+        _grid_discriminant(a, np.array([1.0, 1e150]), np.array([1.0, 1.0]), d)
+
+
+@pytest.mark.parametrize("case, alpha, f, grid", [
+    ("lumped", 0.4, 1.0, np.linspace(-1.0, 4.0, 401)),
+    ("tip-mass", 0.5, 0.5, np.linspace(-5.0, 20.0, 333)),
+    ("no-tip", 0.3, 1.0, np.linspace(-2.0, 4.0, 10_001)),
+])
+def test_descending_grid_reports_the_same_folds(case, alpha, f, grid):
+    # the reversed grid bisects each bracket from its other end, to the same double
+    params = replace(CASES[case], alpha=alpha, f=f)
+    up = frequency_sweep(params, grid).bifurcations
+    down = frequency_sweep(params, grid[::-1]).bifurcations
+    assert len(up) == 2
+    assert [x.hex() for x in down] == [x.hex() for x in up[::-1]]
