@@ -15,11 +15,14 @@ linear model's q increments) or two (the nonlinear model's q and q^3
 increments) over one weight sequence: direct sums in Python floats over the
 open block of up to 31 increments, plus dyadic blocks of the older history
 added to every channel at once, by a dense Toeplitz product up to 128
-increments and by FFT above.  That is O(N log^2 N) over N steps instead of
-the O(N^2) direct sum, and equal to it up to round-off (about 1e-13
-relative).  On a 2-vCPU x86 machine with Python 3.11 a 200k-step linear run
-takes about 0.55 s, and a nonlinear step about 5.5 us (fractional) or
-2.3 us (alpha = 1); the machine's speed drifts by up to 1.6x.
+increments and by FFT above, with transforms sized to the targets that
+exist.  That is O(N log^2 N) over N steps instead of the O(N^2) direct sum,
+and equal to it up to round-off (about 1e-13 relative).  The integrators
+step the history a block of 32 steps at a time: the inner loop over a
+block's steps makes no call into the kernel, and the block closes with one.
+On a 2-vCPU x86 machine with Python 3.11 a 200k-step linear run takes about
+0.5 s, and a nonlinear step about 3.5 us (fractional) or 1.2 us
+(alpha = 1); the machine's speed drifts by up to 1.6x.
 """
 
 from __future__ import annotations
@@ -131,31 +134,38 @@ class L1History:
     """Incremental L1 history sums over one or two streams of increments.
 
     Each channel k is a stream x_0, x_1, ... of increments, and all channels
-    share one weight sequence and one step count.  After n pushes the sum of
-    channel k is sum_{j=1..n} b_j x_{n-j}, the part of its L1 sum that is
-    known before the next increment x_n (whose weight is b_0 = 1) arrives.
-    A one-channel history takes ``push(x)`` and answers ``lag_sum()``; a
-    two-channel one (``channels=2``) takes ``push_pair(x, y)`` and answers
-    ``lag_sums()`` with both sums.  ``weights`` holds b_0..b_m
-    (m >= capacity) and ``scale`` the factor dt^(-alpha)/Gamma(2-alpha), so
-    the Caputo derivative after x_n is ``scale * (x_n + lag_sum())``.
+    share one weight sequence and one step count.  After n increments the
+    sum of channel k is sum_{j=1..n} b_j x_{n-j}, the part of its L1 sum
+    that is known before the next increment x_n (whose weight is b_0 = 1)
+    arrives.  ``weights`` holds b_0..b_m (m >= capacity) and ``scale`` the
+    factor dt^(-alpha)/Gamma(2-alpha), so the Caputo derivative after x_n is
+    ``scale * (x_n + lag sum)``.
 
-    The sums are split by the blocked convolution of Hairer, Lubich and
-    Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985).  Lags inside the current
-    block of _BASE increments are summed directly.  The rest are dyadic
-    squares: when push i closes the source block [i-L, i) with i/L odd
-    (L = _BASE * 2^k), that block's contribution is added to the targets
-    [i, i+L) of every channel at once: by one dense L x L Toeplitz product
-    for L <= _DENSE, by one length-2L FFT above.  Each (source, target) pair
-    is counted exactly once, at the level where their blocks are siblings,
-    so the result equals the direct sum up to round-off (about 1e-13
-    relative), at O(n log^2 n) total cost.
+    The history is stepped a block of _BASE increments at a time.  While a
+    block is open, ``blocks[k]`` is the list of channel k's increments in it
+    and ``block_fars[k][r]`` the far part of the sum of its r-th target
+    (every lag that reaches back before the block), so after r increments
+    of the block the lag sum is
 
-    The open block, its far-field sums and the near weights are Python
-    lists, one per channel, so ``lag_sum`` and every push that does not
-    close a block run in Python floats alone; numpy is used once per closed
-    block for all channels, with the increments and far sums stored as
-    (capacity, channels) arrays.
+        block_fars[k][r] + sum(map(mul, near_weights[r], blocks[k]))
+
+    with ``near_weights[r]`` = [b_r, ..., b_1].  A stepper appends to the
+    block lists and calls ``close_block()`` once they hold _BASE increments;
+    ``block_fars`` is then a new list per channel.  ``push(x)`` and
+    ``lag_sum()`` (one channel) or ``push_pair(x, y)`` and ``lag_sums()``
+    (two) do the same one increment at a time.
+
+    The far sums come from the blocked convolution of Hairer, Lubich and
+    Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985).  When the block ending
+    at i closes, the dyadic source block [i-L, i) with i/L odd
+    (L = _BASE * 2^k) is added to the targets [i, i+L) that exist, for
+    every channel at once: by one dense Toeplitz product for L <= _DENSE,
+    by FFT above, of length L + m (m targets) rounded up to 2^j or 3 * 2^j.
+    Each (source, target) pair is counted exactly once, at the level where
+    their blocks are siblings, so the result equals the direct sum up to
+    round-off (about 1e-13 relative), at O(n log^2 n) total cost.  Numpy
+    runs once per closed block, on (channels, capacity) arrays of
+    increments and far sums; between closures everything is Python floats.
     """
 
     def __init__(self, alpha: float, dt: float, capacity: int, channels: int = 1):
@@ -166,90 +176,86 @@ class L1History:
         self.weights, self.scale = _l1_constants(alpha, dt, capacity)
         self.capacity = capacity
         self.channels = channels
-        self._n = 0
-        # a push of the wrong arity meets a history with no room
-        self._room = capacity if channels == 1 else 0
-        self._room_pair = capacity if channels == 2 else 0
-        self._x = np.zeros((capacity, channels))
-        self._far = np.zeros((capacity + 1, channels))   # far-field part of each target's sums
-        self._blocks = [[] for _ in range(channels)]     # increments of the open block
-        self._block_fars = self._far[:_BASE].T.tolist()
+        self._closed = 0                                  # increments in closed blocks
+        self._x = np.zeros((channels, capacity))
+        self._far = np.zeros((channels, capacity + 1))   # far-field part of each target's sums
+        self.blocks = [[] for _ in range(channels)]
+        self.block_fars = self._far[:, :_BASE].tolist()
         b = self.weights[:_BASE].tolist()
-        self._near = [b[r:0:-1] for r in range(_BASE)]   # b_r .. b_1
-        self._toeplitz = None                            # built at the first closed block
-        self._spectra = {}                               # block size -> kernel spectrum
+        self.near_weights = [b[r:0:-1] for r in range(_BASE)]
+        self._toeplitz = None                             # built at the first closed block
+        self._spectra = {}                                # FFT length -> kernel spectrum
 
     def push(self, increment: float) -> None:
         """Append the next increment of a one-channel history."""
-        if self._n >= self._room:
-            self._refuse(1)
-        block = self._blocks[0]
-        block.append(increment)
-        self._n += 1
-        if len(block) == _BASE:
-            self._close_block()
+        self._append(increment)
 
     def push_pair(self, first: float, second: float) -> None:
         """Append the next increments of a two-channel history, one per channel."""
-        if self._n >= self._room_pair:
-            self._refuse(2)
-        block, block2 = self._blocks
-        block.append(first)
-        block2.append(second)
-        self._n += 1
-        if len(block) == _BASE:
-            self._close_block()
+        self._append(first, second)
 
     def lag_sum(self) -> float:
         """sum_{j=1..n} b_j x_{n-j} over channel 0's n increments so far."""
-        block = self._blocks[0]
-        r = len(block)
-        return self._block_fars[0][r] + sum(map(mul, self._near[r], block))
+        return self.lag_sums()[0]
 
-    def lag_sums(self) -> tuple[float, float]:
-        """Both channels' lag sums of a two-channel history."""
-        block, block2 = self._blocks
-        far, far2 = self._block_fars
-        r = len(block)
-        near = self._near[r]
-        return far[r] + sum(map(mul, near, block)), far2[r] + sum(map(mul, near, block2))
+    def lag_sums(self) -> tuple:
+        """Every channel's lag sum, from the open block's state."""
+        r = len(self.blocks[0])
+        near = self.near_weights[r]
+        return tuple(far[r] + sum(map(mul, near, block))
+                     for far, block in zip(self.block_fars, self.blocks))
 
-    def _refuse(self, arity: int):
-        if arity != self.channels:
-            raise ValueError(f"this L1History has {self.channels} channel(s); "
-                             f"a push gives one increment per channel, not {arity}")
-        raise ValueError(f"L1History is full ({self.capacity} increments)")
+    def _append(self, *increments) -> None:
+        if len(increments) != self.channels:
+            raise ValueError(f"this L1History has {self.channels} channel(s); a push "
+                             f"gives one increment per channel, not {len(increments)}")
+        if self._closed + len(self.blocks[0]) >= self.capacity:
+            raise ValueError(f"L1History is full ({self.capacity} increments)")
+        for block, x in zip(self.blocks, increments):
+            block.append(x)
+        if len(self.blocks[0]) == _BASE:
+            self.close_block()
 
-    def _close_block(self) -> None:
-        i = self._n
-        for k, block in enumerate(self._blocks):
-            self._x[i - _BASE:i, k] = block
+    def close_block(self) -> None:
+        """Close the open block, once every channel's list holds _BASE increments."""
+        i = self._closed + _BASE
+        if i > self.capacity:
+            raise ValueError(f"L1History is full ({self.capacity} increments)")
+        if any(len(block) != _BASE for block in self.blocks):
+            raise ValueError(f"a block closes at {_BASE} increments per channel, got "
+                             f"{[len(block) for block in self.blocks]}")
+        for k, block in enumerate(self.blocks):
+            self._x[k, i - _BASE:i] = block
             block.clear()
+        self._closed = i
         size = _BASE
         while (i // size) % 2 == 0:
             size *= 2
         m = min(size, self.capacity + 1 - i)   # targets that exist
-        source = self._x[i - size:i]
+        source = self._x[:, i - size:i]
         if size <= _DENSE:
             if self._toeplitz is None:
                 self._toeplitz = self._build_toeplitz()
-            self._far[i:i + m] += self._toeplitz[:m, _DENSE - size:] @ source
+            self._far[:, i:i + m] += (self._toeplitz[:m, _DENSE - size:] @ source.T).T
         else:
-            spec = self._spectra.get(size)
+            n_fft = _fft_length(size + m)
+            spec = self._spectra.get(n_fft)
             if spec is None:
-                spec = self._spectra[size] = np.fft.rfft(self._lag_kernel(size))[:, None]
-            y = np.fft.irfft(np.fft.rfft(source, 2 * size, axis=0) * spec, 2 * size, axis=0)
-            self._far[i:i + m] += y[size:size + m]
-        self._block_fars = self._far[i:i + _BASE].T.tolist()
+                spec = self._spectra[n_fft] = np.fft.rfft(self._lag_kernel(n_fft))
+            y = np.fft.irfft(np.fft.rfft(source, n_fft) * spec, n_fft)
+            self._far[:, i:i + m] += y[:, size:size + m]
+        self.block_fars = self._far[:, i:i + _BASE].tolist()
 
-    def _lag_kernel(self, size: int) -> np.ndarray:
-        """b_1..b_{2 size - 1} at their lags, zero at lag 0 and past the capacity.
+    def _lag_kernel(self, length: int) -> np.ndarray:
+        """b_1..b_{length - 1} at their lags, zero at lag 0 and past the capacity.
 
         Lag 0 never pairs a source block with a target block, and a weight
-        past the capacity reaches only targets that do not exist.
+        past the capacity reaches only targets that do not exist.  Source
+        block L's targets j < m need lags up to L + m - 1, so a circular
+        convolution of ``length`` >= L + m wraps none of them.
         """
-        kernel = np.zeros(2 * size)
-        b = self.weights[1:2 * size]
+        kernel = np.zeros(length)
+        b = self.weights[1:length]
         kernel[1:1 + b.size] = b
         return kernel
 
@@ -259,7 +265,14 @@ class L1History:
         Its top-right L x L corner, rows t and columns _DENSE - L + s, holds
         lags L + t - s: the square of a closed block of size L <= _DENSE.
         """
-        return sliding_window_view(self._lag_kernel(_DENSE)[1:], _DENSE)[:, ::-1].copy()
+        lags = sliding_window_view(self._lag_kernel(2 * _DENSE)[1:], _DENSE)
+        return lags[:, ::-1].copy()
+
+
+def _fft_length(k: int) -> int:
+    """The least 2^j or 3 * 2^j that is >= k (k >= 3)."""
+    n = 1 << (k - 1).bit_length()
+    return 3 * n // 4 if 3 * n // 4 >= k else n
 
 
 def caputo_l1_series(samples, dt: float, alpha: float) -> np.ndarray:
@@ -291,16 +304,32 @@ def caputo_l1(samples, dt: float, alpha: float) -> float:
     return float(caputo_l1_series(samples, dt, alpha)[-1])
 
 
+def _check_finite(**values) -> None:
+    """Raise ValueError naming the first of ``values`` that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _fields(name: str, record) -> dict:
+    """A dataclass's fields as keyword arguments, each named ``name.field``."""
+    return {f"{name}.{key}": value for key, value in vars(record).items()}
+
+
 def _forcing_samples(forcing, grid: GridSpec) -> np.ndarray:
     if forcing is None:
         return np.zeros(grid.n_steps + 1)
     if isinstance(forcing, HarmonicForcing):
+        _check_finite(**_fields("forcing", forcing))
         return forcing.values(grid.times())
     f = np.asarray(forcing, dtype=float)
     if f.shape != (grid.n_steps + 1,):
         raise ValueError(
             f"sampled forcing must have n_steps+1 = {grid.n_steps + 1} values, got {f.shape}"
         )
+    bad = np.flatnonzero(~np.isfinite(f))
+    if bad.size:
+        raise ValueError(f"sampled forcing must be finite, got {f[bad[0]]} at node {bad[0]}")
     return f
 
 
@@ -319,8 +348,10 @@ def integrate_linear(
     The new displacement appears linearly in the Newmark/L1 closure, so each
     step is one scalar solve.  alpha = 1 runs the classical viscous path
     (D^1 q = q').  The initial acceleration comes from the equation at t = 0
-    with D^alpha q(0) = 0.
+    with D^alpha q(0) = 0.  The fractional path steps a history block
+    (``L1History``) at a time.
     """
+    _check_finite(c_l=c_l, k_l=k_l, e_r=e_r, q0=q0, v0=v0)
     if not (k_l > 0):
         raise ValueError(f"k_l must be positive, got {k_l}")
     if e_r < 0:
@@ -331,33 +362,43 @@ def integrate_linear(
     f = _forcing_samples(forcing, grid).tolist()
     qi, vi = float(q0), float(v0)
     w0 = 4.0 / dt**2
+    half_dt = 0.5 * dt
     damp = e_r * c_l
 
-    classical = alpha == 1.0
-    if classical:
+    if alpha == 1.0:
         ai = f[0] - damp * vi - k_l * qi
         lhs = w0 + 2.0 * damp / dt + k_l
-    else:
-        ai = f[0] - k_l * qi
-        history = L1History(alpha, dt, n)
-        push, lag_sum = history.push, history.lag_sum
-        ca = damp * history.scale
-        lhs = w0 + ca + k_l          # b_0 = 1
+        g = 2.0 / dt
+        q, v, a = array("d", [qi]), array("d", [vi]), array("d", [ai])
+        for f1 in f[1:]:
+            q1 = (f1 + w0 * (qi + dt * vi) + ai + damp * (g * qi + vi)) / lhs
+            a1 = w0 * (q1 - qi - dt * vi) - ai
+            vi = vi + half_dt * (ai + a1)
+            qi, ai = q1, a1
+            q.append(qi)
+            v.append(vi)
+            a.append(ai)
+        return Trajectory(grid=grid, q=np.array(q), v=np.array(v), a=np.array(a))
+
+    ai = f[0] - k_l * qi
+    history = L1History(alpha, dt, n)
+    near, (block,) = history.near_weights, history.blocks
+    ca = damp * history.scale
+    lhs = w0 + ca + k_l          # b_0 = 1
     q, v, a = array("d", [qi]), array("d", [vi]), array("d", [ai])
-    for i in range(n):
-        if classical:
-            frac = damp * (2.0 / dt * qi + vi)
-        else:
-            frac = ca * (qi - lag_sum())
-        q1 = (f[i + 1] + w0 * (qi + dt * vi) + ai + frac) / lhs
-        a1 = w0 * (q1 - qi - dt * vi) - ai
-        vi = vi + 0.5 * dt * (ai + a1)
-        if not classical:
-            push(q1 - qi)
-        qi, ai = q1, a1
-        q.append(qi)
-        v.append(vi)
-        a.append(ai)
+    for start in range(0, n, _BASE):
+        for b_near, far, f1 in zip(near, history.block_fars[0], f[start + 1:start + _BASE + 1]):
+            lag = far + sum(map(mul, b_near, block))
+            q1 = (f1 + w0 * (qi + dt * vi) + ai + ca * (qi - lag)) / lhs
+            a1 = w0 * (q1 - qi - dt * vi) - ai
+            vi = vi + half_dt * (ai + a1)
+            block.append(q1 - qi)
+            qi, ai = q1, a1
+            q.append(qi)
+            v.append(vi)
+            a.append(ai)
+        if len(block) == _BASE:
+            history.close_block()
     return Trajectory(grid=grid, q=np.array(q), v=np.array(v), a=np.array(a))
 
 
@@ -383,12 +424,17 @@ def integrate_nonlinear(
     to the cubed signal, not expanded).  With Newmark's q'' and q' and the
     L1 (or, at alpha = 1, Newmark) derivatives all polynomial in the new
     displacement u, each step's residual is a cubic in d = u - q_i whose
-    coefficients are built once per step (``_step_cubic``).  It is solved by
-    damped Newton with the analytic slope, both evaluated by Horner's rule,
-    to a residual below max(1e-10, 64 eps M_t (4/dt^2) max(|q_i|, dt |v_i|,
-    1)) in at most 50 iterations.  If Newton stalls, a
-    sign-change bracket plus bisection is tried before ``StepFailureError``.
+    coefficients are built once per step from ``_step_model``'s constants.
+    It is solved by Newton with the analytic slope, both evaluated by
+    Horner's rule, to a residual below max(1e-10, 64 eps M_t (4/dt^2)
+    max(|q_i|, dt |v_i|, 1)): one undamped step, then damped steps up to 50
+    iterations in all.  If Newton stalls, a sign-change bracket plus
+    bisection is tried before ``StepFailureError``.  The fractional path
+    steps its two-channel history (q and q^3 increments) a block at a time.
     """
+    _check_finite(q0=q0, v0=v0, e_r=mat.e_r, **_fields("coeffs", coeffs))
+    if base_accel is not None:
+        _check_finite(**_fields("base_accel", base_accel))
     dt, n = grid.dt, grid.n_steps
     alpha, e_r = mat.alpha, mat.e_r
     mt, jnl = coeffs.m_modal, coeffs.j_nl
@@ -407,70 +453,123 @@ def integrate_nonlinear(
     ai = num0 / (mt + jnl * qi**2)
     q, v, a = array("d", [qi]), array("d", [vi]), array("d", [ai])
 
-    lag_q = lag_c = 0.0
-    if not classical:
-        history = L1History(alpha, dt, n, channels=2)   # q and q^3 increments
-        lag_sums, push_pair = history.lag_sums, history.push_pair
-    model = _step_model(coeffs, e_r, dt, None if classical else history.scale)
+    history = None if classical else L1History(alpha, dt, n, channels=2)
+    ca, c3, c2q, c1q2, c1k, mt, jnl, kl, knl2, h, ecl, hs, g2, j2g = _step_model(
+        coeffs, e_r, dt, None if classical else history.scale)
+    c3x3 = 3.0 * c3
     w0 = 4.0 / dt**2
-    tol_scale = 64.0 * np.finfo(float).eps * mt * w0
-    half_dt2 = 0.5 * dt * dt
+    tol_scale = float(64.0 * np.finfo(float).eps * mt * w0)
+    half_dt, half_dt2 = 0.5 * dt, 0.5 * dt * dt
 
-    for i in range(n):
-        if not classical:
-            lag_q, lag_c = lag_sums()
-        c3, c2, c1, c0 = _step_cubic(model, qi, vi, ai, rhs_force[i + 1], lag_q, lag_c)
+    # the two loops below differ only in the step's D^a q (p0) and D^a q^3
+    # (the lag_c term): L1 history sums, or the classical Newmark values
+    if classical:
+        for force in rhs_force[1:]:
+            a0 = -(g2 * vi + ai)
+            p0 = -vi
+            m0 = jnl * a0 + knl2 * qi + h * p0
+            c2 = m0 + qi * c2q - j2g * vi
+            c1 = qi * (2.0 * m0 + qi * c1q2) + vi * (jnl * vi - j2g * qi) + c1k
+            c0 = qi * (qi * m0 + jnl * vi * vi + kl) + mt * a0 + ecl * p0 - force
 
-        d = dt * vi + half_dt2 * ai   # predictor
-        r = ((c3 * d + c2) * d + c1) * d + c0
-        tol = max(_NEWTON_TOL, tol_scale * max(abs(qi), abs(dt * vi), 1.0))
-        if not abs(r) < tol:
-            # Newton's first step, undamped, settles a typical step; the damped
-            # loop goes on from it, or starts over if it did not shrink r
-            iterations = _MAX_NEWTON
-            slope = (3.0 * c3 * d + 2.0 * c2) * d + c1
-            if slope != 0.0:
-                d_new = d - r / slope
+            d = dt * vi + half_dt2 * ai   # predictor
+            r = ((c3 * d + c2) * d + c1) * d + c0
+            s, t = abs(qi), abs(dt * vi)
+            if t > s:
+                s = t
+            if s < 1.0:
+                s = 1.0
+            tol = tol_scale * s
+            if not tol > _NEWTON_TOL:
+                tol = _NEWTON_TOL
+            if not abs(r) < tol:
+                # Newton's first step, undamped, settles a typical step
+                slope = (c3x3 * d + 2.0 * c2) * d + c1
+                d_new = d - r / slope if slope != 0.0 else d
                 r_new = ((c3 * d_new + c2) * d_new + c1) * d_new + c0
                 if abs(r_new) < abs(r):
                     d, r, iterations = d_new, r_new, _MAX_NEWTON - 1
-            if not abs(r) < tol:
-                d, r = _damped_newton(c3, c2, c1, c0, d, r, tol, iterations)
-            if not abs(r) < tol:
-                cubic = partial(_cubic, c3, c2, c1, c0)
-                d_b = _bisect_residual(cubic, d, max(abs(qi) + abs(dt * vi), 1.0))
-                if d_b is None:
-                    raise StepFailureError(i + 1, "Newton stalled and no sign change was bracketed",
-                                           t=(i + 1) * dt, q=qi, v=vi, residual=abs(r))
-                d = d_b
+                else:
+                    iterations = _MAX_NEWTON
+                if not abs(r) < tol:
+                    d = _finish_step(c3, c2, c1, c0, d, r, tol, iterations, len(q), dt, qi, vi)
 
-        u = qi + d
-        a1 = w0 * (u - qi - dt * vi) - ai
-        vi = vi + 0.5 * dt * (ai + a1)
-        if not classical:
-            push_pair(u - qi, u * u * u - qi * qi * qi)
-        qi, ai = u, a1
-        q.append(qi)
-        v.append(vi)
-        a.append(ai)
+            u = qi + d
+            a1 = w0 * (u - qi - dt * vi) - ai
+            vi = vi + half_dt * (ai + a1)
+            qi, ai = u, a1
+            q.append(qi)
+            v.append(vi)
+            a.append(ai)
+        return Trajectory(grid=grid, q=np.array(q), v=np.array(v), a=np.array(a))
+
+    near, (block_q, block_c) = history.near_weights, history.blocks
+    for start in range(0, n, _BASE):
+        far_q, far_c = history.block_fars
+        forces = rhs_force[start + 1:start + _BASE + 1]
+        for b_near, fq, fc, force in zip(near, far_q, far_c, forces):
+            lag_q = fq + sum(map(mul, b_near, block_q))
+            lag_c = fc + sum(map(mul, b_near, block_c))
+            a0 = -(g2 * vi + ai)
+            p0 = ca * lag_q
+            m0 = jnl * a0 + knl2 * qi + h * p0
+            c2 = m0 + qi * c2q - j2g * vi
+            c1 = qi * (2.0 * m0 + qi * c1q2) + vi * (jnl * vi - j2g * qi) + c1k
+            c0 = qi * (qi * m0 + jnl * vi * vi + kl) + hs * lag_c + mt * a0 + ecl * p0 - force
+
+            d = dt * vi + half_dt2 * ai   # predictor
+            r = ((c3 * d + c2) * d + c1) * d + c0
+            s, t = abs(qi), abs(dt * vi)
+            if t > s:
+                s = t
+            if s < 1.0:
+                s = 1.0
+            tol = tol_scale * s
+            if not tol > _NEWTON_TOL:
+                tol = _NEWTON_TOL
+            if not abs(r) < tol:
+                # Newton's first step, undamped, settles a typical step
+                slope = (c3x3 * d + 2.0 * c2) * d + c1
+                d_new = d - r / slope if slope != 0.0 else d
+                r_new = ((c3 * d_new + c2) * d_new + c1) * d_new + c0
+                if abs(r_new) < abs(r):
+                    d, r, iterations = d_new, r_new, _MAX_NEWTON - 1
+                else:
+                    iterations = _MAX_NEWTON
+                if not abs(r) < tol:
+                    d = _finish_step(c3, c2, c1, c0, d, r, tol, iterations, len(q), dt, qi, vi)
+
+            u = qi + d
+            a1 = w0 * (u - qi - dt * vi) - ai
+            vi = vi + half_dt * (ai + a1)
+            block_q.append(u - qi)
+            block_c.append(u * u * u - qi * qi * qi)
+            qi, ai = u, a1
+            q.append(qi)
+            v.append(vi)
+            a.append(ai)
+        if len(block_q) == _BASE:
+            history.close_block()
     return Trajectory(grid=grid, q=np.array(q), v=np.array(v), a=np.array(a))
 
 
-def _damped_newton(c3, c2, c1, c0, d, r, tol, iterations):
-    """Damped Newton on the cubic from d, whose residual is r: the last d and r.
+def _finish_step(c3, c2, c1, c0, d, r, tol, iterations, step, dt, qi, vi):
+    """The root d of a step whose undamped Newton step left |r| >= tol.
 
-    Each step is halved until the residual shrinks; the loop stops when it
-    falls below ``tol``, after ``iterations`` steps, at a zero slope or when
-    30 halvings do not help.
+    Damped Newton goes on from d, whose residual is r: each step is halved
+    until the residual shrinks, for at most ``iterations`` steps, until
+    |r| < tol, a zero slope or 30 halvings that do not help.  If the
+    residual is still not below tol, a sign-change bracket around d plus
+    bisection gives the root, or ``StepFailureError`` names the step.
     """
     for _ in range(iterations):
         slope = (3.0 * c3 * d + 2.0 * c2) * d + c1
         if slope == 0.0:
             break
-        step = -r / slope
+        step_d = -r / slope
         lam = 1.0
         for _ in range(30):
-            d_new = d + lam * step
+            d_new = d + lam * step_d
             r_new = ((c3 * d_new + c2) * d_new + c1) * d_new + c0
             if abs(r_new) < abs(r):
                 break
@@ -479,34 +578,23 @@ def _damped_newton(c3, c2, c1, c0, d, r, tol, iterations):
             break
         d, r = d_new, r_new
         if abs(r) < tol:
-            break
-    return d, r
+            return d
+    d_b = _bisect_residual(partial(_cubic, c3, c2, c1, c0), d, max(abs(qi) + abs(dt * vi), 1.0))
+    if d_b is None:
+        raise StepFailureError(step, "Newton stalled and no sign change was bracketed",
+                               t=step * dt, q=qi, v=vi, residual=abs(r))
+    return d_b
 
 
 def _step_model(coeffs: ModalCoefficients, e_r: float, dt: float, ca) -> tuple:
-    """Per-run constants of ``integrate_nonlinear``'s step cubic, for ``_step_cubic``.
+    """Per-run constants of ``integrate_nonlinear``'s step cubic.
 
     ``ca`` is the L1 scale dt^(-alpha)/Gamma(2-alpha), or None for the
-    classical (alpha = 1) viscous path.  Beside the constants of the model
-    and Newmark, the tuple carries what no state changes (see
-    ``_step_cubic``): c3, the factors of q_i in c2 and of q_i^2 in c1, and
+    classical (alpha = 1) viscous path.  The tuple is (ca, c3, c2q, c1q2,
+    c1k, M_t, Jnl, K_l, 2 K_nl, h k / 3, E_r C_l, hs, 2 g, 2 Jnl g) in the
+    notation below: the constants of the model and Newmark and what no
+    state changes, c3 and the factors of q_i in c2 and of q_i^2 in c1 and
     c1's constant part.
-    """
-    mt, jnl, kl, knl = coeffs.m_modal, coeffs.j_nl, coeffs.k_l, coeffs.k_nl
-    ecl, hc = e_r * coeffs.c_l, 0.5 * e_r * coeffs.c_nl
-    w0, g = 4.0 / dt**2, 2.0 / dt
-    if ca is None:
-        p1, h, hs = g, 6.0 * hc, 0.0
-    else:
-        p1, h, hs = ca, 3.0 * hc, hc * ca
-    m1 = jnl * w0 + 2.0 * knl + h * p1
-    jg2 = jnl * g * g
-    return (ca, m1 + jg2 + hs, 2.0 * m1 + jg2 + 3.0 * hs, m1 + 3.0 * hs,
-            mt * w0 + kl + ecl * p1, mt, jnl, kl, 2.0 * knl, h, ecl, hs, 2.0 * g, 2.0 * jnl * g)
-
-
-def _step_cubic(model: tuple, qi, vi, ai, force, lag_q, lag_c):
-    """Coefficients (c3, c2, c1, c0) of one step's residual in d = u - q_i.
 
     The governing equation at the new displacement u = q_i + d leaves
 
@@ -522,21 +610,24 @@ def _step_cubic(model: tuple, qi, vi, ai, force, lag_q, lag_c):
     m1 d + m0, with m1 = Jnl w0 + 2 K_nl + k h p1 and m0 = Jnl a0 +
     2 K_nl q_i + k h p0 (k = 3, or 6 at alpha = 1).  Then
 
-        c3 = m1 + Jnl g^2 + hs
-        c2 = m0 + q_i (2 m1 + Jnl g^2 + 3 hs) - 2 Jnl g v_i
+        c3 = m1 + Jnl g^2 + hs                                  (c3)
+        c2 = m0 + q_i (2 m1 + Jnl g^2 + 3 hs) - 2 Jnl g v_i     (c2q)
         c1 = q_i (2 m0 + q_i (m1 + 3 hs)) + v_i (Jnl v_i - 2 Jnl g q_i)
-             + M_t w0 + K_l + E_r C_l p1
+             + M_t w0 + K_l + E_r C_l p1                        (c1q2, c1k)
         c0 = q_i (q_i m0 + Jnl v_i^2 + K_l) + hs lag_c + M_t a0
              + E_r C_l p0 - force.
     """
-    ca, c3, c2q, c1q2, c1k, mt, jnl, kl, knl2, h, ecl, hs, g2, j2g = model
-    a0 = -(g2 * vi + ai)
-    p0 = -vi if ca is None else ca * lag_q
-    m0 = jnl * a0 + knl2 * qi + h * p0
-    c2 = m0 + qi * c2q - j2g * vi
-    c1 = qi * (2.0 * m0 + qi * c1q2) + vi * (jnl * vi - j2g * qi) + c1k
-    c0 = qi * (qi * m0 + jnl * vi * vi + kl) + hs * lag_c + mt * a0 + ecl * p0 - force
-    return c3, c2, c1, c0
+    mt, jnl, kl, knl = coeffs.m_modal, coeffs.j_nl, coeffs.k_l, coeffs.k_nl
+    ecl, hc = e_r * coeffs.c_l, 0.5 * e_r * coeffs.c_nl
+    w0, g = 4.0 / dt**2, 2.0 / dt
+    if ca is None:
+        p1, h, hs = g, 6.0 * hc, 0.0
+    else:
+        p1, h, hs = ca, 3.0 * hc, hc * ca
+    m1 = jnl * w0 + 2.0 * knl + h * p1
+    jg2 = jnl * g * g
+    return (ca, m1 + jg2 + hs, 2.0 * m1 + jg2 + 3.0 * hs, m1 + 3.0 * hs,
+            mt * w0 + kl + ecl * p1, mt, jnl, kl, 2.0 * knl, h, ecl, hs, 2.0 * g, 2.0 * jnl * g)
 
 
 def _cubic(c3, c2, c1, c0, d):

@@ -413,14 +413,17 @@ def _cardano_roots(p3: float, p2: np.ndarray, p1: np.ndarray, p0: float) -> np.n
     for k in range(3):
         roots[three, k] = m * _libm(math.cos, (theta - 2.0 * math.pi * k) / 3.0) - shift[three]
 
-    one = (disc < 0.0) & (p == 0.0)
-    roots[one, 0] = -np.copysign(_pow(np.abs(q[one]), 1.0 / 3.0), q[one]) - shift[one]
-    one = (disc < 0.0) & (p < 0.0)
+    # one real root: where p is zero, or so small against q that the
+    # hyperbolic form's argument 3|q|/(|p| m) is not finite, it is the p = 0 one
+    m = 2.0 * np.sqrt(np.abs(p) / 3.0)
+    flat = (disc < 0.0) & ~np.isfinite(3.0 * np.abs(q) / (np.abs(p) * m))
+    roots[flat, 0] = -np.copysign(_pow(np.abs(q[flat]), 1.0 / 3.0), q[flat]) - shift[flat]
+    one = (disc < 0.0) & (p < 0.0) & ~flat
     m = 2.0 * np.sqrt(-p[one] / 3.0)
     arg = 3.0 * np.abs(q[one]) / (p[one] * m)
     t0 = -2.0 * sign_q[one] * _libm(math.cosh, _libm(math.acosh, np.maximum(-arg, 1.0)) / 3.0)
     roots[one, 0] = np.sqrt(-p[one] / 3.0) * t0 - shift[one]
-    one = (disc < 0.0) & (p > 0.0)
+    one = (disc < 0.0) & (p > 0.0) & ~flat
     m = 2.0 * np.sqrt(p[one] / 3.0)
     arg = 3.0 * q[one] / (p[one] * m)
     t0 = -2.0 * sign_q[one] * _libm(math.sinh, _libm(math.asinh, np.abs(arg)) / 3.0)
@@ -474,12 +477,24 @@ def _steady_roots(coeffs: CubicCoeffs, cubic: tuple):
     xs = np.full((n, 3), np.nan)
     with np.errstate(all="ignore"):
         scale = np.maximum(np.maximum(np.abs(p2), np.abs(p1)), max(abs(p0), 1e-300))
-        near_quadratic = abs(p3) < 1e-14 * scale
-        cub = ~near_quadratic
+        quadratic = abs(p3) < 1e-14 * scale
+        if quadratic.any():
+            # the quadratic stands for a cubic (p3 != 0) only where it has a
+            # real root and p3 x^3 is negligible at each of its roots x
+            # (compared after division by x^2); elsewhere the cubic has a
+            # root that the quadratic misses or misplaces
+            quad = _quadratic_roots(p2[quadratic], p1[quadratic], p0)
+            ax = np.abs(quad)
+            terms = np.maximum(np.maximum(np.abs(p2[quadratic])[:, None],
+                                          np.abs(p1[quadratic])[:, None] / ax),
+                               abs(p0) / (ax * ax))
+            kept = (p3 == 0.0) | (~np.isnan(quad[:, 0])
+                                  & ~np.any(abs(p3) * ax > 1e-14 * terms, axis=1))
+            xs[np.flatnonzero(quadratic)[kept], :2] = quad[kept]
+            quadratic[quadratic] = kept
+        cub = ~quadratic
         if cub.any():
             xs[cub] = _cardano_roots(p3, p2[cub], p1[cub], p0)
-        if near_quadratic.any():
-            xs[near_quadratic, :2] = _quadratic_roots(p2[near_quadratic], p1[near_quadratic], p0)
 
     # keep distinct roots above a relative floor, ascending, NaN last
     x_tol = 1e-12 * np.fmax(1.0, np.fmax.reduce(np.abs(xs), axis=1))

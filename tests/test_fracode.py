@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -170,6 +171,47 @@ def test_forced_linear_steady_amplitude():
     want = f0 / math.sqrt((k - w**2) ** 2 + (c * w) ** 2)
     tail = np.abs(traj.q[-8000:])
     assert np.max(tail) == pytest.approx(want, rel=2e-3)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("args, forcing, name", [
+    ((1.24, 1.24, 0.1, 0.5, NAN, 0.0), None, "q0"),
+    ((1.24, 1.24, 0.1, 0.5, 1.0, INF), None, "v0"),
+    ((1.24, 1.24, 0.1, 0.5, 1.0, -INF), None, "v0"),
+    ((NAN, 1.24, 0.1, 0.5, 1.0, 0.0), None, "c_l"),
+    ((INF, 1.24, 0.1, 1.0, 1.0, 0.0), None, "c_l"),
+    ((1.24, INF, 0.1, 0.5, 1.0, 0.0), None, "k_l"),
+    ((1.24, 1.24, INF, 0.5, 1.0, 0.0), None, "e_r"),
+    ((1.24, 1.24, 0.1, 0.5, 1.0, 0.0), HarmonicForcing(NAN, 1.1), "forcing.amplitude"),
+    ((1.24, 1.24, 0.1, 1.0, 1.0, 0.0), HarmonicForcing(1.0, INF), "forcing.frequency"),
+    ((1.24, 1.24, 0.1, 0.5, 1.0, 0.0), HarmonicForcing(1.0, 1.1, NAN), "forcing.phase"),
+    ((1.24, 1.24, 0.1, 0.5, 1.0, 0.0), [0.0] * 20 + [NAN] * 21, "sampled forcing"),
+])
+def test_linear_rejects_non_finite_input(args, forcing, name):
+    # these used to return an all-NaN trajectory
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        integrate_linear(*args, GridSpec(0.01, 40), forcing)
+
+
+@pytest.mark.parametrize("q0, v0, e_alpha, base, coeff, name", [
+    (NAN, 0.0, 0.1, None, None, "q0"),
+    (0.0, INF, 0.1, None, None, "v0"),
+    (0.1, 0.0, INF, None, None, "e_r"),
+    (0.1, 0.0, 0.1, HarmonicForcing(NAN, 3.5), None, "base_accel.amplitude"),
+    (0.1, 0.0, 0.1, HarmonicForcing(0.1, NAN), None, "base_accel.frequency"),
+    (0.1, 0.0, 0.1, None, "k_nl", "coeffs.k_nl"),
+    (0.1, 0.0, 0.1, None, "m_modal", "coeffs.m_modal"),
+])
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_nonlinear_rejects_non_finite_input(q0, v0, e_alpha, base, coeff, name, alpha,
+                                            case1_coeffs):
+    # a NaN q0 or an infinite v0 used to end in "Newton stalled" at step 1
+    coeffs = case1_coeffs if coeff is None else dataclasses.replace(case1_coeffs, **{coeff: INF})
+    mat = MaterialParams(e_alpha=e_alpha, alpha=alpha)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        integrate_nonlinear(coeffs, mat, q0, v0, GridSpec(0.01, 40), base)
 
 
 # ---------------------------------------------------- nonlinear integration

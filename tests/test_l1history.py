@@ -8,6 +8,7 @@ history per step.
 import gc
 import math
 import weakref
+from operator import mul
 
 import numpy as np
 import pytest
@@ -104,6 +105,81 @@ def test_pair_channels_do_not_mix(n):
     for y in (np.zeros(n), _increments(n, 4, "old-large") * 1e12):
         got = _pair_sums(L1History(0.6, 0.01, n, channels=2), x, y)
         assert np.all(np.abs(got[:, 0] - want) <= bound)
+
+
+def _block_sums(history, columns):
+    """Every target's lag sums, with the history stepped a block at a time.
+
+    The stepping of ``integrate_linear`` and ``integrate_nonlinear``: the
+    near sums over the open block's lists, one ``close_block`` per full block.
+    """
+    n = len(columns[0])
+    near, blocks = history.near_weights, history.blocks
+    got = np.empty((n + 1, len(columns)))
+    for start in range(0, n + 1, fracode._BASE):
+        for r, far_r in enumerate(zip(*history.block_fars)):
+            if start + r > n:
+                break
+            got[start + r] = [far + sum(map(mul, near[r], block))
+                              for far, block in zip(far_r, blocks)]
+            if start + r < n:
+                for block, column in zip(blocks, columns):
+                    block.append(column[start + r])
+        if len(blocks[0]) == fracode._BASE:
+            history.close_block()
+    return got
+
+
+# the top-level block has few targets: 4097 = 2^12 + 1, 5000 = 2^12 + 904,
+# 20001 = 2^14 + 3617
+@pytest.mark.parametrize("n", [4097, 5000, 20001])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_block_sums_match_direct_sums_where_top_blocks_have_few_targets(n, channels):
+    columns = [_increments(n, 11, "random"), _increments(n, 12, "old-large") * 1e6][:channels]
+    history = L1History(0.61, 0.01, n, channels)
+    got = _block_sums(history, columns)
+    assert np.all(got[0] == 0.0)
+    for k, data in enumerate(columns):
+        bound = 1e-12 * _direct_lag_sums(np.abs(data), 0.61)
+        assert np.all(np.abs(got[:, k] - _direct_lag_sums(data, 0.61)) <= bound)
+    # the one-increment interface keeps the same open-block state
+    if channels == 1:
+        single = L1History(0.61, 0.01, n)
+        wrapped = np.empty(n + 1)
+        for k in range(n):
+            wrapped[k] = single.lag_sum()
+            single.push(columns[0][k])
+        wrapped[n] = single.lag_sum()
+        np.testing.assert_array_equal(wrapped, got[:, 0])
+
+
+def test_fft_length_is_the_least_2j_or_3_2j_not_below_k():
+    smooth = sorted({2**j for j in range(17)} | {3 * 2**j for j in range(16)})
+    for k in range(3, 40_000):
+        assert fracode._fft_length(k) == next(n for n in smooth if n >= k)
+
+
+def test_closures_transform_only_the_targets_that_exist():
+    # at 5000 increments the closure of [0, 4096) has 905 targets: a length
+    # 6144 transform, not 8192; full blocks keep length 2L
+    history = L1History(0.5, 0.01, 5000, channels=2)
+    _block_sums(history, [np.ones(5000), np.ones(5000)])
+    assert sorted(history._spectra) == [512, 1024, 2048, 4096, 6144]
+
+
+def test_close_block_checks_the_open_block():
+    history = L1History(0.5, 0.01, 40, channels=2)
+    history.blocks[0].extend([1.0] * fracode._BASE)
+    history.blocks[1].extend([1.0] * (fracode._BASE - 1))
+    with pytest.raises(ValueError, match="per channel"):
+        history.close_block()
+    history.blocks[1].append(1.0)
+    history.close_block()
+    assert history.blocks == [[], []]
+    history.blocks[0].extend([1.0] * fracode._BASE)
+    history.blocks[1].extend([1.0] * fracode._BASE)
+    with pytest.raises(ValueError, match="full"):
+        history.close_block()
 
 
 def test_histories_are_freed_by_reference_counting(monkeypatch, case1_coeffs):
@@ -297,4 +373,20 @@ def test_integrate_nonlinear_matches_direct_stepper(case, alpha, q0, case1_coeff
     base = HarmonicForcing(0.13, 0.95 * w0)
     traj = integrate_nonlinear(co, mat, q0, 0.0, grid, base)
     want = _direct_nonlinear(co, mat, q0, 0.0, grid, base)
+    assert np.max(np.abs(traj.q - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# a run of n steps ends inside, at or just past a history block, or past
+# the first FFT closure
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 2 * fracode._DENSE + 1])
+def test_integrators_match_direct_steppers_at_block_boundaries(n, case2_coeffs):
+    grid = GridSpec(0.01, n)
+    forcing = HarmonicForcing(1.3, 1.1, 0.2)
+    traj = integrate_linear(1.24, 1.24, 0.5, 0.4, 0.3, -0.2, grid, forcing)
+    want = _direct_linear(1.24, 1.24, 0.5, 0.4, 0.3, -0.2, grid, forcing)
+    assert np.max(np.abs(traj.q - want)) <= 1e-12 * np.max(np.abs(want))
+    mat = MaterialParams.from_ratio(0.1, 0.6)
+    base = HarmonicForcing(0.13, 1.05)
+    traj = integrate_nonlinear(case2_coeffs, mat, 0.2, 0.1, grid, base)
+    want = _direct_nonlinear(case2_coeffs, mat, 0.2, 0.1, grid, base)
     assert np.max(np.abs(traj.q - want)) <= 1e-12 * np.max(np.abs(want))

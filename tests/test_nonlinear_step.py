@@ -4,6 +4,8 @@ The step residual used to be a closure defined inside the step loop and
 solved by damped Newton with a centred finite-difference slope.  Both live
 on here as oracles: ``closure_residual`` is that closure, and
 ``fd_slope_stepper`` is that integrator on the same ``L1History`` kernel.
+``step_cubic`` is the cubic that the integrator's loops build inline from
+``_step_model``'s constants, written as one function.
 """
 
 import dataclasses
@@ -17,9 +19,26 @@ from hypothesis import strategies as st
 
 from fracbeam import GridSpec, HarmonicForcing, L1History, MaterialParams, fracode, integrate_nonlinear
 from fracbeam.errors import StepFailureError
-from fracbeam.fracode import _bisect_residual, _cubic, _step_cubic, _step_model
+from fracbeam.fracode import _bisect_residual, _cubic, _step_model
 
 EPS = np.finfo(float).eps
+
+
+def step_cubic(model, qi, vi, ai, force, lag_q, lag_c):
+    """Coefficients (c3, c2, c1, c0) of one step's residual in d = u - q_i.
+
+    The formulas of ``_step_model``'s docstring, in the integrator's order
+    of operations; at alpha = 1 (``ca`` None) D^a q is the classical
+    Newmark velocity and there is no q^3 history.
+    """
+    ca, c3, c2q, c1q2, c1k, mt, jnl, kl, knl2, h, ecl, hs, g2, j2g = model
+    a0 = -(g2 * vi + ai)
+    p0 = -vi if ca is None else ca * lag_q
+    m0 = jnl * a0 + knl2 * qi + h * p0
+    c2 = m0 + qi * c2q - j2g * vi
+    c1 = qi * (2.0 * m0 + qi * c1q2) + vi * (jnl * vi - j2g * qi) + c1k
+    c0 = qi * (qi * m0 + jnl * vi * vi + kl) + hs * lag_c + mt * a0 + ecl * p0 - force
+    return c3, c2, c1, c0
 
 
 def closure_residual(co, e_r, alpha, dt, ca, qi, vi, ai, fo, lag_q, lag_c):
@@ -130,7 +149,7 @@ def test_step_cubic_matches_closure_residual(case, j, k, c, alpha, e_r, log10_dt
     co = scaled(case1_coeffs if case == "no-tip" else case2_coeffs, j, k, c)
     dt = 10.0**log10_dt
     ca = None if alpha == 1.0 else L1History(alpha, dt, 1).scale
-    c3, c2, c1, c0 = _step_cubic(_step_model(co, e_r, dt, ca), qi, vi, ai, fo, lag_q, lag_c)
+    c3, c2, c1, c0 = step_cubic(_step_model(co, e_r, dt, ca), qi, vi, ai, fo, lag_q, lag_c)
     u = qi + d
     d = u - qi     # exact, so both sides see the same u
     got = ((c3 * d + c2) * d + c1) * d + c0
@@ -206,7 +225,7 @@ def test_bisection_fallback_matches_newton(case2_coeffs, monkeypatch):
     model = _step_model(co, mat.e_r, dt, hist_q.scale)
     force = -co.m_b * base.values(grid.times())[n]
     qi, vi = traj.q[n - 1], traj.v[n - 1]
-    cubic = _step_cubic(model, qi, vi, traj.a[n - 1], force, hist_q.lag_sum(), hist_c.lag_sum())
+    cubic = step_cubic(model, qi, vi, traj.a[n - 1], force, hist_q.lag_sum(), hist_c.lag_sum())
     root = _bisect_residual(partial(_cubic, *cubic), center, width)
     assert traj.q[n] == traj.q[n - 1] + root
     # Newton stopped far from the root, with the residual above its tolerance
@@ -233,3 +252,31 @@ def test_step_failure_names_time_and_state(case1_coeffs):
     assert (err.step, err.t, err.q, err.v) == (1, dt, q0, v0)
     assert err.residual > 1e6
     assert f"step 1 (t = {dt!r}, q = {q0!r}, v = {v0!r}," in str(err)
+
+
+def test_step_failure_inside_a_block_names_its_step(case2_coeffs, monkeypatch):
+    # the stall of test_bisection_fallback_matches_newton, step 91, lies
+    # inside the third history block (91 = 2 * 32 + 27); with no bracket
+    # found it fails, naming the level it started from
+    co = case2_coeffs
+    mat = MaterialParams.from_ratio(0.23608192197325845, 0.5726133457159566)
+    dt, n = 0.02088715983593783, 91
+    assert n % fracode._BASE not in (0, 1)
+    base = HarmonicForcing(29.150353062206644, math.sqrt(co.k_l / co.m_modal))
+    q0, v0 = -0.006024160800807912, 17.32884565474078
+    traj = integrate_nonlinear(co, mat, q0, v0, GridSpec(dt, n - 1), base)
+    centers = []
+
+    def no_bracket(residual, center, width):
+        centers.append(center)
+        return None
+
+    monkeypatch.setattr(fracode, "_bisect_residual", no_bracket)
+    with pytest.raises(StepFailureError) as info:
+        integrate_nonlinear(co, mat, q0, v0, GridSpec(dt, n), base)
+    err = info.value
+    qi, vi = traj.q[n - 1].item(), traj.v[n - 1].item()
+    assert (err.step, err.t, err.q, err.v) == (n, n * dt, qi, vi)
+    tol = 64.0 * EPS * co.m_modal * 4.0 / dt**2 * max(abs(qi), abs(dt * vi), 1.0)
+    assert len(centers) == 1 and err.residual >= tol
+    assert f"step {n} (t = {n * dt!r}, q = {qi!r}, v = {vi!r}," in str(err)

@@ -73,7 +73,8 @@ def oracle_real_cubic_roots(p3, p2, p1, p0):
         theta = math.acos(arg)
         roots = [m * math.cos((theta - 2.0 * math.pi * k) / 3.0) - shift for k in range(3)]
     elif disc < 0.0:
-        if p == 0.0:
+        pm = abs(p) * 2.0 * math.sqrt(abs(p) / 3.0)
+        if pm == 0.0 or math.isinf(3.0 * abs(q) / pm):
             roots = [-math.copysign(abs(q) ** (1.0 / 3.0), q) - shift]
         elif p < 0.0:
             m = 2.0 * math.sqrt(-p / 3.0)
@@ -100,11 +101,20 @@ def oracle_real_cubic_roots(p3, p2, p1, p0):
     return polished
 
 
+def cubic_term_negligible(p3, p2, p1, p0, x):
+    """|p3 x^3| <= 1e-14 max(|p2 x^2|, |p1 x|, |p0|), compared after division by x^2."""
+    ax = abs(x)
+    if ax * ax == 0.0:
+        return True
+    return not abs(p3) * ax > 1e-14 * max(abs(p2), abs(p1) / ax, abs(p0) / (ax * ax))
+
+
 def oracle_roots(coeffs):
     """[(amp, gamma, stable)] in ascending amplitude at one detuning."""
     a1, a2, b1, b2, c_rhs = coeffs
     p3, p2, p1, p0 = oracle_cubic(*coeffs)
     scale = max(abs(p2), abs(p1), abs(p0), 1e-300)
+    xs = None
     if abs(p3) < 1e-14 * scale:
         xs = []
         if abs(p2) < 1e-14 * max(abs(p1), abs(p0), 1e-300):
@@ -115,7 +125,11 @@ def oracle_roots(coeffs):
             if disc >= 0.0:
                 s = -0.5 * (p1 + math.copysign(math.sqrt(disc), p1))
                 xs = [s / p2] + ([p0 / s] if s != 0.0 else [0.0])
-    else:
+        # the quadratic stands for a cubic only if it has a root and p3 x^3
+        # is negligible at each of them
+        if p3 != 0.0 and not (xs and all(cubic_term_negligible(p3, p2, p1, p0, x) for x in xs)):
+            xs = None
+    if xs is None:
         xs = oracle_real_cubic_roots(p3, p2, p1, p0)
     x_tol = 1e-12 * max(1.0, max((abs(x) for x in xs), default=1.0))
     amps = sorted({x for x in xs if x > x_tol})
@@ -325,3 +339,22 @@ def test_descending_grid_reports_the_same_folds(case, alpha, f, grid):
     down = frequency_sweep(params, grid[::-1]).bifurcations
     assert len(up) == 2
     assert [x.hex() for x in down] == [x.hex() for x in up[::-1]]
+
+
+@pytest.mark.parametrize("e_r", [1e-8, 1e-60, 1.2e-120, 1e-200])
+def test_near_quadratic_cubic_keeps_its_real_root(e_r):
+    # |p3| is below 1e-14 of the other coefficients, but the quadratic's
+    # root (amplitude 7.24e7 at e_r = 1e-8) lies where p3 x^3 dominates:
+    # the cubic's one real root is x = 142448.6, amplitude 377.4
+    params = replace(CASES["lumped"], c_nl=1.24e-8, k_nl=1.24e-8, e_r=e_r, alpha=1.0, f=1.0)
+    coeffs = steady_state_cubic(params, 0.0)
+    p3, p2, p1, p0 = coeffs.cubic()
+    assert abs(p3) < 1e-14 * max(abs(p2), abs(p1), abs(p0))
+    real = [z.real for z in np.roots([p3, p2, p1, p0]) if z.imag == 0.0 and z.real > 0.0]
+    roots = solve_steady_amplitudes(coeffs)
+    assert len(real) == len(roots) == 1
+    assert roots[0].amp ** 2 == pytest.approx(real[0], rel=1e-12)
+    assert [r[0] for r in oracle_roots(oracle_coeffs(params, 0.0))] == \
+        pytest.approx([roots[0].amp], rel=1e-13)
+    branch = frequency_sweep(params, np.array([-0.5, 0.0, 0.5]))
+    assert branch.n_roots[1] == 1 and branch.amp[1, 0] == roots[0].amp
