@@ -1,9 +1,21 @@
 """Error types shared across the toolkit.
 
 Domain errors on scalar inputs (negative time, frequency <= 0, alpha out of
-range, ...) raise plain ``ValueError`` at the call site; the classes below
-cover failures of the numerical machinery itself.
+range, ...) raise plain ``ValueError`` at the call site, non-finite ones
+through ``check_finite``; the classes below cover failures of the numerical
+machinery itself.
 """
+
+import numpy as np
+
+
+def check_finite(**values) -> None:
+    """Raise ValueError naming the first of ``values`` (numbers or arrays) with a non-finite entry."""
+    for name, value in values.items():
+        x = np.asarray(value, dtype=float)
+        bad = ~np.isfinite(x)
+        if bad.any():
+            raise ValueError(f"{name} must be finite, got {x[bad][0]}")
 
 
 class EigenSearchError(RuntimeError):

@@ -20,9 +20,12 @@ exist.  That is O(N log^2 N) over N steps instead of the O(N^2) direct sum,
 and equal to it up to round-off (about 1e-13 relative).  The integrators
 step the history a block of 32 steps at a time: the inner loop over a
 block's steps makes no call into the kernel, and the block closes with one.
-On a 2-vCPU x86 machine with Python 3.11 a 200k-step linear run takes about
-0.5 s, and a nonlinear step about 3.5 us (fractional) or 1.2 us
-(alpha = 1); the machine's speed drifts by up to 1.6x.
+Each integrator has one such block loop for every order: at alpha = 1 a
+step takes the classical Newmark velocity for D^alpha q instead of the L1
+sum, and the run keeps no history.  On a 2-vCPU x86 machine with
+Python 3.11 a 200k-step linear run takes about 0.5 s, and a nonlinear step
+about 3.5 us (fractional) or 1.3 us (alpha = 1); the machine's speed
+drifts by up to 1.6x.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .constitutive import MaterialParams
-from .errors import InsufficientDataError, StepFailureError
+from .errors import InsufficientDataError, StepFailureError, check_finite
 from .modes import ModalCoefficients, bisect
 
 __all__ = [
@@ -104,8 +107,8 @@ def l1_weights(alpha: float, n: int) -> np.ndarray:
     """L1 history weights b_j = (j+1)^(1-alpha) - j^(1-alpha), j = 0..n-1.
 
     Strictly decreasing with b_0 = 1 and telescoping sum n^(1-alpha).
-    alpha = 1 is excluded: a classical first derivative takes a separate
-    code path in the integrators.
+    alpha = 1 is excluded: there the integrators' steps take the classical
+    first derivative instead of an L1 sum.
     """
     if not (0 < alpha < 1):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -121,6 +124,9 @@ _BASE = 32
 # product, larger ones by FFT: below it numpy's FFT call overhead costs more
 # than the O(L^2) product, above it the FFT keeps the kernel O(N log^2 N)
 _DENSE = 128
+# the alpha = 1 steps have no history: they zip this in place of a block's
+# near weights and far sums
+_NO_HISTORY = (None,) * _BASE
 
 
 def _l1_constants(alpha: float, dt: float, n: int) -> tuple[np.ndarray, float]:
@@ -304,13 +310,6 @@ def caputo_l1(samples, dt: float, alpha: float) -> float:
     return float(caputo_l1_series(samples, dt, alpha)[-1])
 
 
-def _check_finite(**values) -> None:
-    """Raise ValueError naming the first of ``values`` that is not finite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 def _fields(name: str, record) -> dict:
     """A dataclass's fields as keyword arguments, each named ``name.field``."""
     return {f"{name}.{key}": value for key, value in vars(record).items()}
@@ -320,7 +319,7 @@ def _forcing_samples(forcing, grid: GridSpec) -> np.ndarray:
     if forcing is None:
         return np.zeros(grid.n_steps + 1)
     if isinstance(forcing, HarmonicForcing):
-        _check_finite(**_fields("forcing", forcing))
+        check_finite(**_fields("forcing", forcing))
         return forcing.values(grid.times())
     f = np.asarray(forcing, dtype=float)
     if f.shape != (grid.n_steps + 1,):
@@ -346,12 +345,13 @@ def integrate_linear(
     """Solve q'' + E_r c_l D^alpha q + k_l q = f(t) from (q0, v0).
 
     The new displacement appears linearly in the Newmark/L1 closure, so each
-    step is one scalar solve.  alpha = 1 runs the classical viscous path
-    (D^1 q = q').  The initial acceleration comes from the equation at t = 0
-    with D^alpha q(0) = 0.  The fractional path steps a history block
-    (``L1History``) at a time.
+    step is one scalar solve.  The initial acceleration comes from the
+    equation at t = 0 with D^alpha q(0) = 0 (alpha < 1) or D^1 q(0) = v0.
+    One loop steps a history block (``L1History``) at a time; at alpha = 1
+    each step's damping term is the classical viscous one, with Newmark's
+    velocity for D^1 q = q', and no history is kept.
     """
-    _check_finite(c_l=c_l, k_l=k_l, e_r=e_r, q0=q0, v0=v0)
+    check_finite(c_l=c_l, k_l=k_l, e_r=e_r, q0=q0, v0=v0)
     if not (k_l > 0):
         raise ValueError(f"k_l must be positive, got {k_l}")
     if e_r < 0:
@@ -365,39 +365,37 @@ def integrate_linear(
     half_dt = 0.5 * dt
     damp = e_r * c_l
 
-    if alpha == 1.0:
+    classical = alpha == 1.0
+    if classical:
+        # damping on Newmark's velocity g (q1 - qi) - vi: its q1 part is ca
         ai = f[0] - damp * vi - k_l * qi
-        lhs = w0 + 2.0 * damp / dt + k_l
-        g = 2.0 / dt
-        q, v, a = array("d", [qi]), array("d", [vi]), array("d", [ai])
-        for f1 in f[1:]:
-            q1 = (f1 + w0 * (qi + dt * vi) + ai + damp * (g * qi + vi)) / lhs
-            a1 = w0 * (q1 - qi - dt * vi) - ai
-            vi = vi + half_dt * (ai + a1)
-            qi, ai = q1, a1
-            q.append(qi)
-            v.append(vi)
-            a.append(ai)
-        return Trajectory(grid=grid, q=np.array(q), v=np.array(v), a=np.array(a))
-
-    ai = f[0] - k_l * qi
-    history = L1History(alpha, dt, n)
-    near, (block,) = history.near_weights, history.blocks
-    ca = damp * history.scale
-    lhs = w0 + ca + k_l          # b_0 = 1
+        ca, g = 2.0 * damp / dt, 2.0 / dt
+        near = fars = _NO_HISTORY
+    else:
+        ai = f[0] - k_l * qi
+        history = L1History(alpha, dt, n)
+        near, (block,) = history.near_weights, history.blocks
+        ca = damp * history.scale
+    lhs = w0 + ca + k_l          # ca: the new level's damping (b_0 = 1 in the L1 sum)
     q, v, a = array("d", [qi]), array("d", [vi]), array("d", [ai])
     for start in range(0, n, _BASE):
-        for b_near, far, f1 in zip(near, history.block_fars[0], f[start + 1:start + _BASE + 1]):
-            lag = far + sum(map(mul, b_near, block))
-            q1 = (f1 + w0 * (qi + dt * vi) + ai + ca * (qi - lag)) / lhs
+        if not classical:
+            (fars,) = history.block_fars
+        for b_near, far, f1 in zip(near, fars, f[start + 1:start + _BASE + 1]):
+            if classical:
+                drag = damp * (g * qi + vi)
+            else:
+                drag = ca * (qi - (far + sum(map(mul, b_near, block))))
+            q1 = (f1 + w0 * (qi + dt * vi) + ai + drag) / lhs
             a1 = w0 * (q1 - qi - dt * vi) - ai
             vi = vi + half_dt * (ai + a1)
-            block.append(q1 - qi)
+            if not classical:
+                block.append(q1 - qi)
             qi, ai = q1, a1
             q.append(qi)
             v.append(vi)
             a.append(ai)
-        if len(block) == _BASE:
+        if not classical and len(block) == _BASE:
             history.close_block()
     return Trajectory(grid=grid, q=np.array(q), v=np.array(v), a=np.array(a))
 
@@ -429,12 +427,14 @@ def integrate_nonlinear(
     Horner's rule, to a residual below max(1e-10, 64 eps M_t (4/dt^2)
     max(|q_i|, dt |v_i|, 1)): one undamped step, then damped steps up to 50
     iterations in all.  If Newton stalls, a sign-change bracket plus
-    bisection is tried before ``StepFailureError``.  The fractional path
-    steps its two-channel history (q and q^3 increments) a block at a time.
+    bisection is tried before ``StepFailureError``.  One loop steps the
+    two-channel history (q and q^3 increments) a block at a time; at
+    alpha = 1 each step takes the classical values of D^a q and D^a q^3
+    instead of the L1 sums, and no history is kept.
     """
-    _check_finite(q0=q0, v0=v0, e_r=mat.e_r, **_fields("coeffs", coeffs))
+    check_finite(q0=q0, v0=v0, e_r=mat.e_r, **_fields("coeffs", coeffs))
     if base_accel is not None:
-        _check_finite(**_fields("base_accel", base_accel))
+        check_finite(**_fields("base_accel", base_accel))
     dt, n = grid.dt, grid.n_steps
     alpha, e_r = mat.alpha, mat.e_r
     mt, jnl = coeffs.m_modal, coeffs.j_nl
@@ -453,65 +453,32 @@ def integrate_nonlinear(
     ai = num0 / (mt + jnl * qi**2)
     q, v, a = array("d", [qi]), array("d", [vi]), array("d", [ai])
 
-    history = None if classical else L1History(alpha, dt, n, channels=2)
+    if classical:
+        scale = None
+        near = far_q = far_c = _NO_HISTORY
+    else:
+        history = L1History(alpha, dt, n, channels=2)
+        scale, near, (block_q, block_c) = history.scale, history.near_weights, history.blocks
     ca, c3, c2q, c1q2, c1k, mt, jnl, kl, knl2, h, ecl, hs, g2, j2g = _step_model(
-        coeffs, e_r, dt, None if classical else history.scale)
+        coeffs, e_r, dt, scale)
     c3x3 = 3.0 * c3
     w0 = 4.0 / dt**2
     tol_scale = float(64.0 * np.finfo(float).eps * mt * w0)
     half_dt, half_dt2 = 0.5 * dt, 0.5 * dt * dt
 
-    # the two loops below differ only in the step's D^a q (p0) and D^a q^3
-    # (the lag_c term): L1 history sums, or the classical Newmark values
-    if classical:
-        for force in rhs_force[1:]:
-            a0 = -(g2 * vi + ai)
-            p0 = -vi
-            m0 = jnl * a0 + knl2 * qi + h * p0
-            c2 = m0 + qi * c2q - j2g * vi
-            c1 = qi * (2.0 * m0 + qi * c1q2) + vi * (jnl * vi - j2g * qi) + c1k
-            c0 = qi * (qi * m0 + jnl * vi * vi + kl) + mt * a0 + ecl * p0 - force
-
-            d = dt * vi + half_dt2 * ai   # predictor
-            r = ((c3 * d + c2) * d + c1) * d + c0
-            s, t = abs(qi), abs(dt * vi)
-            if t > s:
-                s = t
-            if s < 1.0:
-                s = 1.0
-            tol = tol_scale * s
-            if not tol > _NEWTON_TOL:
-                tol = _NEWTON_TOL
-            if not abs(r) < tol:
-                # Newton's first step, undamped, settles a typical step
-                slope = (c3x3 * d + 2.0 * c2) * d + c1
-                d_new = d - r / slope if slope != 0.0 else d
-                r_new = ((c3 * d_new + c2) * d_new + c1) * d_new + c0
-                if abs(r_new) < abs(r):
-                    d, r, iterations = d_new, r_new, _MAX_NEWTON - 1
-                else:
-                    iterations = _MAX_NEWTON
-                if not abs(r) < tol:
-                    d = _finish_step(c3, c2, c1, c0, d, r, tol, iterations, len(q), dt, qi, vi)
-
-            u = qi + d
-            a1 = w0 * (u - qi - dt * vi) - ai
-            vi = vi + half_dt * (ai + a1)
-            qi, ai = u, a1
-            q.append(qi)
-            v.append(vi)
-            a.append(ai)
-        return Trajectory(grid=grid, q=np.array(q), v=np.array(v), a=np.array(a))
-
-    near, (block_q, block_c) = history.near_weights, history.blocks
     for start in range(0, n, _BASE):
-        far_q, far_c = history.block_fars
+        if not classical:
+            far_q, far_c = history.block_fars
         forces = rhs_force[start + 1:start + _BASE + 1]
         for b_near, fq, fc, force in zip(near, far_q, far_c, forces):
-            lag_q = fq + sum(map(mul, b_near, block_q))
-            lag_c = fc + sum(map(mul, b_near, block_c))
+            # the step's D^a q (p0) and D^a q^3 (lag_c) terms: the classical
+            # Newmark values, or the L1 history sums
+            if classical:
+                p0, lag_c = -vi, 0.0
+            else:
+                p0 = ca * (fq + sum(map(mul, b_near, block_q)))
+                lag_c = fc + sum(map(mul, b_near, block_c))
             a0 = -(g2 * vi + ai)
-            p0 = ca * lag_q
             m0 = jnl * a0 + knl2 * qi + h * p0
             c2 = m0 + qi * c2q - j2g * vi
             c1 = qi * (2.0 * m0 + qi * c1q2) + vi * (jnl * vi - j2g * qi) + c1k
@@ -542,13 +509,14 @@ def integrate_nonlinear(
             u = qi + d
             a1 = w0 * (u - qi - dt * vi) - ai
             vi = vi + half_dt * (ai + a1)
-            block_q.append(u - qi)
-            block_c.append(u * u * u - qi * qi * qi)
+            if not classical:
+                block_q.append(u - qi)
+                block_c.append(u * u * u - qi * qi * qi)
             qi, ai = u, a1
             q.append(qi)
             v.append(vi)
             a.append(ai)
-        if len(block_q) == _BASE:
+        if not classical and len(block_q) == _BASE:
             history.close_block()
     return Trajectory(grid=grid, q=np.array(q), v=np.array(v), a=np.array(a))
 

@@ -26,6 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .constitutive import MaterialParams, _libm, _pow
+from .errors import check_finite
 from .modes import ModalCoefficients, bisect
 
 __all__ = [
@@ -65,9 +66,7 @@ class MmsParams:
     f: float = 0.0
 
     def __post_init__(self):
-        for name in ("omega0", "c_l", "c_nl", "k_nl", "e_r", "alpha", "m_nl", "f"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        check_finite(**vars(self))
         if not (self.omega0 > 0):
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
         if not (0 < self.alpha <= 1):
@@ -245,20 +244,14 @@ def free_envelope(params: MmsParams, a0: float, phi0: float, t):
 
     with the integral of a^2 in closed form as well.
     """
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    check_finite(a0=a0, phi0=phi0, t=t_arr)
     if not (a0 > 0):
         raise ValueError(f"a0 must be positive, got {a0}")
-    if np.any(np.asarray(t) < 0):
+    if np.any(t_arr < 0):
         raise ValueError("time must be non-negative")
-    fac = _damping_factor(params)
-    half = 0.5 * math.pi * params.alpha
-    p_lin = 0.5 * params.c_l * fac * math.sin(half)
-    r_cub = 0.375 * params.c_nl * fac * math.sin(half)
-    c1 = 0.5 * params.c_l * fac * math.cos(half)
-    c2 = (0.75 * params.c_nl * fac * math.cos(half)
-          + 0.75 * params.k_nl / params.omega0
-          - 0.25 * params.m_nl * params.omega0)
+    p_lin, r_cub, c1, _, _, c2 = _cubic_parts(params)
 
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     amp = np.sqrt(_amplitude_squared(p_lin, r_cub, a0, t_arr))
     phases = phi0 + c1 * t_arr + c2 * _amplitude_squared_integral(p_lin, r_cub, a0, t_arr)
     if np.isscalar(t) or np.asarray(t).ndim == 0:
@@ -286,6 +279,7 @@ class CubicCoeffs:
     c_rhs: float
 
     def __post_init__(self):
+        check_finite(**vars(self))
         if self.c_rhs < 0:
             raise ValueError(f"c_rhs must be non-negative, got {self.c_rhs}")
 
@@ -336,7 +330,11 @@ def _grid_discriminant(a: float, b: np.ndarray, c: np.ndarray, d: float) -> np.n
 
 
 def _cubic_parts(params: MmsParams) -> tuple:
-    """(a1, a2, shift, b2, c_rhs) of ``steady_state_cubic``, whose b1 is delta - shift."""
+    """(a1, a2, shift, b2, c_rhs, c2): the slow-flow coefficients, derived once.
+
+    The first five are ``steady_state_cubic``'s, whose b1 is delta - shift;
+    a1, a2, shift and c2 are also ``free_envelope``'s p, r, c1 and c2.
+    """
     fac = _damping_factor(params)
     half = 0.5 * math.pi * params.alpha
     sin_h, cos_h = math.sin(half), math.cos(half)
@@ -347,7 +345,10 @@ def _cubic_parts(params: MmsParams) -> tuple:
                   + params.k_nl / params.omega0
                   + params.m_nl * params.omega0 / 3.0)
     c = params.f**2 / (4.0 * params.omega0**2)
-    return a1, a2, shift, b2, c
+    c2 = (0.75 * params.c_nl * fac * cos_h
+          + 0.75 * params.k_nl / params.omega0
+          - 0.25 * params.m_nl * params.omega0)
+    return a1, a2, shift, b2, c, c2
 
 
 def steady_state_cubic(params: MmsParams, delta) -> CubicCoeffs:
@@ -355,7 +356,7 @@ def steady_state_cubic(params: MmsParams, delta) -> CubicCoeffs:
 
     ``delta`` may be a 1-D array; ``b1`` then holds one value per detuning.
     """
-    a1, a2, shift, b2, c = _cubic_parts(params)
+    a1, a2, shift, b2, c, _ = _cubic_parts(params)
     return CubicCoeffs(a1=a1, a2=a2, b1=delta - shift, b2=b2, c_rhs=c)
 
 
@@ -366,7 +367,7 @@ def _fold_discriminant(params: MmsParams):
     operations of ``CubicCoeffs.cubic`` and ``_discriminant`` in the same
     order, with ``math.pow``, so its value is the same to the last bit.
     """
-    a1, a2, shift, b2, c = _cubic_parts(params)
+    a1, a2, shift, b2, c, _ = _cubic_parts(params)
     a1a2, a1_sq = a1 * a2, a1**2
     p3, p0 = a2**2 + b2**2, -c
     a18, a4, t5 = 18.0 * p3, 4.0 * p3, 27.0 * p3**2 * p0**2
@@ -599,6 +600,7 @@ def frequency_sweep(
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.ndim != 1 or deltas.size == 0:
         raise ValueError("delta grid must be a non-empty 1-D sequence")
+    check_finite(delta_grid=deltas)
     if deltas.size > 1:
         steps = np.diff(deltas)
         if not (np.all(steps > 0) or np.all(steps < 0)):

@@ -128,8 +128,10 @@ def test_classical_path_equals_reference_newmark():
         a[i + 1] = 4 / dt**2 * (q[i + 1] - q[i] - dt * v[i]) - a[i]
         v[i + 1] = v[i] + dt / 2 * (a[i] + a[i + 1])
     traj = integrate_linear(c, k, 1.0, 1.0, q0, v0, GridSpec(dt, n))
-    np.testing.assert_allclose(traj.q, q, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(traj.v, v, rtol=0, atol=1e-10)
+    # the same operations in the same order: equal bit for bit
+    np.testing.assert_array_equal(traj.q, q)
+    np.testing.assert_array_equal(traj.v, v)
+    np.testing.assert_array_equal(traj.a, a)
 
 
 def test_energy_drift_conservative():

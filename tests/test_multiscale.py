@@ -181,6 +181,19 @@ def test_free_envelope_phase_matches_mpmath(change):
     np.testing.assert_allclose(phase, want, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("a0, phi0, t, name", [
+    (math.inf, 0.0, 1.0, "a0"),
+    (math.nan, 0.0, 1.0, "a0"),
+    (1.0, math.nan, 1.0, "phi0"),
+    (1.0, -math.inf, 1.0, "phi0"),
+    (1.0, 0.0, math.nan, "t"),
+    (1.0, 0.0, [0.0, 1.0, math.inf], "t"),
+])
+def test_free_envelope_rejects_non_finite_input(a0, phi0, t, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        free_envelope(CASE1, a0, phi0, t)
+
+
 # ------------------------------------------------- decay rate / sensitivity
 
 def test_decay_rate_trivials():
@@ -448,6 +461,19 @@ def test_sweep_monotone_grid_required():
         frequency_sweep(CASE1, [])
     with pytest.raises(ValueError):
         frequency_sweep(CASE1, [[0.0, 1.0], [2.0, 3.0]])
+    for grid in ([0.0, math.inf], [math.nan], [-math.inf, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="delta_grid must be finite"):
+            frequency_sweep(CASE1, grid)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("a1", math.nan), ("a2", math.inf), ("b1", -math.inf), ("b2", math.nan),
+    ("c_rhs", math.nan), ("c_rhs", math.inf), ("b1", np.array([0.0, 1.0, math.nan])),
+])
+def test_cubic_coeffs_reject_non_finite(name, value):
+    fields = dict(a1=1.0, a2=1.0, b1=1.0, b2=-1.0, c_rhs=1.0)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        CubicCoeffs(**{**fields, name: value})
 
 
 # -------------------------------------------- cross-module consistency

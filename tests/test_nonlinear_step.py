@@ -4,8 +4,9 @@ The step residual used to be a closure defined inside the step loop and
 solved by damped Newton with a centred finite-difference slope.  Both live
 on here as oracles: ``closure_residual`` is that closure, and
 ``fd_slope_stepper`` is that integrator on the same ``L1History`` kernel.
-``step_cubic`` is the cubic that the integrator's loops build inline from
-``_step_model``'s constants, written as one function.
+``step_cubic`` is the cubic that the integrator's loop builds inline from
+``_step_model``'s constants, written as one function, and ``replay_stepper``
+is that loop one step at a time, from the pieces it inlines.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from fracbeam import GridSpec, HarmonicForcing, L1History, MaterialParams, fracode, integrate_nonlinear
 from fracbeam.errors import StepFailureError
-from fracbeam.fracode import _bisect_residual, _cubic, _step_model
+from fracbeam.fracode import _MAX_NEWTON, _NEWTON_TOL, _bisect_residual, _cubic, _finish_step, _step_model
 
 EPS = np.finfo(float).eps
 
@@ -125,6 +126,54 @@ def fd_slope_stepper(co, mat, q0, v0, grid, base_accel, newton_tol=1e-10, max_ne
     return np.array(q)
 
 
+def replay_stepper(co, mat, q0, v0, grid, base_accel):
+    """``integrate_nonlinear`` one step at a time, from the pieces its loop inlines.
+
+    ``step_cubic`` with the lag sums of a two-channel ``L1History`` fed by
+    ``push_pair`` (none at alpha = 1), the predictor, Newton's undamped first
+    step and ``_finish_step``, in the integrator's order of operations, so
+    the trajectory is the integrator's to the last bit.
+    """
+    dt, n, alpha, e_r = grid.dt, grid.n_steps, mat.alpha, mat.e_r
+    force = (-co.m_b * base_accel.values(grid.times())).tolist()
+    classical = alpha == 1.0
+    qi, vi = float(q0), float(v0)
+    num0 = force[0] - co.j_nl * qi * vi**2 - co.k_l * qi - 2.0 * co.k_nl * qi**3
+    if classical:
+        num0 -= e_r * co.c_l * vi + 3.0 * e_r * co.c_nl * qi**2 * vi
+    ai = num0 / (co.m_modal + co.j_nl * qi**2)
+    history = None if classical else L1History(alpha, dt, n, channels=2)
+    model = _step_model(co, e_r, dt, None if classical else history.scale)
+    w0 = 4.0 / dt**2
+    q, v, a = [qi], [vi], [ai]
+    for step in range(1, n + 1):
+        lag_q, lag_c = (None, 0.0) if classical else history.lag_sums()
+        cubic = step_cubic(model, qi, vi, ai, force[step], lag_q, lag_c)
+        d = dt * vi + 0.5 * dt * dt * ai
+        r = _cubic(*cubic, d)
+        tol = max(_NEWTON_TOL, 64.0 * EPS * co.m_modal * w0 * max(abs(qi), abs(dt * vi), 1.0))
+        if abs(r) >= tol:
+            c3, c2, c1, _ = cubic
+            slope = (3.0 * c3 * d + 2.0 * c2) * d + c1
+            d_new = d - r / slope if slope != 0.0 else d
+            r_new = _cubic(*cubic, d_new)
+            iterations = _MAX_NEWTON
+            if abs(r_new) < abs(r):
+                d, r, iterations = d_new, r_new, _MAX_NEWTON - 1
+            if abs(r) >= tol:
+                d = _finish_step(*cubic, d, r, tol, iterations, step, dt, qi, vi)
+        u = qi + d
+        a1 = w0 * (u - qi - dt * vi) - ai
+        vi = vi + 0.5 * dt * (ai + a1)
+        if not classical:
+            history.push_pair(u - qi, u * u * u - qi * qi * qi)
+        qi, ai = u, a1
+        q.append(qi)
+        v.append(vi)
+        a.append(ai)
+    return np.array(q), np.array(v), np.array(a)
+
+
 def scaled(co, j, k, c):
     return dataclasses.replace(co, j_nl=j * co.j_nl, k_nl=k * co.k_nl, c_nl=c * co.c_nl)
 
@@ -199,14 +248,44 @@ def test_trajectory_matches_fd_slope_stepper(case, alpha, case1_coeffs, case2_co
     assert np.max(np.abs(traj.q - want)) <= trajectory_bound(co, traj)
 
 
+# the stall of test_bisection_fallback_matches_newton, whose step 91 is bisected
+STALL = dict(ratio=0.23608192197325845, alpha=0.5726133457159566, dt=0.02088715983593783,
+             n=91, amp=29.150353062206644, q0=-0.006024160800807912, v0=17.32884565474078)
+
+
+@pytest.mark.parametrize("case, alpha, n", [
+    ("no-tip", 1.0, 1001), ("tip-mass", 1.0, 1001),
+    ("no-tip", 0.5, 1001), ("tip-mass", 0.5, 1001),
+    ("stall", 1.0, STALL["n"]), ("stall", STALL["alpha"], STALL["n"]),
+])
+def test_trajectory_equals_replay(case, alpha, n, case1_coeffs, case2_coeffs):
+    # every run ends inside a history block (1001 = 31 * 32 + 9, 91 = 2 * 32 + 27)
+    assert n % fracode._BASE not in (0, 1)
+    co = case1_coeffs if case == "no-tip" else case2_coeffs
+    omega = math.sqrt(co.k_l / co.m_modal)
+    if case == "stall":
+        mat = MaterialParams.from_ratio(STALL["ratio"], alpha)
+        grid, base = GridSpec(STALL["dt"], n), HarmonicForcing(STALL["amp"], omega)
+        q0, v0 = STALL["q0"], STALL["v0"]
+    else:
+        mat = MaterialParams.from_ratio(0.1, alpha)
+        grid, base = GridSpec(0.01, n), HarmonicForcing(0.5, 1.02 * omega)
+        q0, v0 = 0.3, -0.4
+    traj = integrate_nonlinear(co, mat, q0, v0, grid, base)
+    q, v, a = replay_stepper(co, mat, q0, v0, grid, base)
+    np.testing.assert_array_equal(traj.q, q)
+    np.testing.assert_array_equal(traj.v, v)
+    np.testing.assert_array_equal(traj.a, a)
+
+
 def test_bisection_fallback_matches_newton(case2_coeffs, monkeypatch):
     # a large-amplitude tip-mass run whose damped Newton stalls at step 91,
     # far from the root; the step lands on the bisection of its cubic
     co = case2_coeffs
-    mat = MaterialParams.from_ratio(0.23608192197325845, 0.5726133457159566)
-    dt, n = 0.02088715983593783, 91
+    mat = MaterialParams.from_ratio(STALL["ratio"], STALL["alpha"])
+    dt, n = STALL["dt"], STALL["n"]
     grid = GridSpec(dt, n)
-    base = HarmonicForcing(29.150353062206644, math.sqrt(co.k_l / co.m_modal))
+    base = HarmonicForcing(STALL["amp"], math.sqrt(co.k_l / co.m_modal))
     calls = []
 
     def spy(residual, center, width):
@@ -214,7 +293,7 @@ def test_bisection_fallback_matches_newton(case2_coeffs, monkeypatch):
         return _bisect_residual(residual, center, width)
 
     monkeypatch.setattr(fracode, "_bisect_residual", spy)
-    traj = integrate_nonlinear(co, mat, -0.006024160800807912, 17.32884565474078, grid, base)
+    traj = integrate_nonlinear(co, mat, STALL["q0"], STALL["v0"], grid, base)
     assert len(calls) == 1
     center, width = calls[0]
     # step 91's cubic, rebuilt from the trajectory's first 91 levels
@@ -239,19 +318,20 @@ def test_bisection_fallback_matches_newton(case2_coeffs, monkeypatch):
 
 
 def test_step_failure_names_time_and_state(case1_coeffs):
-    # the predictor lands about 4e15 from the step's root near -1.2e6; 50
-    # damped Newton iterations, each shrinking d by about a third, stop short
-    # of it, and no bracket of the fallback search (at most +-2.048 wide
-    # here) holds a sign change
-    mat = MaterialParams.from_ratio(0.1, 0.5)
+    # at alpha = 0.5 the predictor lands about 4e15 from the step's root near
+    # -1.2e6; 50 damped Newton iterations, each shrinking d by about a third,
+    # stop short of it, and no bracket of the fallback search (at most
+    # +-2.048 wide here) holds a sign change; the classical step stalls too
     dt, q0, v0 = 0.01, 0.1, -0.2
-    with pytest.raises(StepFailureError) as info:
-        integrate_nonlinear(case1_coeffs, mat, q0, v0, GridSpec(dt, 10),
-                            HarmonicForcing(1e20, 3.0))
-    err = info.value
-    assert (err.step, err.t, err.q, err.v) == (1, dt, q0, v0)
-    assert err.residual > 1e6
-    assert f"step 1 (t = {dt!r}, q = {q0!r}, v = {v0!r}," in str(err)
+    for alpha in (0.5, 1.0):
+        mat = MaterialParams.from_ratio(0.1, alpha)
+        with pytest.raises(StepFailureError) as info:
+            integrate_nonlinear(case1_coeffs, mat, q0, v0, GridSpec(dt, 10),
+                                HarmonicForcing(1e20, 3.0))
+        err = info.value
+        assert (err.step, err.t, err.q, err.v) == (1, dt, q0, v0)
+        assert err.residual > 1e6
+        assert f"step 1 (t = {dt!r}, q = {q0!r}, v = {v0!r}," in str(err)
 
 
 def test_step_failure_inside_a_block_names_its_step(case2_coeffs, monkeypatch):
@@ -259,11 +339,11 @@ def test_step_failure_inside_a_block_names_its_step(case2_coeffs, monkeypatch):
     # inside the third history block (91 = 2 * 32 + 27); with no bracket
     # found it fails, naming the level it started from
     co = case2_coeffs
-    mat = MaterialParams.from_ratio(0.23608192197325845, 0.5726133457159566)
-    dt, n = 0.02088715983593783, 91
+    mat = MaterialParams.from_ratio(STALL["ratio"], STALL["alpha"])
+    dt, n = STALL["dt"], STALL["n"]
     assert n % fracode._BASE not in (0, 1)
-    base = HarmonicForcing(29.150353062206644, math.sqrt(co.k_l / co.m_modal))
-    q0, v0 = -0.006024160800807912, 17.32884565474078
+    base = HarmonicForcing(STALL["amp"], math.sqrt(co.k_l / co.m_modal))
+    q0, v0 = STALL["q0"], STALL["v0"]
     traj = integrate_nonlinear(co, mat, q0, v0, GridSpec(dt, n - 1), base)
     centers = []
 
