@@ -16,7 +16,6 @@ import numpy as np
 
 from fracbeam import (
     MaterialParams,
-    StrainProgram,
     complex_modulus,
     ramp_hold_stress,
     tangent_loss,

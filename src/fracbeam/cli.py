@@ -39,10 +39,12 @@ __all__ = ["ResultTable", "main"]
 class ResultTable:
     """Rectangular numeric output with a provenance header.
 
-    ``rows`` is a list of equal-length numeric rows or a 2-D float array, and
-    ``values`` holds the same cells as one float array.  ``ints`` names the
-    integer columns (counts and 0/1 tags): their cells are integers below 2^53
-    in magnitude, or NaN.  ``absent`` maps a column to ``(count column, k)``:
+    ``provenance`` lists (key, value) pairs, each value text or a number that
+    is printed as a cell is (``_fmt``).  ``rows`` is a list of equal-length
+    numeric rows or a 2-D float array, and ``values`` holds the same cells as
+    one float array.  ``ints`` names the integer columns (counts and 0/1
+    tags): their cells are integers below 2^53 in magnitude, or NaN.
+    ``absent`` maps a column to ``(count column, k)``:
     in rows whose count is at most k the column holds NaN for a value that
     does not exist (a root past ``n_roots``, a fold the sweep did not cross,
     an order not found).
@@ -76,7 +78,13 @@ class ResultTable:
         return format(float(x), ".17g")
 
     def check_finite(self) -> None:
-        """Raise ``FloatingPointError`` at the first non-finite cell not marked absent."""
+        """Raise ``FloatingPointError`` at the first non-finite number of the table.
+
+        Provenance numbers come first, then the cells not marked absent.
+        """
+        for key, value in self.provenance:
+            if not isinstance(value, str) and not math.isfinite(value):
+                raise FloatingPointError(f"non-finite {key} = {value} in the provenance")
         values = self.values
         ok = np.isfinite(values)
         for col, (count, k) in self.absent.items():
@@ -86,8 +94,11 @@ class ResultTable:
             raise FloatingPointError(f"non-finite {self.columns[j]} = {values[i, j]} "
                                      f"in table row {i + 1}")
 
+    def _header(self) -> list:
+        return [(k, v if isinstance(v, str) else self._fmt(v)) for k, v in self.provenance]
+
     def to_csv(self) -> str:
-        lines = [f"# {k}={v}" for k, v in self.provenance]
+        lines = [f"# {k}={v}" for k, v in self._header()]
         lines.append(",".join(self.columns))
         return "".join(["\n".join(lines) + "\n", *g17.csv_chunks(self.values)])
 
@@ -98,7 +109,7 @@ class ResultTable:
         if not np.all((np.abs(cells) < 2**53) & (cells == np.trunc(cells))):
             raise TypeError(f"integer columns {self.ints} hold a value that is not "
                             "an integer below 2^53")
-        head = json.dumps({"provenance": dict(self.provenance), "columns": self.columns,
+        head = json.dumps({"provenance": dict(self._header()), "columns": self.columns,
                            "rows": None}, indent=1)[:-len("null\n}")]
         body = list(g17.json_chunks(self.values, is_int))
         if not body:
@@ -116,8 +127,7 @@ def _tip_from(cfg: dict) -> TipConfig:
 
 def _provenance(command: str, cfg: dict) -> list:
     return [("fracbeam", __version__), ("command", command)] + [
-        (k, v if isinstance(v, str) else ResultTable._fmt(v))
-        for k, v in sorted(cfg.items()) if v is not None]
+        (k, v) for k, v in sorted(cfg.items()) if v is not None]
 
 
 def _first_mode(cfg: dict) -> tuple[float, ModalCoefficients]:
@@ -202,8 +212,7 @@ def cmd_simulate(cfg: dict) -> ResultTable:
 
 def cmd_envelope(cfg: dict) -> ResultTable:
     params = _mms_params_for(cfg)
-    prov = [("decay_rate", ResultTable._fmt(decay_rate(params))),
-            ("sensitivity", ResultTable._fmt(sensitivity(params)))]
+    prov = [("decay_rate", decay_rate(params)), ("sensitivity", sensitivity(params))]
     t = np.linspace(0.0, cfg["t_final"], cfg["count"])
     amp, phase = free_envelope(params, cfg["a0"], cfg["phi0"], t)
     return ResultTable(["t", "amp", "phase"], np.column_stack([t, amp, phase]), prov)
@@ -244,7 +253,7 @@ def cmd_sweep(cfg: dict) -> ResultTable:
     if var == "delta":
         deltas = np.linspace(cfg["min"], cfg["max"], cfg["count"])
         branch = frequency_sweep(base, deltas)
-        prov = [("bifurcation_delta", ResultTable._fmt(b)) for b in branch.bifurcations]
+        prov = [("bifurcation_delta", b) for b in branch.bifurcations]
         cols = ["delta", "n_roots", "a1", "gamma1", "stable1",
                 "a2", "gamma2", "stable2", "a3", "gamma3", "stable3"]
         return ResultTable(cols, _sweep_values(branch), prov,

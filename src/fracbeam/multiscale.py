@@ -2,19 +2,15 @@
 
 First-order averaging of the weakly nonlinear, fractionally damped mode gives
 closed-form slow equations for the response amplitude a and phase.  For free
-vibration the amplitude obeys a Bernoulli equation
-
-    da/dT = -(p a + r a^3),
-    p = (c_l/2)   E_r w0^(a-1) sin(a pi/2),
-    r = (3 c_nl/8) E_r w0^(a-1) sin(a pi/2),
-
-solved in closed form here.  Under primary resonance (drive frequency
-w0 + delta) the steady amplitude solves a cubic in a^2 whose coefficients,
-discriminant and roots this module exposes, together with detuning sweeps
-and saddle-node (jump) point location.
+vibration the amplitude obeys a Bernoulli equation, solved in closed form
+here.  Under primary resonance (drive frequency w0 + delta) the steady
+amplitude solves a cubic in a^2 whose coefficients, discriminant and roots
+this module exposes, together with detuning sweeps and saddle-node (jump)
+point location.  All of these, and the decay rate with its derivatives in
+the order, read one record of coefficients, ``_SlowFlow``.
 
 A tip mass adds an inertia rate m_nl that enters only the phase equation and
-the cubic coefficient B2; setting m_nl = 0 recovers the plain cantilever.
+the cubic coefficient b2; setting m_nl = 0 recovers the plain cantilever.
 """
 
 from __future__ import annotations
@@ -81,8 +77,7 @@ class MmsParams:
         ``scale_coefficients`` already returns an ``MmsParams``; this stays
         only because acceptance criteria 7 and 10 call it.
         """
-        return cls(omega0=sc.omega0, c_l=sc.c_l, c_nl=sc.c_nl, k_nl=sc.k_nl,
-                   e_r=sc.e_r, alpha=sc.alpha, m_nl=sc.m_nl, f=sc.f)
+        return cls(**vars(sc))
 
 
 def scale_coefficients(
@@ -106,33 +101,64 @@ def scale_coefficients(
     )
 
 
-def _damping_factor(p: MmsParams) -> float:
-    return p.e_r * p.omega0 ** (p.alpha - 1.0)
+@dataclass(frozen=True)
+class _SlowFlow:
+    """The slow-flow coefficients of one parameter set, each derived once.
+
+    With fac = E_r w0^(a-1), h = a pi/2 and L = ln w0 at the order a, the decay
+    rate and its first two derivatives in a, then the envelope and cubic terms:
+
+        decay         = c_l fac sin h,
+        sensitivity   = c_l fac ((pi/2) cos h + L sin h),
+        curvature     = (c_l E_r) w0^(a-1) (pi L cos h + (L^2 - pi^2/4) sin h),
+        a1, a2, shift = (c_l/2) fac sin h, (3 c_nl/8) fac sin h, (c_l/2) fac cos h,
+        b2            = -(3/4) (c_nl fac cos h + k_nl/w0 + m_nl w0/3),
+        c2            = (3/4) c_nl fac cos h + (3/4) k_nl/w0 - (1/4) m_nl w0.
+
+    The free envelope obeys da/dT = -(a1 a + a2 a^3), dphi/dT = shift + c2 a^2; the
+    cubic (``CubicCoeffs``) takes b1 = delta - shift and c_rhs from ``_forcing_term``.
+    b2's and c2's tip-inertia terms differ in sign: integration sides with c2, and the
+    strict-xfail ``test_steady_state_backbone_tip_mass_matches_integrator`` pins b2.
+    """
+
+    decay: float
+    sensitivity: float
+    curvature: float
+    a1: float
+    a2: float
+    shift: float
+    b2: float
+    c2: float
+
+
+def _slow_flow(params: MmsParams, order: float | None = None) -> _SlowFlow:
+    """``params``' slow-flow coefficients, at ``order`` (which may leave (0, 1]) if given."""
+    alpha = params.alpha if order is None else order
+    w0, half = params.omega0, 0.5 * math.pi * alpha
+    power = w0 ** (alpha - 1.0)
+    fac = params.e_r * power
+    sin_h, cos_h, ln = math.sin(half), math.cos(half), math.log(w0)
+    return _SlowFlow(
+        decay=params.c_l * fac * sin_h,
+        sensitivity=params.c_l * fac * (0.5 * math.pi * cos_h + sin_h * ln),
+        curvature=(params.c_l * params.e_r * power
+                   * (math.pi * ln * cos_h + (ln**2 - 0.25 * math.pi**2) * sin_h)),
+        a1=0.5 * params.c_l * fac * sin_h,
+        a2=0.375 * params.c_nl * fac * sin_h,
+        shift=0.5 * params.c_l * fac * cos_h,
+        b2=-0.75 * (params.c_nl * fac * cos_h + params.k_nl / w0 + params.m_nl * w0 / 3.0),
+        c2=0.75 * params.c_nl * fac * cos_h + 0.75 * params.k_nl / w0 - 0.25 * params.m_nl * w0,
+    )
 
 
 def decay_rate(params: MmsParams) -> float:
-    """Linear free-vibration decay rate c_l E_r w0^(alpha-1) sin(alpha pi/2)."""
-    return params.c_l * _damping_factor(params) * math.sin(0.5 * math.pi * params.alpha)
-
-
-def _sensitivity_at(params: MmsParams, alpha: float) -> float:
-    """d(decay_rate)/d(alpha) at order ``alpha``, which may leave (0, 1]."""
-    fac = params.c_l * (params.e_r * params.omega0 ** (alpha - 1.0))
-    half = 0.5 * math.pi * alpha
-    return fac * (0.5 * math.pi * math.cos(half) + math.sin(half) * math.log(params.omega0))
+    """Linear free-vibration decay rate (``_SlowFlow.decay``)."""
+    return _slow_flow(params).decay
 
 
 def sensitivity(params: MmsParams) -> float:
     """Partial derivative of the decay rate with respect to alpha."""
-    return _sensitivity_at(params, params.alpha)
-
-
-def _sensitivity_slope(params: MmsParams, alpha: float) -> float:
-    """d(sensitivity)/d(alpha), analytic."""
-    fac = params.c_l * params.e_r * params.omega0 ** (alpha - 1.0)
-    half = 0.5 * math.pi * alpha
-    ln = math.log(params.omega0)
-    return fac * (math.pi * ln * math.cos(half) + (ln**2 - 0.25 * math.pi**2) * math.sin(half))
+    return _slow_flow(params).sensitivity
 
 
 @dataclass(frozen=True)
@@ -196,8 +222,8 @@ def critical_alpha(params: MmsParams, mode: str = "decay-peak") -> CriticalAlpha
                                    in_unit_interval=False, mode=mode, closed_form=closed)
     if below_one and root >= 1.0:
         root = math.nextafter(1.0, 0.0)
-    residual = (_sensitivity_at(params, root) if mode == "decay-peak"
-                else _sensitivity_slope(params, root))
+    flow = _slow_flow(params, root)
+    residual = flow.sensitivity if mode == "decay-peak" else flow.curvature
     return CriticalAlphaResult(found=True, alpha_cr=root, residual=residual,
                                in_unit_interval=0.0 < root < 1.0, mode=mode,
                                closed_form=closed)
@@ -236,13 +262,8 @@ def free_envelope(params: MmsParams, a0: float, phi0: float, t):
     """Free-vibration envelope a(t) and phase phi(t) from the slow flow.
 
     The amplitude uses the Bernoulli closed form; the phase integrates
-
-        dphi/dt = c1 + c2 a(t)^2,
-        c1 = (c_l/2)  E_r w0^(a-1) cos(a pi/2),
-        c2 = (3 c_nl/4) E_r w0^(a-1) cos(a pi/2) + (3/4) k_nl / w0
-             - (1/4) m_nl w0,
-
-    with the integral of a^2 in closed form as well.
+    dphi/dt = shift + c2 a(t)^2 (coefficients in ``_SlowFlow``), with the
+    integral of a^2 in closed form as well.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     check_finite(a0=a0, phi0=phi0, t=t_arr)
@@ -250,10 +271,10 @@ def free_envelope(params: MmsParams, a0: float, phi0: float, t):
         raise ValueError(f"a0 must be positive, got {a0}")
     if np.any(t_arr < 0):
         raise ValueError("time must be non-negative")
-    p_lin, r_cub, c1, _, _, c2 = _cubic_parts(params)
-
-    amp = np.sqrt(_amplitude_squared(p_lin, r_cub, a0, t_arr))
-    phases = phi0 + c1 * t_arr + c2 * _amplitude_squared_integral(p_lin, r_cub, a0, t_arr)
+    flow = _slow_flow(params)
+    amp = np.sqrt(_amplitude_squared(flow.a1, flow.a2, a0, t_arr))
+    phases = (phi0 + flow.shift * t_arr
+              + flow.c2 * _amplitude_squared_integral(flow.a1, flow.a2, a0, t_arr))
     if np.isscalar(t) or np.asarray(t).ndim == 0:
         return float(amp[0]), float(phases[0])
     return amp, phases
@@ -263,7 +284,7 @@ def free_envelope(params: MmsParams, a0: float, phi0: float, t):
 class CubicCoeffs:
     """Coefficient block of the steady-state amplitude equation.
 
-    The response amplitude solves, on x = a^2,
+    The response amplitude solves, on x = a^2 (coefficients from ``_SlowFlow``),
 
         (a2^2 + b2^2) x^3 + 2 (a1 a2 + b1 b2) x^2 + (a1^2 + b1^2) x - c_rhs = 0.
 
@@ -329,26 +350,9 @@ def _grid_discriminant(a: float, b: np.ndarray, c: np.ndarray, d: float) -> np.n
     return disc
 
 
-def _cubic_parts(params: MmsParams) -> tuple:
-    """(a1, a2, shift, b2, c_rhs, c2): the slow-flow coefficients, derived once.
-
-    The first five are ``steady_state_cubic``'s, whose b1 is delta - shift;
-    a1, a2, shift and c2 are also ``free_envelope``'s p, r, c1 and c2.
-    """
-    fac = _damping_factor(params)
-    half = 0.5 * math.pi * params.alpha
-    sin_h, cos_h = math.sin(half), math.cos(half)
-    a1 = 0.5 * params.c_l * fac * sin_h
-    a2 = 0.375 * params.c_nl * fac * sin_h
-    shift = 0.5 * params.c_l * fac * cos_h
-    b2 = -0.75 * (params.c_nl * fac * cos_h
-                  + params.k_nl / params.omega0
-                  + params.m_nl * params.omega0 / 3.0)
-    c = params.f**2 / (4.0 * params.omega0**2)
-    c2 = (0.75 * params.c_nl * fac * cos_h
-          + 0.75 * params.k_nl / params.omega0
-          - 0.25 * params.m_nl * params.omega0)
-    return a1, a2, shift, b2, c, c2
+def _forcing_term(params: MmsParams) -> float:
+    """c_rhs = f^2/(4 w0^2), the cubic's constant term, for its two consumers below."""
+    return params.f**2 / (4.0 * params.omega0**2)
 
 
 def steady_state_cubic(params: MmsParams, delta) -> CubicCoeffs:
@@ -356,8 +360,9 @@ def steady_state_cubic(params: MmsParams, delta) -> CubicCoeffs:
 
     ``delta`` may be a 1-D array; ``b1`` then holds one value per detuning.
     """
-    a1, a2, shift, b2, c, _ = _cubic_parts(params)
-    return CubicCoeffs(a1=a1, a2=a2, b1=delta - shift, b2=b2, c_rhs=c)
+    flow = _slow_flow(params)
+    return CubicCoeffs(a1=flow.a1, a2=flow.a2, b1=delta - flow.shift, b2=flow.b2,
+                       c_rhs=_forcing_term(params))
 
 
 def _fold_discriminant(params: MmsParams):
@@ -367,9 +372,9 @@ def _fold_discriminant(params: MmsParams):
     operations of ``CubicCoeffs.cubic`` and ``_discriminant`` in the same
     order, with ``math.pow``, so its value is the same to the last bit.
     """
-    a1, a2, shift, b2, c, _ = _cubic_parts(params)
-    a1a2, a1_sq = a1 * a2, a1**2
-    p3, p0 = a2**2 + b2**2, -c
+    flow = _slow_flow(params)
+    shift, b2, a1a2, a1_sq = flow.shift, flow.b2, flow.a1 * flow.a2, flow.a1**2
+    p3, p0 = flow.a2**2 + b2**2, -_forcing_term(params)
     a18, a4, t5 = 18.0 * p3, 4.0 * p3, 27.0 * p3**2 * p0**2
     pow_ = math.pow
 
@@ -595,7 +600,8 @@ def frequency_sweep(
     double, so it reports the ascending grid's folds in descending order
     (unless the discriminant is exactly zero at a node).  A fold pair
     closer together than the grid step can fall between two nodes and go
-    unreported.
+    unreported.  A cubic that overflows a double raises ``OverflowError``
+    naming the parameters and the detuning range.
     """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.ndim != 1 or deltas.size == 0:
@@ -605,21 +611,22 @@ def frequency_sweep(
         steps = np.diff(deltas)
         if not (np.all(steps > 0) or np.all(steps < 0)):
             raise ValueError("delta grid must be strictly monotone")
-    p = params
-    if alpha is not None:
-        p = replace(p, alpha=alpha)
-    if e_r is not None:
-        p = replace(p, e_r=e_r)
-    if f is not None:
-        p = replace(p, f=f)
+    overrides = {"alpha": alpha, "e_r": e_r, "f": f}
+    p = replace(params, **{name: value for name, value in overrides.items() if value is not None})
 
-    coeffs = steady_state_cubic(p, deltas)
-    cubic = coeffs.cubic()
-    n_roots, amp, gamma, stable = _steady_roots(coeffs, cubic)
-    disc = _grid_discriminant(*cubic)
-    negative = disc < 0
-    crossings = np.flatnonzero((disc[:-1] == 0.0) | (negative[:-1] != negative[1:])).tolist()
-    fold = _fold_discriminant(p)
-    bifurcations = [bisect(fold, float(deltas[i]), float(deltas[i + 1]), 1e-10) for i in crossings]
+    try:
+        coeffs = steady_state_cubic(p, deltas)
+        cubic = coeffs.cubic()
+        n_roots, amp, gamma, stable = _steady_roots(coeffs, cubic)
+        disc = _grid_discriminant(*cubic)
+        negative = disc < 0
+        crossings = np.flatnonzero((disc[:-1] == 0.0) | (negative[:-1] != negative[1:])).tolist()
+        fold = _fold_discriminant(p)
+        bifurcations = [bisect(fold, float(deltas[i]), float(deltas[i + 1]), 1e-10)
+                        for i in crossings]
+    except OverflowError as exc:
+        # Python's ** and math.pow name no operand: name the parameters
+        raise OverflowError(f"{exc.args[-1]}: the steady-state cubic overflows at {p}, delta in "
+                            f"[{float(deltas[0])!r}, {float(deltas[-1])!r}]") from exc
     return ResponseBranch(deltas=deltas, n_roots=n_roots, amp=amp, gamma=gamma,
                           stable=stable, bifurcations=bifurcations)

@@ -1,6 +1,8 @@
 import json
 import math
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -730,6 +732,19 @@ def test_sweep_overflow_is_numerical_failure(capsys):
     assert "fracbeam: error: math range error" in captured.err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("argv, value", [(["--f", "1e200", "--count", "5"], "f=1e+200"),
+                                         (["--er", "1e150", "--count", "3"], "e_r=1e+150")])
+def test_sweep_overflow_names_the_parameters(capsys, argv, value):
+    # the forcing term f^2 or the discriminant's p3^2 overflows inside Python's **
+    code = main(["sweep", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "the steady-state cubic overflows at MmsParams(omega0=" in captured.err
+    assert value in captured.err
+
+
 # every enumerated flag, with a command that takes it
 _ENUMERATED = [("modes", "case"), ("constitutive", "kind"), ("simulate", "model"),
                ("sweep", "var"), ("critical-alpha", "mode")]
@@ -796,6 +811,17 @@ def test_non_finite_table_exit_code_1(capsys, argv, message, fmt):
     assert f"fracbeam: error: {message}" in captured.err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_provenance_exit_code_1(capsys, fmt):
+    # the table is finite; the sensitivity it echoes overflows
+    code = main(["envelope", "--er", "4e307", "--alpha", "0.01", "--t-final", "0",
+                 "--count", "2", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "fracbeam: error: non-finite sensitivity = inf in the provenance" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--var", "er", "--min", "0.1", "--max", "1", "--count", "10", "--f", "0.5"],
     ["critical-alpha", "--omega0", "1", "--mode", "sensitivity-extremum"],
@@ -814,6 +840,16 @@ def test_check_finite_exempts_only_absent_cells():
     for rows in ([[1, math.nan]], [[0, 1.0], [math.inf, 2.0]]):
         with pytest.raises(FloatingPointError):
             ResultTable(["n", "x"], rows, absent=absent).check_finite()
+
+
+def test_check_finite_checks_provenance_numbers():
+    ok = ResultTable(["x"], [[1.0]], [("command", "sweep"), ("bifurcation_delta", 0.5)])
+    ok.check_finite()
+    assert "# bifurcation_delta=0.5\n" in ok.to_csv()
+    assert '"bifurcation_delta": "0.5"' in ok.to_json()
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(FloatingPointError, match="non-finite bifurcation_delta"):
+            ResultTable(["x"], [[1.0]], [("bifurcation_delta", bad)]).check_finite()
 
 
 def _modes_per_row(cfg):
@@ -932,3 +968,19 @@ def test_parser_reused_across_main_calls(tmp_path, capsys):
     assert {code for code, _, _ in got[len(calls):]} == {2}
     assert all(code == 0 for code, _, _ in got[:len(calls)])
     assert cli.build_parser() is cli.build_parser()
+
+
+def _readme_usage_lines():
+    """The ``fracbeam ...`` lines of README's usage block, as argument lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return [shlex.split(line, comments=True)[1:] for line in text.splitlines()
+            if line.startswith("fracbeam ")]
+
+
+def test_readme_usage_examples_exit_0(tmp_path, capsys):
+    # a documented example that leaves its flags' domain fails here
+    commands = _readme_usage_lines()
+    assert len(commands) >= 10
+    for i, argv in enumerate(commands):
+        assert main([*argv, "--output", str(tmp_path / f"{i}.out")]) == 0, argv
+    assert capsys.readouterr().err == ""

@@ -4,6 +4,8 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracbeam import (
     CubicCoeffs,
@@ -21,7 +23,7 @@ from fracbeam import (
     solve_steady_amplitudes,
     steady_state_cubic,
 )
-from fracbeam.multiscale import _amplitude_squared_integral
+from fracbeam.multiscale import _amplitude_squared_integral, _slow_flow
 
 
 CASE1 = MmsParams(omega0=3.5160152685, c_l=12.3624, c_nl=20.2203, k_nl=20.2203,
@@ -195,6 +197,70 @@ def test_free_envelope_rejects_non_finite_input(a0, phi0, t, name):
 
 
 # ------------------------------------------------- decay rate / sensitivity
+
+def _separate_formulas(p, order):
+    """The slow-flow coefficients, each written out on its own with its operand
+    order: the decay rate's and the cubic's factor E_r w0^(a-1), the
+    sensitivity's c_l (E_r w0^(a-1)) and the curvature's (c_l E_r) w0^(a-1);
+    sensitivity and curvature at ``order``."""
+    fac = p.e_r * p.omega0 ** (p.alpha - 1.0)
+    half = 0.5 * math.pi * p.alpha
+    sin_h, cos_h = math.sin(half), math.cos(half)
+    sens_fac = p.c_l * (p.e_r * p.omega0 ** (order - 1.0))
+    curv_fac = p.c_l * p.e_r * p.omega0 ** (order - 1.0)
+    at, ln = 0.5 * math.pi * order, math.log(p.omega0)
+    return {
+        "decay": p.c_l * fac * math.sin(0.5 * math.pi * p.alpha),
+        "sensitivity": sens_fac * (0.5 * math.pi * math.cos(at) + math.sin(at) * ln),
+        "curvature": curv_fac * (math.pi * ln * math.cos(at)
+                                 + (ln**2 - 0.25 * math.pi**2) * math.sin(at)),
+        "a1": 0.5 * p.c_l * fac * sin_h,
+        "a2": 0.375 * p.c_nl * fac * sin_h,
+        "shift": 0.5 * p.c_l * fac * cos_h,
+        "b2": -0.75 * (p.c_nl * fac * cos_h + p.k_nl / p.omega0 + p.m_nl * p.omega0 / 3.0),
+        "c2": (0.75 * p.c_nl * fac * cos_h + 0.75 * p.k_nl / p.omega0
+               - 0.25 * p.m_nl * p.omega0),
+    }
+
+
+_rate = st.floats(0.0, 100.0)
+
+
+@given(omega0=st.floats(1e-3, 1e3), c_l=_rate, c_nl=_rate, k_nl=_rate,
+       e_r=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)), alpha=st.floats(1e-3, 1.0),
+       m_nl=st.one_of(st.just(0.0), _rate), order=st.floats(1e-3, 1.999))
+@example(omega0=1.114, c_l=1.24, c_nl=37.7, k_nl=37.7, e_r=0.0, alpha=0.4, m_nl=63.4, order=1.5)
+@example(omega0=0.37, c_l=0.3, c_nl=0.0, k_nl=0.0, e_r=0.7, alpha=0.5, m_nl=0.0, order=0.5)
+@settings(max_examples=300, deadline=None)
+def test_slow_flow_record_matches_separate_formulas(omega0, c_l, c_nl, k_nl, e_r, alpha,
+                                                    m_nl, order):
+    # bit for bit: one derivation of every coefficient changes no table
+    p = MmsParams(omega0=omega0, c_l=c_l, c_nl=c_nl, k_nl=k_nl, e_r=e_r, alpha=alpha,
+                  m_nl=m_nl, f=1.0)
+    own, at_order = _separate_formulas(p, p.alpha), _separate_formulas(p, order)
+    flow = _slow_flow(p)
+    for name, value in own.items():
+        assert getattr(flow, name) == value, name
+    assert _slow_flow(p, order).sensitivity == at_order["sensitivity"]
+    assert _slow_flow(p, order).curvature == at_order["curvature"]
+    assert decay_rate(p) == own["decay"] and sensitivity(p) == own["sensitivity"]
+    for mode, name in (("decay-peak", "sensitivity"), ("sensitivity-extremum", "curvature")):
+        res = critical_alpha(p, mode)
+        if res.found:
+            assert res.residual == _separate_formulas(p, res.alpha_cr)[name], mode
+
+
+@pytest.mark.parametrize("change", [{"f": 1e200}, {"omega0": 1e200, "f": 0.0}])
+def test_free_slow_flow_needs_no_forcing_term(change):
+    # f^2 or w0^2 overflows here, but only the resonance cubic reads f^2/(4 w0^2)
+    p = replace(MmsParams(omega0=3.5, c_l=1, c_nl=1, k_nl=1, e_r=0.1, alpha=0.5), **change)
+    values = [decay_rate(p), sensitivity(p), *free_envelope(p, 1.0, 0.0, 1.0)]
+    for mode in ("decay-peak", "sensitivity-extremum"):
+        res = critical_alpha(p, mode)
+        assert res.found
+        values += [res.alpha_cr, res.residual]
+    assert all(math.isfinite(v) for v in values)
+
 
 def test_decay_rate_trivials():
     p = replace(CASE1, alpha=1.0)
