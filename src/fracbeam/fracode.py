@@ -17,9 +17,10 @@ open block of up to 31 increments, plus dyadic blocks of the older history
 added to every channel at once, by a dense Toeplitz product up to 128
 increments and by FFT above, with transforms sized to the targets that
 exist.  That is O(N log^2 N) over N steps instead of the O(N^2) direct sum,
-and equal to it up to round-off (about 1e-13 relative).  The integrators
-step the history a block of 32 steps at a time: the inner loop over a
-block's steps makes no call into the kernel, and the block closes with one.
+and equal to it up to round-off (about 1e-13 relative).  The kernel is
+stepped only a block of 32 increments at a time: an integrator's inner loop
+over a block's steps reads and appends to the block's Python lists without
+a call into the kernel, and one ``close_block()`` call ends the block.
 Each integrator has one such block loop for every order: at alpha = 1 a
 step takes the classical Newmark velocity for D^alpha q instead of the L1
 sum, and the run keeps no history.  On a 2-vCPU x86 machine with
@@ -137,29 +138,29 @@ def _l1_constants(alpha: float, dt: float, n: int) -> tuple[np.ndarray, float]:
 
 
 class L1History:
-    """Incremental L1 history sums over one or two streams of increments.
+    """L1 history sums over one or two streams of increments, a block at a time.
 
     Each channel k is a stream x_0, x_1, ... of increments, and all channels
     share one weight sequence and one step count.  After n increments the
-    sum of channel k is sum_{j=1..n} b_j x_{n-j}, the part of its L1 sum
+    lag sum of channel k is sum_{j=1..n} b_j x_{n-j}, the part of its L1 sum
     that is known before the next increment x_n (whose weight is b_0 = 1)
     arrives.  ``weights`` holds b_0..b_m (m >= capacity) and ``scale`` the
     factor dt^(-alpha)/Gamma(2-alpha), so the Caputo derivative after x_n is
     ``scale * (x_n + lag sum)``.
 
-    The history is stepped a block of _BASE increments at a time.  While a
-    block is open, ``blocks[k]`` is the list of channel k's increments in it
-    and ``block_fars[k][r]`` the far part of the sum of its r-th target
-    (every lag that reaches back before the block), so after r increments
-    of the block the lag sum is
+    A stepper feeds the history a block of _BASE increments at a time.
+    While a block is open, ``blocks[k]`` is the list of channel k's
+    increments in it and ``block_fars[k][r]`` the far part of the lag sum
+    of its r-th target (every lag that reaches back before the block), so
+    after r increments of the block the lag sum is
 
         block_fars[k][r] + sum(map(mul, near_weights[r], blocks[k]))
 
-    with ``near_weights[r]`` = [b_r, ..., b_1].  A stepper appends to the
+    with ``near_weights[r]`` = [b_r, ..., b_1].  The stepper appends to the
     block lists and calls ``close_block()`` once they hold _BASE increments;
-    ``block_fars`` is then a new list per channel.  ``push(x)`` and
-    ``lag_sum()`` (one channel) or ``push_pair(x, y)`` and ``lag_sums()``
-    (two) do the same one increment at a time.
+    ``block_fars`` is then a new list per channel.  ``close_block()`` is the
+    kernel's only check: every channel's list must be full, and the block
+    must fit the capacity.  A run that ends inside a block leaves it open.
 
     The far sums come from the blocked convolution of Hairer, Lubich and
     Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985).  When the block ending
@@ -191,36 +192,6 @@ class L1History:
         self.near_weights = [b[r:0:-1] for r in range(_BASE)]
         self._toeplitz = None                             # built at the first closed block
         self._spectra = {}                                # FFT length -> kernel spectrum
-
-    def push(self, increment: float) -> None:
-        """Append the next increment of a one-channel history."""
-        self._append(increment)
-
-    def push_pair(self, first: float, second: float) -> None:
-        """Append the next increments of a two-channel history, one per channel."""
-        self._append(first, second)
-
-    def lag_sum(self) -> float:
-        """sum_{j=1..n} b_j x_{n-j} over channel 0's n increments so far."""
-        return self.lag_sums()[0]
-
-    def lag_sums(self) -> tuple:
-        """Every channel's lag sum, from the open block's state."""
-        r = len(self.blocks[0])
-        near = self.near_weights[r]
-        return tuple(far[r] + sum(map(mul, near, block))
-                     for far, block in zip(self.block_fars, self.blocks))
-
-    def _append(self, *increments) -> None:
-        if len(increments) != self.channels:
-            raise ValueError(f"this L1History has {self.channels} channel(s); a push "
-                             f"gives one increment per channel, not {len(increments)}")
-        if self._closed + len(self.blocks[0]) >= self.capacity:
-            raise ValueError(f"L1History is full ({self.capacity} increments)")
-        for block, x in zip(self.blocks, increments):
-            block.append(x)
-        if len(self.blocks[0]) == _BASE:
-            self.close_block()
 
     def close_block(self) -> None:
         """Close the open block, once every channel's list holds _BASE increments."""

@@ -306,15 +306,33 @@ class CubicCoeffs:
 
     def cubic(self) -> tuple:
         """(p3, p2, p1, p0) with p3 x^3 + p2 x^2 + p1 x + p0 = 0, x = a^2."""
-        return (
-            self.a2**2 + self.b2**2,
-            2.0 * (self.a1 * self.a2 + self.b1 * self.b2),
-            self.a1**2 + _pow(self.b1, 2),
-            -self.c_rhs,
-        )
+        try:
+            return (
+                self.a2**2 + self.b2**2,
+                2.0 * (self.a1 * self.a2 + self.b1 * self.b2),
+                self.a1**2 + _pow(self.b1, 2),
+                -self.c_rhs,
+            )
+        except OverflowError as exc:
+            raise _overflow(exc, self) from exc
 
     def discriminant(self):
-        return _discriminant(*self.cubic())
+        try:
+            return _discriminant(*self.cubic())
+        except OverflowError as exc:
+            raise _overflow(exc, self) from exc
+
+
+def _overflow(exc: OverflowError, operands) -> OverflowError:
+    """An overflow of the steady-state cubic, naming its ``operands``.
+
+    Python's ``**`` and ``math.pow`` name none.  The reason is the first
+    overflow's, so an entry point that catches another one's error names
+    its own operands, once.
+    """
+    while isinstance(exc.__cause__, OverflowError):
+        exc = exc.__cause__
+    return OverflowError(f"{exc.args[-1]}: the steady-state cubic overflows at {operands}")
 
 
 def _discriminant(a, b, c, d):
@@ -346,7 +364,7 @@ def _grid_discriminant(a: float, b: np.ndarray, c: np.ndarray, d: float) -> np.n
         disc = terms[0] - terms[1] + terms[2] - terms[3] - terms[4]
         size = sum(np.abs(t) for t in terms)
         doubt = ~((np.abs(disc) > 1e-12 * size) & _safe(b) & _safe(c) & _safe(a) & _safe(d))
-    disc[doubt] = _discriminant(a, b[doubt], c[doubt], d)
+        disc[doubt] = _discriminant(a, b[doubt], c[doubt], d)
     return disc
 
 
@@ -361,8 +379,11 @@ def steady_state_cubic(params: MmsParams, delta) -> CubicCoeffs:
     ``delta`` may be a 1-D array; ``b1`` then holds one value per detuning.
     """
     flow = _slow_flow(params)
-    return CubicCoeffs(a1=flow.a1, a2=flow.a2, b1=delta - flow.shift, b2=flow.b2,
-                       c_rhs=_forcing_term(params))
+    try:
+        c_rhs = _forcing_term(params)
+    except OverflowError as exc:
+        raise _overflow(exc, params) from exc
+    return CubicCoeffs(a1=flow.a1, a2=flow.a2, b1=delta - flow.shift, b2=flow.b2, c_rhs=c_rhs)
 
 
 def _fold_discriminant(params: MmsParams):
@@ -543,7 +564,10 @@ def solve_steady_amplitudes(coeffs: CubicCoeffs) -> list[SteadyStateRoot]:
     The one-point case of the sweep's array solver; see ``ResponseBranch``
     for the phase and stability conventions.
     """
-    n_roots, amp, gamma, stable = _steady_roots(coeffs, coeffs.cubic())
+    try:
+        n_roots, amp, gamma, stable = _steady_roots(coeffs, coeffs.cubic())
+    except OverflowError as exc:
+        raise _overflow(exc, coeffs) from exc
     return _root_list(amp[0].tolist(), gamma[0].tolist(), stable[0].tolist(), int(n_roots[0]))
 
 
@@ -625,8 +649,6 @@ def frequency_sweep(
         bifurcations = [bisect(fold, float(deltas[i]), float(deltas[i + 1]), 1e-10)
                         for i in crossings]
     except OverflowError as exc:
-        # Python's ** and math.pow name no operand: name the parameters
-        raise OverflowError(f"{exc.args[-1]}: the steady-state cubic overflows at {p}, delta in "
-                            f"[{float(deltas[0])!r}, {float(deltas[-1])!r}]") from exc
+        raise _overflow(exc, f"{p}, delta in [{float(deltas[0])!r}, {float(deltas[-1])!r}]") from exc
     return ResponseBranch(deltas=deltas, n_roots=n_roots, amp=amp, gamma=gamma,
                           stable=stable, bifurcations=bifurcations)

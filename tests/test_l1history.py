@@ -12,6 +12,7 @@ from operator import mul
 
 import numpy as np
 import pytest
+from conftest import lag_sums, push
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,9 +59,9 @@ def test_lag_sum_matches_direct_sum(alpha, n, seed, pattern):
     history = L1History(alpha, 0.01, n)
     got = np.empty(n + 1)
     for k in range(n):
-        got[k] = history.lag_sum()
-        history.push(x[k])
-    got[n] = history.lag_sum()
+        (got[k],) = lag_sums(history)
+        push(history, x[k])
+    (got[n],) = lag_sums(history)
     want = _direct_lag_sums(x, alpha)
     bound = 1e-12 * _direct_lag_sums(np.abs(x), alpha)
     assert got[0] == 0.0
@@ -70,9 +71,9 @@ def test_lag_sum_matches_direct_sum(alpha, n, seed, pattern):
 def _pair_sums(history, x, y):
     got = np.empty((len(x) + 1, 2))
     for k in range(len(x)):
-        got[k] = history.lag_sums()
-        history.push_pair(x[k], y[k])
-    got[-1] = history.lag_sums()
+        got[k] = lag_sums(history)
+        push(history, x[k], y[k])
+    got[-1] = lag_sums(history)
     return got
 
 
@@ -98,9 +99,9 @@ def test_pair_channels_do_not_mix(n):
     single = L1History(0.6, 0.01, n)
     want = np.empty(n + 1)
     for k in range(n):
-        want[k] = single.lag_sum()
-        single.push(x[k])
-    want[n] = single.lag_sum()
+        (want[k],) = lag_sums(single)
+        push(single, x[k])
+    (want[n],) = lag_sums(single)
     bound = 1e-12 * _direct_lag_sums(np.abs(x), 0.6)
     for y in (np.zeros(n), _increments(n, 4, "old-large") * 1e12):
         got = _pair_sums(L1History(0.6, 0.01, n, channels=2), x, y)
@@ -142,15 +143,56 @@ def test_block_sums_match_direct_sums_where_top_blocks_have_few_targets(n, chann
     for k, data in enumerate(columns):
         bound = 1e-12 * _direct_lag_sums(np.abs(data), 0.61)
         assert np.all(np.abs(got[:, k] - _direct_lag_sums(data, 0.61)) <= bound)
-    # the one-increment interface keeps the same open-block state
+    # the per-increment driver of the other tests reads the same sums
     if channels == 1:
         single = L1History(0.61, 0.01, n)
         wrapped = np.empty(n + 1)
         for k in range(n):
-            wrapped[k] = single.lag_sum()
-            single.push(columns[0][k])
-        wrapped[n] = single.lag_sum()
+            (wrapped[k],) = lag_sums(single)
+            push(single, columns[0][k])
+        (wrapped[n],) = lag_sums(single)
         np.testing.assert_array_equal(wrapped, got[:, 0])
+
+
+def _replay_linear(c_l, k_l, e_r, alpha, q0, v0, grid, forcing):
+    """``integrate_linear``'s fractional steps one at a time, on ``push`` and ``lag_sums``.
+
+    The integrator's arithmetic in its order of operations, so the
+    trajectory is the integrator's to the last bit.
+    """
+    dt, n = grid.dt, grid.n_steps
+    f = forcing.values(grid.times()).tolist()
+    qi, vi = float(q0), float(v0)
+    ai = f[0] - k_l * qi
+    w0, half_dt = 4.0 / dt**2, 0.5 * dt
+    history = L1History(alpha, dt, n)
+    ca = e_r * c_l * history.scale
+    lhs = w0 + ca + k_l
+    q, v, a = [qi], [vi], [ai]
+    for step in range(1, n + 1):
+        (lag,) = lag_sums(history)
+        q1 = (f[step] + w0 * (qi + dt * vi) + ai + ca * (qi - lag)) / lhs
+        a1 = w0 * (q1 - qi - dt * vi) - ai
+        vi = vi + half_dt * (ai + a1)
+        push(history, q1 - qi)
+        qi, ai = q1, a1
+        q.append(qi)
+        v.append(vi)
+        a.append(ai)
+    return np.array(q), np.array(v), np.array(a)
+
+
+# both runs cross dense and FFT closures and end inside a block
+@pytest.mark.parametrize("n", [2 * fracode._DENSE + 40, 5000])
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+def test_integrate_linear_replays_bit_for_bit(alpha, n):
+    grid = GridSpec(0.01, n)
+    forcing = HarmonicForcing(1.3, 1.1, 0.2)
+    traj = integrate_linear(1.24, 1.24, 0.5, alpha, 0.3, -0.2, grid, forcing)
+    q, v, a = _replay_linear(1.24, 1.24, 0.5, alpha, 0.3, -0.2, grid, forcing)
+    assert np.array_equal(traj.q, q)
+    assert np.array_equal(traj.v, v)
+    assert np.array_equal(traj.a, a)
 
 
 def test_fft_length_is_the_least_2j_or_3_2j_not_below_k():
@@ -201,10 +243,7 @@ def test_histories_are_freed_by_reference_counting(monkeypatch, case1_coeffs):
         for channels in (1, 2):
             history = Recorded(0.5, 0.01, grid.n_steps, channels)
             for k in range(grid.n_steps):
-                if channels == 1:
-                    history.push(0.1 * k)
-                else:
-                    history.push_pair(0.1 * k, 0.2 * k)
+                push(history, *[0.1 * k, 0.2 * k][:channels])
             del history
         traj = integrate_linear(1.24, 1.24, 0.1, 0.5, 1.0, 0.0, grid)
         traj = integrate_nonlinear(case1_coeffs, MaterialParams.from_ratio(0.1, 0.5),
@@ -235,22 +274,11 @@ def test_history_domain():
     for channels in (0, 3):
         with pytest.raises(ValueError):
             L1History(0.5, 0.01, 10, channels)
-    history = L1History(0.5, 0.01, 2)
-    history.push(1.0)
-    history.push(2.0)
-    with pytest.raises(ValueError, match="full"):
-        history.push(3.0)
-    with pytest.raises(ValueError, match="channel"):
-        history.push_pair(3.0, 4.0)
     pair = L1History(0.5, 0.01, 2, channels=2)
-    with pytest.raises(ValueError, match="channel"):
-        pair.push(1.0)
-    pair.push_pair(1.0, 2.0)
-    pair.push_pair(3.0, 4.0)
-    with pytest.raises(ValueError, match="full"):
-        pair.push_pair(5.0, 6.0)
-    assert pair.lag_sums() == (3.0 * pair.weights[1] + pair.weights[2] * 1.0,
-                               4.0 * pair.weights[1] + pair.weights[2] * 2.0)
+    push(pair, 1.0, 2.0)
+    push(pair, 3.0, 4.0)
+    assert lag_sums(pair) == (3.0 * pair.weights[1] + pair.weights[2] * 1.0,
+                              4.0 * pair.weights[1] + pair.weights[2] * 2.0)
 
 
 @settings(max_examples=30, deadline=None)

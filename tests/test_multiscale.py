@@ -262,6 +262,23 @@ def test_free_slow_flow_needs_no_forcing_term(change):
     assert all(math.isfinite(v) for v in values)
 
 
+_HUGE_PARAMS = MmsParams(omega0=3.5, c_l=1, c_nl=1, k_nl=1, e_r=0.1, alpha=0.5, f=1e200)
+_HUGE_CUBIC = CubicCoeffs(a1=1.0, a2=1e200, b1=0.0, b2=1.0, c_rhs=1.0)
+
+
+@pytest.mark.parametrize("call, operands", [
+    (lambda: steady_state_cubic(_HUGE_PARAMS, 0.0), "MmsParams(omega0=3.5, "),
+    (_HUGE_CUBIC.cubic, "CubicCoeffs(a1=1.0, a2=1e+200, "),
+    (_HUGE_CUBIC.discriminant, "CubicCoeffs(a1=1.0, a2=1e+200, "),
+    (lambda: solve_steady_amplitudes(_HUGE_CUBIC), "CubicCoeffs(a1=1.0, a2=1e+200, "),
+], ids=["steady_state_cubic", "cubic", "discriminant", "solve_steady_amplitudes"])
+def test_cubic_overflow_names_its_operands(call, operands):
+    with pytest.raises(OverflowError, match="the steady-state cubic overflows at ") as info:
+        call()
+    message = str(info.value)
+    assert message.count("overflows") == 1 and operands in message
+
+
 def test_decay_rate_trivials():
     p = replace(CASE1, alpha=1.0)
     assert decay_rate(p) == pytest.approx(p.c_l * p.e_r, rel=1e-15)

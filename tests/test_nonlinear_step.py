@@ -3,7 +3,8 @@
 The step residual used to be a closure defined inside the step loop and
 solved by damped Newton with a centred finite-difference slope.  Both live
 on here as oracles: ``closure_residual`` is that closure, and
-``fd_slope_stepper`` is that integrator on the same ``L1History`` kernel.
+``fd_slope_stepper`` is that integrator on the same ``L1History`` kernel,
+stepped one increment at a time by ``push`` and ``lag_sums``.
 ``step_cubic`` is the cubic that the integrator's loop builds inline from
 ``_step_model``'s constants, written as one function, and ``replay_stepper``
 is that loop one step at a time, from the pieces it inlines.
@@ -15,6 +16,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from conftest import lag_sums, push
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -93,13 +95,13 @@ def fd_slope_stepper(co, mat, q0, v0, grid, base_accel, newton_tol=1e-10, max_ne
     ai = num0 / (co.m_modal + co.j_nl * qi**2)
     ca = lag_q = lag_c = None
     if not classical:
-        hist_q, hist_c = L1History(alpha, dt, n), L1History(alpha, dt, n)
-        ca = hist_q.scale
+        history = L1History(alpha, dt, n, channels=2)
+        ca = history.scale
     w0 = 4.0 / dt**2
     q = [qi]
     for i in range(n):
         if not classical:
-            lag_q, lag_c = hist_q.lag_sum(), hist_c.lag_sum()
+            lag_q, lag_c = lag_sums(history)
         residual = closure_residual(co, e_r, alpha, dt, ca, qi, vi, ai, force[i + 1],
                                     lag_q, lag_c)
         u = qi + dt * vi + 0.5 * dt**2 * ai
@@ -119,8 +121,7 @@ def fd_slope_stepper(co, mat, q0, v0, grid, base_accel, newton_tol=1e-10, max_ne
         a1 = w0 * (u - qi - dt * vi) - ai
         vi = vi + 0.5 * dt * (ai + a1)
         if not classical:
-            hist_q.push(u - qi)
-            hist_c.push(u**3 - qi**3)
+            push(history, u - qi, u**3 - qi**3)
         qi, ai = u, a1
         q.append(qi)
     return np.array(q)
@@ -129,8 +130,8 @@ def fd_slope_stepper(co, mat, q0, v0, grid, base_accel, newton_tol=1e-10, max_ne
 def replay_stepper(co, mat, q0, v0, grid, base_accel):
     """``integrate_nonlinear`` one step at a time, from the pieces its loop inlines.
 
-    ``step_cubic`` with the lag sums of a two-channel ``L1History`` fed by
-    ``push_pair`` (none at alpha = 1), the predictor, Newton's undamped first
+    ``step_cubic`` with the lag sums of a two-channel ``L1History`` stepped
+    by ``push`` (none at alpha = 1), the predictor, Newton's undamped first
     step and ``_finish_step``, in the integrator's order of operations, so
     the trajectory is the integrator's to the last bit.
     """
@@ -147,7 +148,7 @@ def replay_stepper(co, mat, q0, v0, grid, base_accel):
     w0 = 4.0 / dt**2
     q, v, a = [qi], [vi], [ai]
     for step in range(1, n + 1):
-        lag_q, lag_c = (None, 0.0) if classical else history.lag_sums()
+        lag_q, lag_c = (None, 0.0) if classical else lag_sums(history)
         cubic = step_cubic(model, qi, vi, ai, force[step], lag_q, lag_c)
         d = dt * vi + 0.5 * dt * dt * ai
         r = _cubic(*cubic, d)
@@ -166,7 +167,7 @@ def replay_stepper(co, mat, q0, v0, grid, base_accel):
         a1 = w0 * (u - qi - dt * vi) - ai
         vi = vi + 0.5 * dt * (ai + a1)
         if not classical:
-            history.push_pair(u - qi, u * u * u - qi * qi * qi)
+            push(history, u - qi, u * u * u - qi * qi * qi)
         qi, ai = u, a1
         q.append(qi)
         v.append(vi)
@@ -297,14 +298,13 @@ def test_bisection_fallback_matches_newton(case2_coeffs, monkeypatch):
     assert len(calls) == 1
     center, width = calls[0]
     # step 91's cubic, rebuilt from the trajectory's first 91 levels
-    hist_q, hist_c = L1History(mat.alpha, dt, n), L1History(mat.alpha, dt, n)
+    history = L1History(mat.alpha, dt, n, channels=2)
     for u, qi in zip(traj.q[1:n].tolist(), traj.q[:n - 1].tolist()):
-        hist_q.push(u - qi)
-        hist_c.push(u * u * u - qi * qi * qi)
-    model = _step_model(co, mat.e_r, dt, hist_q.scale)
+        push(history, u - qi, u * u * u - qi * qi * qi)
+    model = _step_model(co, mat.e_r, dt, history.scale)
     force = -co.m_b * base.values(grid.times())[n]
     qi, vi = traj.q[n - 1], traj.v[n - 1]
-    cubic = step_cubic(model, qi, vi, traj.a[n - 1], force, hist_q.lag_sum(), hist_c.lag_sum())
+    cubic = step_cubic(model, qi, vi, traj.a[n - 1], force, *lag_sums(history))
     root = _bisect_residual(partial(_cubic, *cubic), center, width)
     assert traj.q[n] == traj.q[n - 1] + root
     # Newton stopped far from the root, with the residual above its tolerance
