@@ -4,29 +4,29 @@ The fractional term is discretized with the L1 scheme on a uniform grid
 (order 2-alpha, built from piecewise-linear history interpolation), the
 inertia with the average-acceleration Newmark method (gamma = 1/2,
 beta = 1/4, non-dissipative, second order).  The unknown displacement at the
-new time level enters the L1 sum only through the leading weight, so the
-linear model needs one scalar solve per step.  In the nonlinear model each
-step's residual is a cubic in the new displacement; its four coefficients
-are built once per step and damped Newton with the analytic slope solves it,
-in one iteration on typical steps.
+new time level enters the L1 sum only through the leading weight, so a
+linear step is affine in the state before it and in its forcing less the
+far part of its L1 sum: a block of 128 linear steps is one product with a
+constant (384 x 131) matrix built once per run, and no Python code runs per
+step.  In the nonlinear model each step's residual is a cubic in the new
+displacement; its four coefficients are built once per step and damped
+Newton with the analytic slope solves it, in one iteration on typical steps.
 
 Every L1 sum goes through one kernel, ``L1History``, with one channel (the
 linear model's q increments) or two (the nonlinear model's q and q^3
-increments) over one weight sequence: direct sums in Python floats over the
-open block of up to 31 increments, plus dyadic blocks of the older history
-added to every channel at once, by a dense Toeplitz product up to 128
-increments and by FFT above, with transforms sized to the targets that
-exist.  That is O(N log^2 N) over N steps instead of the O(N^2) direct sum,
-and equal to it up to round-off (about 1e-13 relative).  The kernel is
-stepped only a block of 32 increments at a time: an integrator's inner loop
-over a block's steps reads and appends to the block's Python lists without
-a call into the kernel, and one ``close_block()`` call ends the block.
-Each integrator has one such block loop for every order: at alpha = 1 a
-step takes the classical Newmark velocity for D^alpha q instead of the L1
-sum, and the run keeps no history.  On a 2-vCPU x86 machine with
-Python 3.11 a 200k-step linear run takes about 0.5 s, and a nonlinear step
-about 3.5 us (fractional) or 1.3 us (alpha = 1); the machine's speed
-drifts by up to 1.6x.
+increments) over one weight sequence.  A stepper hands it a closed block of
+increments (32 per nonlinear block, summed directly in Python floats while
+the block is open; 128 per linear block, inside the block product), and the
+kernel adds dyadic blocks of the older history to every channel's far sums
+at once, by a dense Toeplitz product up to 128 increments and by FFT above,
+with transforms sized to the targets that exist.  That is O(N log^2 N) over
+N steps instead of the O(N^2) direct sum, and equal to it up to round-off
+(about 1e-13 relative).  Each integrator has one block loop for every
+order: at alpha = 1 a step takes the classical Newmark velocity for
+D^alpha q instead of the L1 sum, and the run keeps no history.  On a 2-vCPU
+x86 machine with Python 3.11 a 200k-step linear run takes about 0.17 s
+(0.5 s for the step loop it replaced), and a nonlinear step about 3.5 us
+(fractional) or 1.3 us (alpha = 1); the machine's speed drifts by up to 1.6x.
 """
 
 from __future__ import annotations
@@ -119,22 +119,29 @@ def l1_weights(alpha: float, n: int) -> np.ndarray:
     return np.diff(j ** (1.0 - alpha))
 
 
-# lags inside the current block of this many increments are summed directly
+# the nonlinear steps sum lags inside the current block of this many
+# increments directly, and every history block is this size times a power of 2
 _BASE = 32
 # dyadic squares up to this size reach the far sums by one dense Toeplitz
 # product, larger ones by FFT: below it numpy's FFT call overhead costs more
 # than the O(L^2) product, above it the FFT keeps the kernel O(N log^2 N)
 _DENSE = 128
-# the alpha = 1 steps have no history: they zip this in place of a block's
-# near weights and far sums
+# integrate_linear's steps per block solve, a power-of-2 multiple of _BASE.
+# Measured over 16k-32k-step runs (2 vCPU, x86): 64 steps per block cost
+# about 20% more than 128, and 32 or 256 about 60% more; at 128 the
+# (3B x (3 + B)) product and one closure per block balance the per-block
+# numpy overhead.
+_BLOCK = 128
+# the alpha = 1 nonlinear steps have no history: they zip this in place of a
+# block's near weights and far sums
 _NO_HISTORY = (None,) * _BASE
 
 
 def _l1_constants(alpha: float, dt: float, n: int) -> tuple[np.ndarray, float]:
-    """The L1 weights b_0..b_m (m = max(n, _BASE)) and dt^(-alpha)/Gamma(2-alpha)."""
+    """The L1 weights b_0..b_m (m = max(n, _BLOCK)) and dt^(-alpha)/Gamma(2-alpha)."""
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    return l1_weights(alpha, max(n, _BASE) + 1), dt ** (-alpha) / math.gamma(2.0 - alpha)
+    return l1_weights(alpha, max(n, _BLOCK) + 1), dt ** (-alpha) / math.gamma(2.0 - alpha)
 
 
 class L1History:
@@ -148,31 +155,34 @@ class L1History:
     factor dt^(-alpha)/Gamma(2-alpha), so the Caputo derivative after x_n is
     ``scale * (x_n + lag sum)``.
 
-    A stepper feeds the history a block of _BASE increments at a time.
-    While a block is open, ``blocks[k]`` is the list of channel k's
-    increments in it and ``block_fars[k][r]`` the far part of the lag sum
+    A stepper feeds the history a block of S = _BASE * 2^j increments at a
+    time, every block starting at a multiple of its size.  While a block
+    starting at s is open, ``far[k, s + r]`` is the far part of the lag sum
     of its r-th target (every lag that reaches back before the block), so
-    after r increments of the block the lag sum is
+    after r increments x_s..x_{s+r-1} of the block the lag sum is
 
-        block_fars[k][r] + sum(map(mul, near_weights[r], blocks[k]))
+        far[k, s + r] + sum_{j=1..r} b_j x_{s+r-j}.
 
-    with ``near_weights[r]`` = [b_r, ..., b_1].  The stepper appends to the
-    block lists and calls ``close_block()`` once they hold _BASE increments;
-    ``block_fars`` is then a new list per channel.  ``close_block()`` is the
-    kernel's only check: every channel's list must be full, and the block
-    must fit the capacity.  A run that ends inside a block leaves it open.
+    ``near_weights[r]`` = [b_r, ..., b_1] (r < _BASE) is that near sum's
+    weight list for a stepper that keeps the block in Python lists.
+    ``close_block(*blocks)`` takes the block's increments, one sequence of S
+    per channel, and updates ``far`` in place for the next block's targets.
+    It is the kernel's only check: one full block per channel, aligned to
+    its size, within the capacity.  A run that ends inside a block never
+    closes it.
 
     The far sums come from the blocked convolution of Hairer, Lubich and
     Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985).  When the block ending
     at i closes, the dyadic source block [i-L, i) with i/L odd
-    (L = _BASE * 2^k) is added to the targets [i, i+L) that exist, for
-    every channel at once: by one dense Toeplitz product for L <= _DENSE,
-    by FFT above, of length L + m (m targets) rounded up to 2^j or 3 * 2^j.
-    Each (source, target) pair is counted exactly once, at the level where
-    their blocks are siblings, so the result equals the direct sum up to
-    round-off (about 1e-13 relative), at O(n log^2 n) total cost.  Numpy
-    runs once per closed block, on (channels, capacity) arrays of
-    increments and far sums; between closures everything is Python floats.
+    (L = _BASE * 2^k, at least S since S divides i) is added to the targets
+    [i, i+L) that exist, for every channel at once: by one dense Toeplitz
+    product for L <= _DENSE, by FFT above, of length L + m (m targets)
+    rounded up to 2^j or 3 * 2^j.  Each (source, target) pair in different
+    blocks is counted exactly once, at the level where their blocks are
+    siblings; pairs inside one block are the stepper's near sums.  So the
+    result equals the direct sum up to round-off (about 1e-13 relative), at
+    O(n log^2 n) total cost.  Numpy runs once per closed block, on
+    (channels, capacity) arrays of increments and far sums.
     """
 
     def __init__(self, alpha: float, dt: float, capacity: int, channels: int = 1):
@@ -185,25 +195,26 @@ class L1History:
         self.channels = channels
         self._closed = 0                                  # increments in closed blocks
         self._x = np.zeros((channels, capacity))
-        self._far = np.zeros((channels, capacity + 1))   # far-field part of each target's sums
-        self.blocks = [[] for _ in range(channels)]
-        self.block_fars = self._far[:, :_BASE].tolist()
+        self.far = np.zeros((channels, capacity + 1))    # far-field part of each target's sums
         b = self.weights[:_BASE].tolist()
         self.near_weights = [b[r:0:-1] for r in range(_BASE)]
         self._toeplitz = None                             # built at the first closed block
         self._spectra = {}                                # FFT length -> kernel spectrum
 
-    def close_block(self) -> None:
-        """Close the open block, once every channel's list holds _BASE increments."""
-        i = self._closed + _BASE
+    def close_block(self, *blocks) -> None:
+        """Close the open block, given its increments: one sequence per channel."""
+        sizes = [len(block) for block in blocks]
+        if len(sizes) != self.channels or len(set(sizes)) != 1:
+            raise ValueError(f"a block closes with one sequence of increments per channel "
+                             f"({self.channels}), got lengths {sizes}")
+        width = sizes[0]
+        if width < _BASE or width & (width - 1) or self._closed % width:
+            raise ValueError(f"a block holds {_BASE} * 2^j increments and starts at a multiple "
+                             f"of its size, got {width} at {self._closed}")
+        i = self._closed + width
         if i > self.capacity:
             raise ValueError(f"L1History is full ({self.capacity} increments)")
-        if any(len(block) != _BASE for block in self.blocks):
-            raise ValueError(f"a block closes at {_BASE} increments per channel, got "
-                             f"{[len(block) for block in self.blocks]}")
-        for k, block in enumerate(self.blocks):
-            self._x[k, i - _BASE:i] = block
-            block.clear()
+        self._x[:, i - width:i] = blocks
         self._closed = i
         size = _BASE
         while (i // size) % 2 == 0:
@@ -213,18 +224,17 @@ class L1History:
         if size <= _DENSE:
             if self._toeplitz is None:
                 self._toeplitz = self._build_toeplitz()
-            self._far[:, i:i + m] += (self._toeplitz[:m, _DENSE - size:] @ source.T).T
+            self.far[:, i:i + m] += (self._toeplitz[:m, _DENSE - size:] @ source.T).T
         else:
             n_fft = _fft_length(size + m)
             spec = self._spectra.get(n_fft)
             if spec is None:
                 spec = self._spectra[n_fft] = np.fft.rfft(self._lag_kernel(n_fft))
             y = np.fft.irfft(np.fft.rfft(source, n_fft) * spec, n_fft)
-            self._far[:, i:i + m] += y[:, size:size + m]
-        self.block_fars = self._far[:, i:i + _BASE].tolist()
+            self.far[:, i:i + m] += y[:, size:size + m]
 
     def _lag_kernel(self, length: int) -> np.ndarray:
-        """b_1..b_{length - 1} at their lags, zero at lag 0 and past the capacity.
+        """b_1..b_{length - 1} at their lags, zero at lag 0 and past the weights.
 
         Lag 0 never pairs a source block with a target block, and a weight
         past the capacity reaches only targets that do not exist.  Source
@@ -315,12 +325,15 @@ def integrate_linear(
 ) -> Trajectory:
     """Solve q'' + E_r c_l D^alpha q + k_l q = f(t) from (q0, v0).
 
-    The new displacement appears linearly in the Newmark/L1 closure, so each
-    step is one scalar solve.  The initial acceleration comes from the
-    equation at t = 0 with D^alpha q(0) = 0 (alpha < 1) or D^1 q(0) = v0.
-    One loop steps a history block (``L1History``) at a time; at alpha = 1
-    each step's damping term is the classical viscous one, with Newmark's
-    velocity for D^1 q = q', and no history is kept.
+    The new displacement appears linearly in the Newmark/L1 closure, so a
+    step is affine in the state it starts from and in its input, the forcing
+    less the far part of its L1 sum.  A block of _BLOCK steps is then one
+    product with the constant matrix ``_propagator`` builds once per run;
+    after each block, its increments close one ``L1History`` block, which
+    brings the next block's far sums.  At alpha = 1 the steps take Newmark's
+    velocity for D^1 q = q', and there are no far sums.  The initial
+    acceleration comes from the equation at t = 0 with D^alpha q(0) = 0
+    (alpha < 1) or D^1 q(0) = v0.
     """
     check_finite(c_l=c_l, k_l=k_l, e_r=e_r, q0=q0, v0=v0)
     if not (k_l > 0):
@@ -330,45 +343,72 @@ def integrate_linear(
     if not (0 < alpha <= 1):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     dt, n = grid.dt, grid.n_steps
-    f = _forcing_samples(forcing, grid).tolist()
-    qi, vi = float(q0), float(v0)
-    w0 = 4.0 / dt**2
-    half_dt = 0.5 * dt
-    damp = e_r * c_l
-
-    classical = alpha == 1.0
-    if classical:
-        # damping on Newmark's velocity g (q1 - qi) - vi: its q1 part is ca
-        ai = f[0] - damp * vi - k_l * qi
-        ca, g = 2.0 * damp / dt, 2.0 / dt
-        near = fars = _NO_HISTORY
+    f = _forcing_samples(forcing, grid)
+    f0, damp = float(f[0]), e_r * c_l   # a float overflows to inf without a numpy warning
+    out = np.empty((3, n + 1))   # rows q, v, a
+    if alpha == 1.0:
+        # damping on Newmark's velocity g (q1 - qi) - vi: ca on q1 and qi, damp on vi
+        ca, cv, near = 2.0 * damp / dt, damp, np.zeros(_BLOCK)
+        out[:, 0] = q0, v0, f0 - damp * v0 - k_l * q0
+        far, close = np.zeros(n + 1), _no_history
     else:
-        ai = f[0] - k_l * qi
         history = L1History(alpha, dt, n)
-        near, (block,) = history.near_weights, history.blocks
-        ca = damp * history.scale
-    lhs = w0 + ca + k_l          # ca: the new level's damping (b_0 = 1 in the L1 sum)
-    q, v, a = array("d", [qi]), array("d", [vi]), array("d", [ai])
-    for start in range(0, n, _BASE):
-        if not classical:
-            (fars,) = history.block_fars
-        for b_near, far, f1 in zip(near, fars, f[start + 1:start + _BASE + 1]):
-            if classical:
-                drag = damp * (g * qi + vi)
-            else:
-                drag = ca * (qi - (far + sum(map(mul, b_near, block))))
-            q1 = (f1 + w0 * (qi + dt * vi) + ai + drag) / lhs
-            a1 = w0 * (q1 - qi - dt * vi) - ai
-            vi = vi + half_dt * (ai + a1)
-            if not classical:
-                block.append(q1 - qi)
-            qi, ai = q1, a1
-            q.append(qi)
-            v.append(vi)
-            a.append(ai)
-        if not classical and len(block) == _BASE:
-            history.close_block()
-    return Trajectory(grid=grid, q=np.array(q), v=np.array(v), a=np.array(a))
+        ca, cv, near = damp * history.scale, 0.0, history.weights[:_BLOCK]
+        out[:, 0] = q0, v0, f0 - k_l * q0
+        far, close = history.far[0], history.close_block
+    u = np.zeros(3 + _BLOCK)     # a block's start state and inputs
+    # a non-finite table is the caller's to report (cli's finite check)
+    with np.errstate(all="ignore"):
+        step = _propagator(dt, k_l, ca, cv, near)
+        for s in range(0, n, _BLOCK):
+            m = min(_BLOCK, n - s)
+            u[:3] = out[:, s]
+            u[3:3 + m] = f[s + 1:s + 1 + m] - ca * far[s:s + m]
+            out[:, s + 1:s + 1 + m] = (step @ u).reshape(3, _BLOCK)[:, :m]
+            if s + _BLOCK < n:   # a later block reads the far sums
+                close(np.diff(out[0, s:s + 1 + m]))
+    return Trajectory(grid=grid, q=out[0], v=out[1], a=out[2])
+
+
+def _no_history(increments) -> None:
+    """The alpha = 1 steps keep no history: a closed block goes nowhere."""
+
+
+def _propagator(dt: float, k_l: float, ca: float, cv: float, near: np.ndarray) -> np.ndarray:
+    """The (3B, 3 + B) matrix [P R] of B = _BLOCK linear steps.
+
+    Step r of a block starting at s, from (q_i, v_i, a_i) = row s + r, is
+
+        q1 = (g_r + w0 (q_i + dt v_i) + a_i + ca q_i + cv v_i - ca near_r) / lhs,
+        a1 = w0 (q1 - q_i - dt v_i) - a_i,    v1 = v_i + dt (a_i + a1) / 2,
+
+    with w0 = 4/dt^2, lhs = w0 + ca + k_l, near_r = sum_{j=1..r} b_j x_{s+r-j}
+    over the block's increments x = q1 - q_i (b_j = ``near[j]``, all zero at
+    alpha = 1), and the input g_r = f_{s+r+1} - ca far_{s+r}.  So the block's
+    rows s+1..s+B, stacked as (q, v, a), are P (q_s, v_s, a_s) + R g.  The
+    recurrence run from the three unit states gives P, and from a unit
+    impulse g_0 the first column of R.  R is lower-triangular Toeplitz, since
+    every step is the same map of the steps before it, so that column fills
+    it; being lower triangular, it keeps the inputs past a run's last step
+    out of the rows before it.
+    """
+    w0, half_dt = 4.0 / dt**2, 0.5 * dt
+    lhs = w0 + ca + k_l
+    # columns: unit q_s, unit v_s, unit a_s, unit impulse g_0
+    q, v, a = np.eye(4)[:3]
+    g = np.eye(4)[3]
+    x = np.zeros((_BLOCK, 4))
+    rows = np.empty((3, _BLOCK, 4))
+    for r in range(_BLOCK):
+        q1 = (g + w0 * (q + dt * v) + a + ca * q + cv * v - ca * (near[r:0:-1] @ x[:r])) / lhs
+        a1 = w0 * (q1 - q - dt * v) - a
+        v = v + half_dt * (a + a1)
+        x[r] = q1 - q
+        q, a, g = q1, a1, 0.0
+        rows[:, r] = q, v, a
+    lags = sliding_window_view(np.concatenate((np.zeros((3, _BLOCK - 1)), rows[:, :, 3]), axis=1),
+                               _BLOCK, axis=1)
+    return np.concatenate((rows[:, :, :3], lags[:, :, ::-1]), axis=2).reshape(3 * _BLOCK, 3 + _BLOCK)
 
 
 # integrate_nonlinear's Newton solve: residual floor and iteration cap per step
@@ -429,7 +469,8 @@ def integrate_nonlinear(
         near = far_q = far_c = _NO_HISTORY
     else:
         history = L1History(alpha, dt, n, channels=2)
-        scale, near, (block_q, block_c) = history.scale, history.near_weights, history.blocks
+        scale, near, far = history.scale, history.near_weights, history.far
+        block_q, block_c = [], []
     ca, c3, c2q, c1q2, c1k, mt, jnl, kl, knl2, h, ecl, hs, g2, j2g = _step_model(
         coeffs, e_r, dt, scale)
     c3x3 = 3.0 * c3
@@ -439,7 +480,7 @@ def integrate_nonlinear(
 
     for start in range(0, n, _BASE):
         if not classical:
-            far_q, far_c = history.block_fars
+            far_q, far_c = far[:, start:start + _BASE].tolist()
         forces = rhs_force[start + 1:start + _BASE + 1]
         for b_near, fq, fc, force in zip(near, far_q, far_c, forces):
             # the step's D^a q (p0) and D^a q^3 (lag_c) terms: the classical
@@ -488,7 +529,9 @@ def integrate_nonlinear(
             v.append(vi)
             a.append(ai)
         if not classical and len(block_q) == _BASE:
-            history.close_block()
+            history.close_block(block_q, block_c)
+            block_q.clear()
+            block_c.clear()
     return Trajectory(grid=grid, q=np.array(q), v=np.array(v), a=np.array(a))
 
 

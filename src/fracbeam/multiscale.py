@@ -233,10 +233,12 @@ def _amplitude_squared(p_lin: float, r_cub: float, a0: float, t) -> np.ndarray:
     """Closed-form a(t)^2 of da/dt = -(p a + r a^3) from a(0) = a0."""
     t = np.asarray(t, dtype=float)
     a0sq = a0 * a0
-    if p_lin == 0.0:
-        return a0sq / (1.0 + 2.0 * r_cub * a0sq * t)
-    decay = np.exp(-2.0 * p_lin * t)
-    return p_lin * a0sq * decay / (p_lin + r_cub * a0sq * (1.0 - decay))
+    # an overflowing a0 gives NaN, which the caller's finite check reports
+    with np.errstate(all="ignore"):
+        if p_lin == 0.0:
+            return a0sq / (1.0 + 2.0 * r_cub * a0sq * t)
+        decay = np.exp(-2.0 * p_lin * t)
+        return p_lin * a0sq * decay / (p_lin + r_cub * a0sq * (1.0 - decay))
 
 
 def _amplitude_squared_integral(p_lin: float, r_cub: float, a0: float, t) -> np.ndarray:
@@ -248,14 +250,15 @@ def _amplitude_squared_integral(p_lin: float, r_cub: float, a0: float, t) -> np.
     """
     t = np.asarray(t, dtype=float)
     a0sq = a0 * a0
-    if p_lin == 0.0:
+    with np.errstate(all="ignore"):
+        if p_lin == 0.0:
+            if r_cub == 0.0:
+                return a0sq * t
+            return np.log1p(2.0 * r_cub * a0sq * t) / (2.0 * r_cub)
+        relaxed = -np.expm1(-2.0 * p_lin * t) / p_lin
         if r_cub == 0.0:
-            return a0sq * t
-        return np.log1p(2.0 * r_cub * a0sq * t) / (2.0 * r_cub)
-    relaxed = -np.expm1(-2.0 * p_lin * t) / p_lin
-    if r_cub == 0.0:
-        return 0.5 * a0sq * relaxed
-    return np.log1p(r_cub * a0sq * relaxed) / (2.0 * r_cub)
+            return 0.5 * a0sq * relaxed
+        return np.log1p(r_cub * a0sq * relaxed) / (2.0 * r_cub)
 
 
 def free_envelope(params: MmsParams, a0: float, phi0: float, t):

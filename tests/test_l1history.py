@@ -2,7 +2,9 @@
 
 The direct O(N^2) history sums live here only, as the oracle: the steppers
 below are the integrators written with one ``np.dot`` over the whole stored
-history per step.
+history per step.  ``integrate_linear`` is held to its step loop
+(``conftest.loop_linear``) in ``test_linear_block_solve.py``; here that loop
+is checked against the direct stepper and against its per-increment replay.
 """
 
 import gc
@@ -12,7 +14,7 @@ from operator import mul
 
 import numpy as np
 import pytest
-from conftest import lag_sums, push
+from conftest import lag_sums, loop_linear, push
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,14 +113,14 @@ def test_pair_channels_do_not_mix(n):
 def _block_sums(history, columns):
     """Every target's lag sums, with the history stepped a block at a time.
 
-    The stepping of ``integrate_linear`` and ``integrate_nonlinear``: the
-    near sums over the open block's lists, one ``close_block`` per full block.
+    The stepping of ``integrate_nonlinear``: the near sums over the open
+    block's lists, one ``close_block`` per full block.
     """
     n = len(columns[0])
-    near, blocks = history.near_weights, history.blocks
+    near, blocks = history.near_weights, [[] for _ in columns]
     got = np.empty((n + 1, len(columns)))
     for start in range(0, n + 1, fracode._BASE):
-        for r, far_r in enumerate(zip(*history.block_fars)):
+        for r, far_r in enumerate(zip(*history.far[:, start:start + fracode._BASE].tolist())):
             if start + r > n:
                 break
             got[start + r] = [far + sum(map(mul, near[r], block))
@@ -127,8 +129,30 @@ def _block_sums(history, columns):
                 for block, column in zip(blocks, columns):
                     block.append(column[start + r])
         if len(blocks[0]) == fracode._BASE:
-            history.close_block()
+            history.close_block(*blocks)
+            for block in blocks:
+                block.clear()
     return got
+
+
+@pytest.mark.parametrize("n", [fracode._BLOCK, 4097, 20001])
+@pytest.mark.parametrize("width", [2 * fracode._BASE, fracode._BLOCK])
+def test_array_blocks_match_direct_sums(n, width):
+    # the block solve's stepping: blocks of ``width`` increments close as one
+    # array each, and ``far`` then holds the complete far sums of the next
+    # block's targets
+    x = _increments(n, 13, "old-large")
+    history = L1History(0.45, 0.01, n)
+    b = history.weights
+    got = np.empty(n + 1)
+    for start in range(0, n + 1, width):
+        stop = min(start + width, n + 1)
+        for t in range(start, stop):
+            got[t] = history.far[0, t] + np.dot(b[1:t - start + 1], x[start:t][::-1])
+        if stop - start == width and start + width <= n:
+            history.close_block(x[start:start + width])
+    bound = 1e-12 * _direct_lag_sums(np.abs(x), 0.45)
+    assert np.all(np.abs(got - _direct_lag_sums(x, 0.45)) <= bound)
 
 
 # the top-level block has few targets: 4097 = 2^12 + 1, 5000 = 2^12 + 904,
@@ -155,26 +179,38 @@ def test_block_sums_match_direct_sums_where_top_blocks_have_few_targets(n, chann
 
 
 def _replay_linear(c_l, k_l, e_r, alpha, q0, v0, grid, forcing):
-    """``integrate_linear``'s fractional steps one at a time, on ``push`` and ``lag_sums``.
+    """``loop_linear``'s steps one at a time, on ``push`` and ``lag_sums``.
 
-    The integrator's arithmetic in its order of operations, so the
-    trajectory is the integrator's to the last bit.
+    The loop's arithmetic in its order of operations, so the trajectory is
+    the loop's to the last bit.  At alpha = 1 the damping acts on Newmark's
+    velocity and there is no history.
     """
     dt, n = grid.dt, grid.n_steps
     f = forcing.values(grid.times()).tolist()
     qi, vi = float(q0), float(v0)
-    ai = f[0] - k_l * qi
     w0, half_dt = 4.0 / dt**2, 0.5 * dt
-    history = L1History(alpha, dt, n)
-    ca = e_r * c_l * history.scale
+    damp = e_r * c_l
+    classical = alpha == 1.0
+    if classical:
+        ai = f[0] - damp * vi - k_l * qi
+        ca = 2.0 * damp / dt
+    else:
+        ai = f[0] - k_l * qi
+        history = L1History(alpha, dt, n)
+        ca = damp * history.scale
     lhs = w0 + ca + k_l
     q, v, a = [qi], [vi], [ai]
     for step in range(1, n + 1):
-        (lag,) = lag_sums(history)
-        q1 = (f[step] + w0 * (qi + dt * vi) + ai + ca * (qi - lag)) / lhs
+        if classical:
+            drag = damp * (2.0 / dt * qi + vi)
+        else:
+            (lag,) = lag_sums(history)
+            drag = ca * (qi - lag)
+        q1 = (f[step] + w0 * (qi + dt * vi) + ai + drag) / lhs
         a1 = w0 * (q1 - qi - dt * vi) - ai
         vi = vi + half_dt * (ai + a1)
-        push(history, q1 - qi)
+        if not classical:
+            push(history, q1 - qi)
         qi, ai = q1, a1
         q.append(qi)
         v.append(vi)
@@ -184,15 +220,16 @@ def _replay_linear(c_l, k_l, e_r, alpha, q0, v0, grid, forcing):
 
 # both runs cross dense and FFT closures and end inside a block
 @pytest.mark.parametrize("n", [2 * fracode._DENSE + 40, 5000])
-@pytest.mark.parametrize("alpha", [0.3, 0.7])
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
 def test_integrate_linear_replays_bit_for_bit(alpha, n):
+    # the oracle loop, stepped a block at a time, against its replay one
+    # increment at a time
     grid = GridSpec(0.01, n)
     forcing = HarmonicForcing(1.3, 1.1, 0.2)
-    traj = integrate_linear(1.24, 1.24, 0.5, alpha, 0.3, -0.2, grid, forcing)
-    q, v, a = _replay_linear(1.24, 1.24, 0.5, alpha, 0.3, -0.2, grid, forcing)
-    assert np.array_equal(traj.q, q)
-    assert np.array_equal(traj.v, v)
-    assert np.array_equal(traj.a, a)
+    loop = loop_linear(1.24, 1.24, 0.5, alpha, 0.3, -0.2, grid, forcing)
+    replay = _replay_linear(1.24, 1.24, 0.5, alpha, 0.3, -0.2, grid, forcing)
+    for got, want in zip(loop, replay):
+        assert np.array_equal(got, want)
 
 
 def test_fft_length_is_the_least_2j_or_3_2j_not_below_k():
@@ -210,18 +247,22 @@ def test_closures_transform_only_the_targets_that_exist():
 
 
 def test_close_block_checks_the_open_block():
-    history = L1History(0.5, 0.01, 40, channels=2)
-    history.blocks[0].extend([1.0] * fracode._BASE)
-    history.blocks[1].extend([1.0] * (fracode._BASE - 1))
+    base = fracode._BASE
+    history = L1History(0.5, 0.01, 4 * base + 8, channels=2)
     with pytest.raises(ValueError, match="per channel"):
-        history.close_block()
-    history.blocks[1].append(1.0)
-    history.close_block()
-    assert history.blocks == [[], []]
-    history.blocks[0].extend([1.0] * fracode._BASE)
-    history.blocks[1].extend([1.0] * fracode._BASE)
+        history.close_block([1.0] * base, [1.0] * (base - 1))
+    with pytest.raises(ValueError, match="per channel"):
+        history.close_block([1.0] * base)
+    for width in (base - 1, 3 * base):   # not _BASE * 2^j increments
+        with pytest.raises(ValueError, match="multiple of its size"):
+            history.close_block([1.0] * width, [1.0] * width)
+    history.close_block([1.0] * base, [1.0] * base)
+    with pytest.raises(ValueError, match="multiple of its size"):   # 2 _BASE from _BASE
+        history.close_block(np.ones(2 * base), np.ones(2 * base))
+    history.close_block(np.ones(base), np.ones(base))
+    history.close_block(np.ones(2 * base), np.ones(2 * base))
     with pytest.raises(ValueError, match="full"):
-        history.close_block()
+        history.close_block([1.0] * base, [1.0] * base)
 
 
 def test_histories_are_freed_by_reference_counting(monkeypatch, case1_coeffs):
@@ -385,11 +426,12 @@ def _direct_nonlinear(co, mat, q0, v0, grid, base_accel, newton_tol=1e-10):
     (0.8, 0.5, 0.0, 0.0, 1.3),
 ])
 def test_integrate_linear_matches_direct_stepper(alpha, e_r, q0, v0, amp):
+    # the oracle loop of integrate_linear on the kernel's sums
     grid = GridSpec(0.01, 3000)
     forcing = HarmonicForcing(amp, 1.1, 0.2)
-    traj = integrate_linear(1.24, 1.24, e_r, alpha, q0, v0, grid, forcing)
+    q, _, _ = loop_linear(1.24, 1.24, e_r, alpha, q0, v0, grid, forcing)
     want = _direct_linear(1.24, 1.24, e_r, alpha, q0, v0, grid, forcing)
-    assert np.max(np.abs(traj.q - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(q - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("case, alpha, q0", [("no-tip", 0.3, 0.2), ("tip-mass", 0.7, 0.0)])
@@ -410,9 +452,9 @@ def test_integrate_nonlinear_matches_direct_stepper(case, alpha, q0, case1_coeff
 def test_integrators_match_direct_steppers_at_block_boundaries(n, case2_coeffs):
     grid = GridSpec(0.01, n)
     forcing = HarmonicForcing(1.3, 1.1, 0.2)
-    traj = integrate_linear(1.24, 1.24, 0.5, 0.4, 0.3, -0.2, grid, forcing)
+    q, _, _ = loop_linear(1.24, 1.24, 0.5, 0.4, 0.3, -0.2, grid, forcing)
     want = _direct_linear(1.24, 1.24, 0.5, 0.4, 0.3, -0.2, grid, forcing)
-    assert np.max(np.abs(traj.q - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(q - want)) <= 1e-12 * np.max(np.abs(want))
     mat = MaterialParams.from_ratio(0.1, 0.6)
     base = HarmonicForcing(0.13, 1.05)
     traj = integrate_nonlinear(case2_coeffs, mat, 0.2, 0.1, grid, base)
