@@ -27,7 +27,7 @@ class QuadratureError(RuntimeError):
 
 
 class StepFailureError(RuntimeError):
-    """Implicit solve failed at one time step, after the bisection fallback.
+    """Implicit solve failed at one time step: its cubic has no finite real root.
 
     ``step`` and ``t`` name the time level being solved for; ``q`` and ``v``
     are the state it was stepped from and ``residual`` the smallest

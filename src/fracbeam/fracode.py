@@ -9,19 +9,16 @@ linear step is affine in the state before it and in its forcing less the
 far part of its L1 sum: a block of 128 linear steps is one product with a
 constant (384 x 131) matrix built once per run, and no Python code runs per
 step.  In the nonlinear model each step's residual is a cubic in the new
-displacement; its four coefficients are built once per step and damped
-Newton with the analytic slope solves it, in one iteration on typical steps.
+displacement; its four coefficients are built once per step and Newton with
+the analytic slope solves it, in one iteration on typical steps.  A step
+that Newton does not settle takes the cubic's real root nearest the
+predictor, in closed form (``multiscale``'s cubic kernel).
 
-Every L1 sum goes through one kernel, ``L1History``, with one channel (the
-linear model's q increments) or two (the nonlinear model's q and q^3
-increments) over one weight sequence.  A stepper hands it a closed block of
-increments (32 per nonlinear block, summed directly in Python floats while
-the block is open; 128 per linear block, inside the block product), and the
-kernel adds dyadic blocks of the older history to every channel's far sums
-at once, by a dense Toeplitz product up to 128 increments and by FFT above,
-with transforms sized to the targets that exist.  That is O(N log^2 N) over
-N steps instead of the O(N^2) direct sum, and equal to it up to round-off
-(about 1e-13 relative).  Each integrator has one block loop for every
+Every L1 sum goes through one kernel, ``L1History``: a stepper hands it
+each closed block of increments (32 per nonlinear block, summed directly in
+Python floats while the block is open; 128 per linear block, inside the
+block product), and it brings the far sums of the blocks after it, at
+O(N log^2 N) cost over N steps.  Each integrator has one block loop for every
 order: at alpha = 1 a step takes the classical Newmark velocity for
 D^alpha q instead of the L1 sum, and the run keeps no history.  On a 2-vCPU
 x86 machine with Python 3.11 a 200k-step linear run takes about 0.17 s
@@ -34,7 +31,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import partial
 from operator import mul
 
 import numpy as np
@@ -42,7 +38,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .constitutive import MaterialParams
 from .errors import InsufficientDataError, StepFailureError, check_finite
-from .modes import ModalCoefficients, bisect
+from .modes import ModalCoefficients
+from .multiscale import _real_roots
 
 __all__ = [
     "GridSpec",
@@ -414,6 +411,9 @@ def _propagator(dt: float, k_l: float, ca: float, cv: float, near: np.ndarray) -
 # integrate_nonlinear's Newton solve: residual floor and iteration cap per step
 _NEWTON_TOL = 1e-10
 _MAX_NEWTON = 50
+# a step whose Newton iterates stop falling is still solved when its residual
+# is within 8 eps of the sum of the magnitudes of the cubic's terms
+_ROUNDOFF = 8.0 * float(np.finfo(float).eps)
 
 
 def integrate_nonlinear(
@@ -436,12 +436,12 @@ def integrate_nonlinear(
     coefficients are built once per step from ``_step_model``'s constants.
     It is solved by Newton with the analytic slope, both evaluated by
     Horner's rule, to a residual below max(1e-10, 64 eps M_t (4/dt^2)
-    max(|q_i|, dt |v_i|, 1)): one undamped step, then damped steps up to 50
-    iterations in all.  If Newton stalls, a sign-change bracket plus
-    bisection is tried before ``StepFailureError``.  One loop steps the
-    two-channel history (q and q^3 increments) a block at a time; at
-    alpha = 1 each step takes the classical values of D^a q and D^a q^3
-    instead of the L1 sums, and no history is kept.
+    max(|q_i|, dt |v_i|, 1)), from the predictor dt v_i + dt^2 a_i / 2: one
+    step inline, and ``_finish_step`` on the rare steps it does not settle.
+    One loop steps the two-channel history (q and q^3 increments) a block
+    at a time; at alpha = 1 each step takes the classical values of D^a q
+    and D^a q^3 instead of the L1 sums, and no history is kept.  An initial
+    state that overflows the equation at t = 0 raises ``OverflowError``.
     """
     check_finite(q0=q0, v0=v0, e_r=mat.e_r, **_fields("coeffs", coeffs))
     if base_accel is not None:
@@ -450,18 +450,21 @@ def integrate_nonlinear(
     alpha, e_r = mat.alpha, mat.e_r
     mt, jnl = coeffs.m_modal, coeffs.j_nl
     kl, cl, knl, cnl, mb = coeffs.k_l, coeffs.c_l, coeffs.k_nl, coeffs.c_nl, coeffs.m_b
-    t_nodes = grid.times()
-    rhs_force = (-mb * base_accel.values(t_nodes) if base_accel is not None
+    rhs_force = (-mb * base_accel.values(grid.times()) if base_accel is not None
                  else np.zeros(n + 1)).tolist()
 
     qi, vi = float(q0), float(v0)
     classical = alpha == 1.0
     # governing equation at t = 0; the fractional history is empty, but the
     # classical path keeps its instantaneous viscous terms
-    num0 = rhs_force[0] - jnl * qi * vi**2 - kl * qi - 2.0 * knl * qi**3
-    if classical:
-        num0 -= e_r * cl * vi + 3.0 * e_r * cnl * qi**2 * vi
-    ai = num0 / (mt + jnl * qi**2)
+    try:
+        num0 = rhs_force[0] - jnl * qi * vi**2 - kl * qi - 2.0 * knl * qi**3
+        if classical:
+            num0 -= e_r * cl * vi + 3.0 * e_r * cnl * qi**2 * vi
+        ai = num0 / (mt + jnl * qi**2)
+    except OverflowError as exc:
+        raise OverflowError(f"the equation of motion overflows at t = 0 "
+                            f"(q0 = {qi!r}, v0 = {vi!r})") from exc
     q, v, a = array("d", [qi]), array("d", [vi]), array("d", [ai])
 
     if classical:
@@ -496,7 +499,7 @@ def integrate_nonlinear(
             c1 = qi * (2.0 * m0 + qi * c1q2) + vi * (jnl * vi - j2g * qi) + c1k
             c0 = qi * (qi * m0 + jnl * vi * vi + kl) + hs * lag_c + mt * a0 + ecl * p0 - force
 
-            d = dt * vi + half_dt2 * ai   # predictor
+            d = pred = dt * vi + half_dt2 * ai   # predictor
             r = ((c3 * d + c2) * d + c1) * d + c0
             s, t = abs(qi), abs(dt * vi)
             if t > s:
@@ -512,11 +515,9 @@ def integrate_nonlinear(
                 d_new = d - r / slope if slope != 0.0 else d
                 r_new = ((c3 * d_new + c2) * d_new + c1) * d_new + c0
                 if abs(r_new) < abs(r):
-                    d, r, iterations = d_new, r_new, _MAX_NEWTON - 1
-                else:
-                    iterations = _MAX_NEWTON
+                    d, r = d_new, r_new
                 if not abs(r) < tol:
-                    d = _finish_step(c3, c2, c1, c0, d, r, tol, iterations, len(q), dt, qi, vi)
+                    d = _finish_step(c3, c2, c1, c0, d, r, tol, pred, len(q), dt, qi, vi)
 
             u = qi + d
             a1 = w0 * (u - qi - dt * vi) - ai
@@ -528,44 +529,49 @@ def integrate_nonlinear(
             q.append(qi)
             v.append(vi)
             a.append(ai)
-        if not classical and len(block_q) == _BASE:
+        if not classical and start + _BASE < n:   # a later step reads the far sums
             history.close_block(block_q, block_c)
             block_q.clear()
             block_c.clear()
     return Trajectory(grid=grid, q=np.array(q), v=np.array(v), a=np.array(a))
 
 
-def _finish_step(c3, c2, c1, c0, d, r, tol, iterations, step, dt, qi, vi):
-    """The root d of a step whose undamped Newton step left |r| >= tol.
+def _finish_step(c3, c2, c1, c0, d, r, tol, pred, step, dt, qi, vi):
+    """The root d of a step whose first Newton step left |r| >= tol.
 
-    Damped Newton goes on from d, whose residual is r: each step is halved
-    until the residual shrinks, for at most ``iterations`` steps, until
-    |r| < tol, a zero slope or 30 halvings that do not help.  If the
-    residual is still not below tol, a sign-change bracket around d plus
-    bisection gives the root, or ``StepFailureError`` names the step.
+    Plain Newton goes on from d, whose residual is r, while |r| falls, for
+    at most _MAX_NEWTON steps, and stops at |r| < tol.  Where the iterates
+    stop falling first, d stands if |r| is at the cubic's round-off floor,
+    _ROUNDOFF (|c3 d^3| + |c2 d^2| + |c1 d| + |c0|); otherwise the step takes
+    the real root nearest the predictor ``pred``, from the closed form.  A
+    cubic with no finite real root raises ``StepFailureError``.
     """
-    for _ in range(iterations):
+    for _ in range(_MAX_NEWTON):
         slope = (3.0 * c3 * d + 2.0 * c2) * d + c1
-        if slope == 0.0:
-            break
-        step_d = -r / slope
-        lam = 1.0
-        for _ in range(30):
-            d_new = d + lam * step_d
-            r_new = ((c3 * d_new + c2) * d_new + c1) * d_new + c0
-            if abs(r_new) < abs(r):
-                break
-            lam *= 0.5
-        else:
+        d_new = d - r / slope if slope != 0.0 else d
+        r_new = ((c3 * d_new + c2) * d_new + c1) * d_new + c0
+        if not abs(r_new) < abs(r):
             break
         d, r = d_new, r_new
         if abs(r) < tol:
             return d
-    d_b = _bisect_residual(partial(_cubic, c3, c2, c1, c0), d, max(abs(qi) + abs(dt * vi), 1.0))
-    if d_b is None:
-        raise StepFailureError(step, "Newton stalled and no sign change was bracketed",
+    ad = abs(d)
+    if abs(r) <= _ROUNDOFF * (((abs(c3) * ad + abs(c2)) * ad + abs(c1)) * ad + abs(c0)):
+        return d
+    root = _nearest_root(c3, c2, c1, c0, pred)
+    if root is None:
+        raise StepFailureError(step, "the step's cubic has no finite real root",
                                t=step * dt, q=qi, v=vi, residual=abs(r))
-    return d_b
+    return root
+
+
+def _nearest_root(c3, c2, c1, c0, pred):
+    """The cubic's finite real root nearest ``pred``, or None (none, or libm overflows)."""
+    try:
+        roots = [x for x in _real_roots(c3, c2, c1, c0)[0].tolist() if math.isfinite(x)]
+    except OverflowError:
+        return None
+    return min(roots, key=lambda x: abs(x - pred), default=None)
 
 
 def _step_model(coeffs: ModalCoefficients, e_r: float, dt: float, ca) -> tuple:
@@ -610,21 +616,6 @@ def _step_model(coeffs: ModalCoefficients, e_r: float, dt: float, ca) -> tuple:
     jg2 = jnl * g * g
     return (ca, m1 + jg2 + hs, 2.0 * m1 + jg2 + 3.0 * hs, m1 + 3.0 * hs,
             mt * w0 + kl + ecl * p1, mt, jnl, kl, 2.0 * knl, h, ecl, hs, 2.0 * g, 2.0 * jnl * g)
-
-
-def _cubic(c3, c2, c1, c0, d):
-    return ((c3 * d + c2) * d + c1) * d + c0
-
-
-def _bisect_residual(residual, center: float, width: float):
-    """Expanding bracket search around ``center`` followed by bisection."""
-    for grow in range(1, 12):
-        w = width * 2.0**grow * 1e-3
-        lo, hi = center - w, center + w
-        rlo, rhi = residual(lo), residual(hi)
-        if (rlo < 0) != (rhi < 0):
-            return bisect(residual, lo, hi, 1e-15 * max(1.0, abs(lo), abs(hi)))
-    return None
 
 
 @dataclass(frozen=True)

@@ -501,10 +501,45 @@ def _steady_roots(coeffs: CubicCoeffs, cubic: tuple):
     otherwise roots are stable.  ``cubic`` is ``coeffs.cubic()``, which the
     sweep also signs.
     """
-    p3, p2, p1, p0 = cubic
+    xs = _real_roots(*cubic)
+    # keep distinct roots above a relative floor, ascending, NaN last
+    x_tol = 1e-12 * np.fmax(1.0, np.fmax.reduce(np.abs(xs), axis=1))
+    xs[~(xs > x_tol[:, None])] = np.nan
+    xs.sort(axis=1)
+    dup = np.zeros_like(xs, dtype=bool)
+    dup[:, 1:] = xs[:, 1:] == xs[:, :-1]
+    xs[dup] = np.nan
+    xs.sort(axis=1)
+    n_pos = np.count_nonzero(~np.isnan(xs), axis=1)
+    if coeffs.c_rhs == 0.0:
+        # x = 0 always solves the zero-forcing case; the cubic may carry it
+        # inexactly, so insert it explicitly (at most two positive roots remain)
+        xs = np.column_stack([np.zeros(len(xs)), xs[:, :2]])
+    n_roots = np.count_nonzero(~np.isnan(xs), axis=1)
+    present = np.arange(3) < n_roots[:, None]
+    stable = present & ~((n_pos[:, None] == 3) & (np.arange(3) == 1))
+
+    amp = np.sqrt(xs)
+    gamma = np.where(present, 0.0, np.nan)
+    if coeffs.c_rhs > 0.0:
+        live = amp > 0.0
+        a = amp[live]
+        b1 = np.broadcast_to(np.atleast_1d(coeffs.b1)[:, None], amp.shape)[live]
+        a_cubed = _pow(a, 3)
+        gamma[live] = _libm(math.atan2, coeffs.a1 * a + coeffs.a2 * a_cubed,
+                            b1 * a + coeffs.b2 * a_cubed)
+    return n_roots, amp, gamma, stable
+
+
+def _real_roots(p3: float, p2, p1, p0: float) -> np.ndarray:
+    """Real roots of p3 x^3 + p2 x^2 + p1 x + p0 per entry of p2 and p1, NaN-padded (m, 3).
+
+    The quadratic's closed form where p3 is negligible, Cardano's elsewhere:
+    the one cubic solver of the sweep and of ``fracode``'s nonlinear steps.
+    An overflow in libm raises ``OverflowError``; numpy's stays silent.
+    """
     p2, p1 = np.atleast_1d(p2), np.atleast_1d(p1)
-    n = len(p2)
-    xs = np.full((n, 3), np.nan)
+    xs = np.full((len(p2), 3), np.nan)
     with np.errstate(all="ignore"):
         scale = np.maximum(np.maximum(np.abs(p2), np.abs(p1)), max(abs(p0), 1e-300))
         quadratic = abs(p3) < 1e-14 * scale
@@ -525,34 +560,7 @@ def _steady_roots(coeffs: CubicCoeffs, cubic: tuple):
         cub = ~quadratic
         if cub.any():
             xs[cub] = _cardano_roots(p3, p2[cub], p1[cub], p0)
-
-    # keep distinct roots above a relative floor, ascending, NaN last
-    x_tol = 1e-12 * np.fmax(1.0, np.fmax.reduce(np.abs(xs), axis=1))
-    xs[~(xs > x_tol[:, None])] = np.nan
-    xs.sort(axis=1)
-    dup = np.zeros_like(xs, dtype=bool)
-    dup[:, 1:] = xs[:, 1:] == xs[:, :-1]
-    xs[dup] = np.nan
-    xs.sort(axis=1)
-    n_pos = np.count_nonzero(~np.isnan(xs), axis=1)
-    if coeffs.c_rhs == 0.0:
-        # x = 0 always solves the zero-forcing case; the cubic may carry it
-        # inexactly, so insert it explicitly (at most two positive roots remain)
-        xs = np.column_stack([np.zeros(n), xs[:, :2]])
-    n_roots = np.count_nonzero(~np.isnan(xs), axis=1)
-    present = np.arange(3) < n_roots[:, None]
-    stable = present & ~((n_pos[:, None] == 3) & (np.arange(3) == 1))
-
-    amp = np.sqrt(xs)
-    gamma = np.where(present, 0.0, np.nan)
-    if coeffs.c_rhs > 0.0:
-        live = amp > 0.0
-        a = amp[live]
-        b1 = np.broadcast_to(np.atleast_1d(coeffs.b1)[:, None], amp.shape)[live]
-        a_cubed = _pow(a, 3)
-        gamma[live] = _libm(math.atan2, coeffs.a1 * a + coeffs.a2 * a_cubed,
-                            b1 * a + coeffs.b2 * a_cubed)
-    return n_roots, amp, gamma, stable
+    return xs
 
 
 def _root_list(amp, gamma, stable, count: int) -> list:

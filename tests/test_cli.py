@@ -349,6 +349,22 @@ def test_numerical_failure_exit_code_1(capsys):
     assert "error" in err
 
 
+def test_nonlinear_step_without_a_finite_root_exit_code_1(capsys):
+    # base forcing 1e300 drives q past 1e293 in a few steps; the next step's
+    # cubic overflows its closed form, and the step failure is the one line
+    # on stderr, with no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "--model", "nonlinear", "--base-amp", "1e300", "--base-freq", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert caught == []
+    [line] = captured.err.splitlines()
+    assert line.startswith("fracbeam: error: step ")
+    assert line.endswith("the step's cubic has no finite real root")
+
+
 @pytest.mark.parametrize("flag", ["--er", "--c", "--k", "--q0", "--v0", "--dt", "--t-final"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_simulate_rejects_non_finite(capsys, flag, value):
@@ -814,6 +830,13 @@ def test_domain_error_exit_code_2(capsys, argv, message):
     # the damping rate e_r c_l overflows: the step's solve is inf / inf
     (["simulate", "--er", "1e300", "--c", "1e10", "--t-final", "0.01"],
      "non-finite q = nan in table row 2"),
+    # q0^3 and v0^2 overflow in the nonlinear equation of motion at t = 0
+    (["simulate", "--model", "nonlinear", "--q0", "1e120"],
+     "the equation of motion overflows at t = 0 (q0 = 1e+120, v0 = 0.0)"),
+    (["simulate", "--model", "nonlinear", "--v0", "1e200"],
+     "the equation of motion overflows at t = 0 (q0 = 1.0, v0 = 1e+200)"),
+    (["simulate", "--model", "nonlinear", "--q0", "1e120", "--alpha", "1"],
+     "the equation of motion overflows at t = 0 (q0 = 1e+120, v0 = 0.0)"),
 ])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_non_finite_table_exit_code_1(capsys, argv, message, fmt):

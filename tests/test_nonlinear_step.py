@@ -7,13 +7,17 @@ on here as oracles: ``closure_residual`` is that closure, and
 stepped one increment at a time by ``push`` and ``lag_sums``.
 ``step_cubic`` is the cubic that the integrator's loop builds inline from
 ``_step_model``'s constants, written as one function, and ``replay_stepper``
-is that loop one step at a time, from the pieces it inlines.
+is that loop one step at a time, from the pieces it inlines.  The rare
+steps that Newton does not settle take the cubic's real root nearest the
+predictor from the closed form; ``mp_nearest_root`` is that root in 60-digit
+arithmetic.
 """
 
 import dataclasses
 import math
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import lag_sums, push
@@ -22,9 +26,61 @@ from hypothesis import strategies as st
 
 from fracbeam import GridSpec, HarmonicForcing, L1History, MaterialParams, fracode, integrate_nonlinear
 from fracbeam.errors import StepFailureError
-from fracbeam.fracode import _MAX_NEWTON, _NEWTON_TOL, _bisect_residual, _cubic, _finish_step, _step_model
+from fracbeam.fracode import _NEWTON_TOL, _finish_step, _nearest_root, _step_model
 
 EPS = np.finfo(float).eps
+
+
+def cubic_at(cubic, d):
+    """The cubic (c3, c2, c1, c0) at d by Horner's rule, as the integrator evaluates it."""
+    c3, c2, c1, c0 = cubic
+    return ((c3 * d + c2) * d + c1) * d + c0
+
+
+def mp_nearest_root(cubic, pred):
+    """The cubic's real root nearest ``pred``, by bisection in 60-digit arithmetic.
+
+    With its leading zeros dropped, the polynomial is monotone between the
+    real roots of its slope, and inside its Cauchy bound each of these pieces
+    whose ends differ in sign holds one root.  None if there is no real root.
+    """
+    with mpmath.workdps(60):
+        coeffs = [mpmath.mpf(x) for x in cubic]   # exact
+        while coeffs and coeffs[0] == 0:
+            coeffs.pop(0)
+        if len(coeffs) < 2:
+            return None
+        bound = 1 + max(abs(x) for x in coeffs[1:]) / abs(coeffs[0])
+        ends = [-bound, bound]
+        if len(coeffs) == 4:   # slope 3a x^2 + 2b x + c
+            a, b, c = 3 * coeffs[0], 2 * coeffs[1], coeffs[2]
+            disc = b * b - 4 * a * c
+            if disc >= 0:
+                ends += [(-b - mpmath.sqrt(disc)) / (2 * a), (-b + mpmath.sqrt(disc)) / (2 * a)]
+        elif len(coeffs) == 3:
+            ends.append(-coeffs[1] / (2 * coeffs[0]))
+        ends = sorted(x for x in ends if abs(x) <= bound)
+        roots = []
+        for lo, hi in zip(ends, ends[1:]):
+            f_lo, f_hi = mpmath.polyval(coeffs, lo), mpmath.polyval(coeffs, hi)
+            if f_lo == 0 or f_hi == 0:
+                roots.append(lo if f_lo == 0 else hi)
+                continue
+            if (f_lo < 0) == (f_hi < 0):
+                continue
+            while hi - lo > mpmath.mpf(10)**-40 * max(abs(lo), abs(hi), mpmath.mpf(10)**-300):
+                mid = (lo + hi) / 2
+                f_mid = mpmath.polyval(coeffs, mid)
+                if f_mid == 0:
+                    lo = hi = mid
+                elif (f_mid < 0) == (f_lo < 0):
+                    lo, f_lo = mid, f_mid
+                else:
+                    hi = mid
+            roots.append((lo + hi) / 2)
+        if not roots:
+            return None
+        return float(min(roots, key=lambda x: abs(x - pred)))
 
 
 def step_cubic(model, qi, vi, ai, force, lag_q, lag_c):
@@ -131,9 +187,9 @@ def replay_stepper(co, mat, q0, v0, grid, base_accel):
     """``integrate_nonlinear`` one step at a time, from the pieces its loop inlines.
 
     ``step_cubic`` with the lag sums of a two-channel ``L1History`` stepped
-    by ``push`` (none at alpha = 1), the predictor, Newton's undamped first
-    step and ``_finish_step``, in the integrator's order of operations, so
-    the trajectory is the integrator's to the last bit.
+    by ``push`` (none at alpha = 1), the predictor, Newton's first step and
+    ``_finish_step``, in the integrator's order of operations, so the
+    trajectory is the integrator's to the last bit.
     """
     dt, n, alpha, e_r = grid.dt, grid.n_steps, mat.alpha, mat.e_r
     force = (-co.m_b * base_accel.values(grid.times())).tolist()
@@ -150,19 +206,18 @@ def replay_stepper(co, mat, q0, v0, grid, base_accel):
     for step in range(1, n + 1):
         lag_q, lag_c = (None, 0.0) if classical else lag_sums(history)
         cubic = step_cubic(model, qi, vi, ai, force[step], lag_q, lag_c)
-        d = dt * vi + 0.5 * dt * dt * ai
-        r = _cubic(*cubic, d)
+        d = pred = dt * vi + 0.5 * dt * dt * ai
+        r = cubic_at(cubic, d)
         tol = max(_NEWTON_TOL, 64.0 * EPS * co.m_modal * w0 * max(abs(qi), abs(dt * vi), 1.0))
         if abs(r) >= tol:
             c3, c2, c1, _ = cubic
             slope = (3.0 * c3 * d + 2.0 * c2) * d + c1
             d_new = d - r / slope if slope != 0.0 else d
-            r_new = _cubic(*cubic, d_new)
-            iterations = _MAX_NEWTON
+            r_new = cubic_at(cubic, d_new)
             if abs(r_new) < abs(r):
-                d, r, iterations = d_new, r_new, _MAX_NEWTON - 1
+                d, r = d_new, r_new
             if abs(r) >= tol:
-                d = _finish_step(*cubic, d, r, tol, iterations, step, dt, qi, vi)
+                d = _finish_step(*cubic, d, r, tol, pred, step, dt, qi, vi)
         u = qi + d
         a1 = w0 * (u - qi - dt * vi) - ai
         vi = vi + 0.5 * dt * (ai + a1)
@@ -182,17 +237,21 @@ def scaled(co, j, k, c):
 # ------------------------------------------------------------ the cubic
 
 SCALES = st.sampled_from([1.0, 1e-8, 0.0])
+# a state float; subnormal ones would put the 1e-12 relative bounds below
+# the spacing of the numbers they compare
+normal = partial(st.floats, allow_subnormal=False)
+# the box of step states and models both cubic tests draw from
+STEP_BOX = dict(case=st.sampled_from(["no-tip", "tip-mass"]),
+                j=SCALES, k=SCALES, c=SCALES,
+                alpha=st.one_of(st.just(1.0), st.floats(1e-3, 1.0 - 1e-6)),
+                e_r=normal(0.0, 2.0),
+                log10_dt=st.floats(-4.0, -1.0),
+                qi=normal(-2.0, 2.0), vi=normal(-20.0, 20.0), ai=normal(-500.0, 500.0),
+                fo=normal(-10.0, 10.0), lag_q=normal(-5.0, 5.0), lag_c=normal(-5.0, 5.0))
 
 
 @settings(max_examples=400, deadline=None)
-@given(case=st.sampled_from(["no-tip", "tip-mass"]),
-       j=SCALES, k=SCALES, c=SCALES,
-       alpha=st.one_of(st.just(1.0), st.floats(1e-3, 1.0 - 1e-6)),
-       e_r=st.floats(0.0, 2.0),
-       log10_dt=st.floats(-4.0, -1.0),
-       qi=st.floats(-2.0, 2.0), vi=st.floats(-20.0, 20.0), ai=st.floats(-500.0, 500.0),
-       fo=st.floats(-10.0, 10.0), lag_q=st.floats(-5.0, 5.0), lag_c=st.floats(-5.0, 5.0),
-       d=st.floats(-1.0, 1.0))
+@given(**STEP_BOX, d=normal(-1.0, 1.0))
 def test_step_cubic_matches_closure_residual(case, j, k, c, alpha, e_r, log10_dt, qi, vi,
                                              ai, fo, lag_q, lag_c, d,
                                              case1_coeffs, case2_coeffs):
@@ -214,6 +273,24 @@ def test_step_cubic_matches_closure_residual(case, j, k, c, alpha, e_r, log10_dt
     h = 1e-6 * max(1.0, abs(u))
     scale = (residual_magnitude(*state, abs(u) + h) - residual_magnitude(*state, abs(u))) / h
     assert abs(slope - exact) <= 1e-12 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(**STEP_BOX)
+def test_closed_form_picks_the_root_nearest_the_predictor(case, j, k, c, alpha, e_r, log10_dt,
+                                                          qi, vi, ai, fo, lag_q, lag_c,
+                                                          case1_coeffs, case2_coeffs):
+    co = scaled(case1_coeffs if case == "no-tip" else case2_coeffs, j, k, c)
+    dt = 10.0**log10_dt
+    ca = None if alpha == 1.0 else L1History(alpha, dt, 1).scale
+    cubic = step_cubic(_step_model(co, e_r, dt, ca), qi, vi, ai, fo, lag_q, lag_c)
+    pred = dt * vi + 0.5 * dt * dt * ai
+    want = mp_nearest_root(cubic, pred)
+    got = _nearest_root(*cubic, pred)
+    # c3 > 0 here, or every nonlinear term is zero and the step is a line of
+    # slope c1 > 0: either way there is a real root
+    assert want is not None and got is not None
+    assert abs(got - want) <= 1e-11 * abs(want)
 
 
 # ------------------------------------------------------- the trajectory
@@ -249,7 +326,8 @@ def test_trajectory_matches_fd_slope_stepper(case, alpha, case1_coeffs, case2_co
     assert np.max(np.abs(traj.q - want)) <= trajectory_bound(co, traj)
 
 
-# the stall of test_bisection_fallback_matches_newton, whose step 91 is bisected
+# a large-amplitude tip-mass run on which every step enters _finish_step, and
+# step 91 takes the closed form (test_closed_form_fallback_matches_newton)
 STALL = dict(ratio=0.23608192197325845, alpha=0.5726133457159566, dt=0.02088715983593783,
              n=91, amp=29.150353062206644, q0=-0.006024160800807912, v0=17.32884565474078)
 
@@ -279,65 +357,103 @@ def test_trajectory_equals_replay(case, alpha, n, case1_coeffs, case2_coeffs):
     np.testing.assert_array_equal(traj.a, a)
 
 
-def test_bisection_fallback_matches_newton(case2_coeffs, monkeypatch):
-    # a large-amplitude tip-mass run whose damped Newton stalls at step 91,
-    # far from the root; the step lands on the bisection of its cubic
+def step_cubic_at(co, mat, traj, base, step):
+    """The cubic of ``step`` and its predictor, rebuilt from the trajectory's levels before it."""
+    dt, n = traj.grid.dt, traj.grid.n_steps
+    classical = mat.alpha == 1.0
+    history = None if classical else L1History(mat.alpha, dt, n, channels=2)
+    if not classical:
+        for u, qi in zip(traj.q[1:step].tolist(), traj.q[:step - 1].tolist()):
+            push(history, u - qi, u * u * u - qi * qi * qi)
+    model = _step_model(co, mat.e_r, dt, None if classical else history.scale)
+    force = -co.m_b * base.values(traj.grid.times())[step]
+    qi, vi, ai = traj.q[step - 1], traj.v[step - 1], traj.a[step - 1]
+    lags = (None, 0.0) if classical else lag_sums(history)
+    return step_cubic(model, qi, vi, ai, force, *lags), dt * vi + 0.5 * dt * dt * ai
+
+
+def test_closed_form_fallback_matches_newton(case2_coeffs, monkeypatch):
+    # a large-amplitude tip-mass run whose Newton iterates stop falling at
+    # step 91, above the residual's tolerance and round-off floor; the step
+    # takes its cubic's real root nearest the predictor
     co = case2_coeffs
     mat = MaterialParams.from_ratio(STALL["ratio"], STALL["alpha"])
     dt, n = STALL["dt"], STALL["n"]
     grid = GridSpec(dt, n)
     base = HarmonicForcing(STALL["amp"], math.sqrt(co.k_l / co.m_modal))
-    calls = []
+    entered, picked = [], []
 
-    def spy(residual, center, width):
-        calls.append((center, width))
-        return _bisect_residual(residual, center, width)
+    def finish_spy(*args):
+        entered.append(args[8])
+        return _finish_step(*args)
 
-    monkeypatch.setattr(fracode, "_bisect_residual", spy)
+    def nearest_spy(*args):
+        picked.append(_nearest_root(*args))
+        return picked[-1]
+
+    monkeypatch.setattr(fracode, "_finish_step", finish_spy)
+    monkeypatch.setattr(fracode, "_nearest_root", nearest_spy)
     traj = integrate_nonlinear(co, mat, STALL["q0"], STALL["v0"], grid, base)
-    assert len(calls) == 1
-    center, width = calls[0]
-    # step 91's cubic, rebuilt from the trajectory's first 91 levels
-    history = L1History(mat.alpha, dt, n, channels=2)
-    for u, qi in zip(traj.q[1:n].tolist(), traj.q[:n - 1].tolist()):
-        push(history, u - qi, u * u * u - qi * qi * qi)
-    model = _step_model(co, mat.e_r, dt, history.scale)
-    force = -co.m_b * base.values(grid.times())[n]
-    qi, vi = traj.q[n - 1], traj.v[n - 1]
-    cubic = step_cubic(model, qi, vi, traj.a[n - 1], force, *lag_sums(history))
-    root = _bisect_residual(partial(_cubic, *cubic), center, width)
+    assert entered == list(range(1, n + 1))
+    assert len(picked) == 1
+    root = picked[0]
     assert traj.q[n] == traj.q[n - 1] + root
-    # Newton stopped far from the root, with the residual above its tolerance
-    tol = max(1e-10, 64.0 * EPS * co.m_modal * 4.0 / dt**2 * max(abs(qi), abs(dt * vi), 1.0))
-    assert abs(_cubic(*cubic, center)) >= tol
-    assert abs(root - center) > 0.5 * abs(center)
-    # the bisected root is where a converged Newton would land: a Newton
-    # step from it moves it by no more than round-off
+    # this cubic's root as bisection to 1e-15 finds it
+    assert traj.q[n] == pytest.approx(0.0401987762292243, rel=1e-12)
+    cubic, pred = step_cubic_at(co, mat, traj, base, n)
+    assert abs(root - mp_nearest_root(cubic, pred)) <= 1e-12 * abs(root)
+    # the root is where a converged Newton would land: a Newton step from it
+    # moves it by no more than round-off
     slope = (3.0 * cubic[0] * root + 2.0 * cubic[1]) * root + cubic[2]
-    assert abs(_cubic(*cubic, root) / slope) <= 1e-12 * max(abs(root), 1.0)
+    assert abs(cubic_at(cubic, root) / slope) <= 1e-12 * max(abs(root), 1.0)
 
 
-def test_step_failure_names_time_and_state(case1_coeffs):
-    # at alpha = 0.5 the predictor lands about 4e15 from the step's root near
-    # -1.2e6; 50 damped Newton iterations, each shrinking d by about a third,
-    # stop short of it, and no bracket of the fallback search (at most
-    # +-2.048 wide here) holds a sign change; the classical step stalls too
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_step_far_from_its_predictor_takes_the_nearest_root(alpha, case1_coeffs):
+    # forcing 1e20: the predictor lands about 4e15 from step 1's root (near
+    # -1.22e6 at alpha = 0.5, -5.0e5 at alpha = 1), where plain Newton,
+    # shrinking d by about a third per step, does not reach it in 50 steps
     dt, q0, v0 = 0.01, 0.1, -0.2
-    for alpha in (0.5, 1.0):
+    mat = MaterialParams.from_ratio(0.1, alpha)
+    base = HarmonicForcing(1e20, 3.0)
+    traj = integrate_nonlinear(case1_coeffs, mat, q0, v0, GridSpec(dt, 10), base)
+    assert np.all(np.isfinite(traj.q))
+    cubic, pred = step_cubic_at(case1_coeffs, mat, traj, base, 1)
+    root = traj.q[1] - q0
+    assert abs(root - pred) > 1e15
+    assert abs(root - mp_nearest_root(cubic, pred)) <= 1e-12 * abs(root)
+
+
+def test_step_failure_names_time_and_state(case1_coeffs, monkeypatch):
+    # forcing 1e300 drives q past 1e293 in a step or two; the next step's
+    # cubic has a non-finite coefficient and its closed form overflows, so
+    # it has no finite real root
+    dt, q0, v0 = 1e-3, 0.1, -0.2
+    base = HarmonicForcing(1e300, 1.0)
+    cubics = []
+
+    def nearest_spy(*args):
+        cubics.append(args[:4])
+        return _nearest_root(*args)
+
+    monkeypatch.setattr(fracode, "_nearest_root", nearest_spy)
+    for alpha, step in ((0.5, 3), (1.0, 2)):
         mat = MaterialParams.from_ratio(0.1, alpha)
         with pytest.raises(StepFailureError) as info:
-            integrate_nonlinear(case1_coeffs, mat, q0, v0, GridSpec(dt, 10),
-                                HarmonicForcing(1e20, 3.0))
+            integrate_nonlinear(case1_coeffs, mat, q0, v0, GridSpec(dt, 10), base)
         err = info.value
-        assert (err.step, err.t, err.q, err.v) == (1, dt, q0, v0)
-        assert err.residual > 1e6
-        assert f"step 1 (t = {dt!r}, q = {q0!r}, v = {v0!r}," in str(err)
+        assert not all(map(math.isfinite, cubics[-1]))
+        traj = integrate_nonlinear(case1_coeffs, mat, q0, v0, GridSpec(dt, step - 1), base)
+        qi, vi = traj.q[-1].item(), traj.v[-1].item()
+        assert (err.step, err.t, err.q, err.v) == (step, step * dt, qi, vi)
+        assert f"step {step} (t = {step * dt!r}, q = {qi!r}, v = {vi!r}," in str(err)
+        assert str(err).endswith("the step's cubic has no finite real root")
 
 
 def test_step_failure_inside_a_block_names_its_step(case2_coeffs, monkeypatch):
-    # the stall of test_bisection_fallback_matches_newton, step 91, lies
-    # inside the third history block (91 = 2 * 32 + 27); with no bracket
-    # found it fails, naming the level it started from
+    # the stall of test_closed_form_fallback_matches_newton, step 91, lies
+    # inside the third history block (91 = 2 * 32 + 27); with no finite
+    # root from the closed form it fails, naming the level it started from
     co = case2_coeffs
     mat = MaterialParams.from_ratio(STALL["ratio"], STALL["alpha"])
     dt, n = STALL["dt"], STALL["n"]
@@ -345,18 +461,43 @@ def test_step_failure_inside_a_block_names_its_step(case2_coeffs, monkeypatch):
     base = HarmonicForcing(STALL["amp"], math.sqrt(co.k_l / co.m_modal))
     q0, v0 = STALL["q0"], STALL["v0"]
     traj = integrate_nonlinear(co, mat, q0, v0, GridSpec(dt, n - 1), base)
-    centers = []
+    preds = []
 
-    def no_bracket(residual, center, width):
-        centers.append(center)
+    def no_root(c3, c2, c1, c0, pred):
+        preds.append(pred)
         return None
 
-    monkeypatch.setattr(fracode, "_bisect_residual", no_bracket)
+    monkeypatch.setattr(fracode, "_nearest_root", no_root)
     with pytest.raises(StepFailureError) as info:
         integrate_nonlinear(co, mat, q0, v0, GridSpec(dt, n), base)
     err = info.value
     qi, vi = traj.q[n - 1].item(), traj.v[n - 1].item()
     assert (err.step, err.t, err.q, err.v) == (n, n * dt, qi, vi)
     tol = 64.0 * EPS * co.m_modal * 4.0 / dt**2 * max(abs(qi), abs(dt * vi), 1.0)
-    assert len(centers) == 1 and err.residual >= tol
+    assert preds == [dt * vi + 0.5 * dt * dt * traj.a[n - 1]] and err.residual >= tol
     assert f"step {n} (t = {n * dt!r}, q = {qi!r}, v = {vi!r}," in str(err)
+
+
+# ------------------------------------------------------- the history blocks
+
+def test_last_block_closes_only_when_a_later_step_reads_it(case1_coeffs, monkeypatch):
+    # 8192 = 256 * 32 steps: the 256th block's far sums reach no step, so it
+    # is not closed; one step more reads them
+    mat = MaterialParams.from_ratio(0.1, 0.5)
+    base = HarmonicForcing(0.5, 1.02 * math.sqrt(case1_coeffs.k_l / case1_coeffs.m_modal))
+    close_block = L1History.close_block
+    closed = []
+
+    def spy(history, *blocks):
+        closed.append(history._closed)
+        close_block(history, *blocks)
+
+    monkeypatch.setattr(L1History, "close_block", spy)
+    runs = {}
+    for n, want in ((8192, 255), (8193, 256)):
+        closed.clear()
+        runs[n] = integrate_nonlinear(case1_coeffs, mat, 0.3, -0.4, GridSpec(0.01, n), base)
+        assert closed == [32 * k for k in range(want)]
+    short, long = runs[8192], runs[8193]
+    for x, y in ((short.q, long.q), (short.v, long.v), (short.a, long.a)):
+        np.testing.assert_array_equal(x, y[:-1])

@@ -15,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracbeam import MmsParams, critical_alpha
-from fracbeam.fracode import _bisect_residual
 from fracbeam.modes import bisect
 
 MODES = ("decay-peak", "sensitivity-extremum")
@@ -234,19 +233,3 @@ def test_bisect_reversed_bracket_walks_the_same_halves():
     assert len(down_calls) == len(up_calls) == 11
     assert down_calls[1:] == up_calls[1:]
 
-
-# ------------------------------------------------------- _bisect_residual
-
-def test_bisect_residual_finds_root_to_relative_precision():
-    for center, width in ((1.0, 1.0), (1.26, 1.0), (-1.0, 2.0)):
-        root = _bisect_residual(lambda u: u**3 - 2.0, center, width)
-        assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
-    # a large root: the bracket grows until it reaches 1000
-    root = _bisect_residual(lambda u: u - 1000.0, 0.0, 1000.0)
-    assert root == pytest.approx(1000.0, rel=1e-15)
-
-
-def test_bisect_residual_none_without_bracket():
-    assert _bisect_residual(lambda u: u * u + 1.0, 0.0, 1.0) is None
-    # a root beyond the widest bracket, +-2.048 * width, is not searched for
-    assert _bisect_residual(lambda u: u - 5.0, 0.0, 1.0) is None
