@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import check_finite_samples
+
 __all__ = [
     "MaterialParams",
     "StrainProgram",
@@ -88,6 +90,7 @@ class StrainProgram:
                 raise ValueError(f"dt must be positive, got {self.dt}")
             if self.samples is None or len(self.samples) < 2:
                 raise ValueError("sampled program needs at least 2 samples")
+            check_finite_samples("samples", np.asarray(self.samples, dtype=float))
             if self.samples[0] != 0.0:
                 raise ValueError("sampled strain must start from a quiescent state, strain(0) = 0")
         else:
@@ -127,8 +130,8 @@ def _libm(fn, *args):
 
 
 def _pow(x, k):
-    """x**k with libm's rounding, elementwise for arrays."""
-    return _libm(math.pow, x, k)
+    """x**k with libm's rounding, elementwise for arrays; a float x takes no numpy call."""
+    return math.pow(x, k) if isinstance(x, float) else _libm(math.pow, x, k)
 
 
 def complex_modulus(mat: MaterialParams, omega):

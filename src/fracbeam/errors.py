@@ -18,6 +18,21 @@ def check_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, got {x[bad][0]}")
 
 
+def check_finite_samples(name: str, samples: np.ndarray) -> None:
+    """Raise ValueError naming the first node of the float array ``samples`` that is not finite."""
+    if not np.isfinite(samples).all():
+        node = int(np.flatnonzero(~np.isfinite(samples))[0])
+        raise ValueError(f"{name} must be finite, got {samples[node]} at node {node}")
+
+
+def check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer (Python's or numpy's, not a bool) >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 class EigenSearchError(RuntimeError):
     """Fewer sign changes than requested modes inside the search interval."""
 

@@ -37,7 +37,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .constitutive import MaterialParams
-from .errors import InsufficientDataError, StepFailureError, check_finite
+from .errors import (InsufficientDataError, StepFailureError, check_count, check_finite,
+                     check_finite_samples)
 from .modes import ModalCoefficients
 from .multiscale import _real_roots
 
@@ -58,7 +59,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform time grid with n_steps intervals of width dt."""
+    """Uniform time grid with n_steps intervals of width dt (an integer >= 1, numpy's too)."""
 
     dt: float
     n_steps: int
@@ -66,8 +67,7 @@ class GridSpec:
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        check_count("n_steps", self.n_steps)
         if not math.isfinite(self.dt * self.n_steps):
             raise ValueError("total time dt * n_steps must be finite")
 
@@ -273,6 +273,7 @@ def caputo_l1_series(samples, dt: float, alpha: float) -> np.ndarray:
     q = np.asarray(samples, dtype=float)
     if q.size < 2:
         raise ValueError("need at least two samples of history")
+    check_finite_samples("samples", q)
     n = q.size - 1
     weights, scale = _l1_constants(alpha, dt, n)
     size = 1 << (2 * n - 1).bit_length()   # no wrap-around into the first n outputs
@@ -304,9 +305,7 @@ def _forcing_samples(forcing, grid: GridSpec) -> np.ndarray:
         raise ValueError(
             f"sampled forcing must have n_steps+1 = {grid.n_steps + 1} values, got {f.shape}"
         )
-    bad = np.flatnonzero(~np.isfinite(f))
-    if bad.size:
-        raise ValueError(f"sampled forcing must be finite, got {f[bad[0]]} at node {bad[0]}")
+    check_finite_samples("sampled forcing", f)
     return f
 
 

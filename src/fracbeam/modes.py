@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenSearchError, QuadratureError
+from .errors import EigenSearchError, QuadratureError, check_count
 
 __all__ = [
     "TipConfig",
@@ -122,9 +122,13 @@ def solve_eigen(tip: TipConfig, n_modes: int = 1, search_max_beta: float = 20.0)
     Sign changes of the characteristic function are located on a uniform
     beta grid of spacing 0.01, bracketed roots are bisected to 1e-12 and
     polished with one Newton step (centered finite-difference slope).
+    ``n_modes`` is an integer >= 1 and ``search_max_beta`` positive
+    (``ValueError`` otherwise); fewer than ``n_modes`` roots below
+    ``search_max_beta`` raise ``EigenSearchError``.
     """
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+    check_count("n_modes", n_modes)
+    if not (search_max_beta > 0):
+        raise ValueError(f"search_max_beta must be positive, got {search_max_beta}")
     f = lambda b: characteristic_residual(b, tip)
     betas: list[float] = []
     b = _GRID_STEP

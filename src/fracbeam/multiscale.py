@@ -116,7 +116,7 @@ class _SlowFlow:
         c2            = (3/4) c_nl fac cos h + (3/4) k_nl/w0 - (1/4) m_nl w0.
 
     The free envelope obeys da/dT = -(a1 a + a2 a^3), dphi/dT = shift + c2 a^2; the
-    cubic (``CubicCoeffs``) takes b1 = delta - shift and c_rhs from ``_forcing_term``.
+    cubic (``CubicCoeffs``) takes b1 = delta - shift and c_rhs = f^2/(4 w0^2).
     b2's and c2's tip-inertia terms differ in sign: integration sides with c2, and the
     strict-xfail ``test_steady_state_backbone_tip_mass_matches_integrator`` pins b2.
     """
@@ -310,12 +310,7 @@ class CubicCoeffs:
     def cubic(self) -> tuple:
         """(p3, p2, p1, p0) with p3 x^3 + p2 x^2 + p1 x + p0 = 0, x = a^2."""
         try:
-            return (
-                self.a2**2 + self.b2**2,
-                2.0 * (self.a1 * self.a2 + self.b1 * self.b2),
-                self.a1**2 + _pow(self.b1, 2),
-                -self.c_rhs,
-            )
+            return _cubic(self.a1, self.a2, self.b1, self.b2, self.c_rhs)
         except OverflowError as exc:
             raise _overflow(exc, self) from exc
 
@@ -324,6 +319,12 @@ class CubicCoeffs:
             return _discriminant(*self.cubic())
         except OverflowError as exc:
             raise _overflow(exc, self) from exc
+
+
+def _cubic(a1, a2, b1, b2, c_rhs) -> tuple:
+    """``CubicCoeffs``' (p3, p2, p1, p0) from floats or arrays, with libm's powers elementwise."""
+    return (_pow(a2, 2) + _pow(b2, 2), 2.0 * (a1 * a2 + b1 * b2),
+            _pow(a1, 2) + _pow(b1, 2), -c_rhs)
 
 
 def _overflow(exc: OverflowError, operands) -> OverflowError:
@@ -338,10 +339,17 @@ def _overflow(exc: OverflowError, operands) -> OverflowError:
     return OverflowError(f"{exc.args[-1]}: the steady-state cubic overflows at {operands}")
 
 
+def _discriminant_terms(a, b, c, d, pow_) -> tuple:
+    """The discriminant of a x^3 + b x^2 + c x + d as its five signed terms, in the order
+    they are summed: 18abcd - 4b^3 d + b^2 c^2 - 4ac^3 - 27a^2 d^2, with x^k = pow_(x, k)."""
+    return (18.0 * a * b * c * d, -4.0 * pow_(b, 3) * d, pow_(b, 2) * pow_(c, 2),
+            -4.0 * a * pow_(c, 3), -27.0 * pow_(a, 2) * pow_(d, 2))
+
+
 def _discriminant(a, b, c, d):
     """Discriminant of a x^3 + b x^2 + c x + d, with libm's powers elementwise."""
-    return (18.0 * a * b * c * d - 4.0 * _pow(b, 3) * d + _pow(b, 2) * _pow(c, 2)
-            - 4.0 * a * _pow(c, 3) - 27.0 * a**2 * d**2)
+    t0, t1, t2, t3, t4 = _discriminant_terms(a, b, c, d, _pow)
+    return t0 + t1 + t2 + t3 + t4
 
 
 def _safe(x):
@@ -353,7 +361,7 @@ def _safe(x):
 def _grid_discriminant(a: float, b: np.ndarray, c: np.ndarray, d: float) -> np.ndarray:
     """``_discriminant`` over arrays b, c, exact in sign and in zeros only.
 
-    The powers are numpy products (b*b*b for pow(b, 3)), each within a few
+    The powers are numpy products (x*x*x for pow(x, 3)), each within a few
     ulps of libm's; with every factor zero or far from under- and overflow
     (``_safe``), the two sums then differ by under 1e-14 of the sum of the
     terms' magnitudes.  Nodes whose value lies within 1e-12 of that sum, or
@@ -361,29 +369,25 @@ def _grid_discriminant(a: float, b: np.ndarray, c: np.ndarray, d: float) -> np.n
     and ``disc == 0.0`` agree with ``_discriminant`` at every node.
     """
     with np.errstate(all="ignore"):
-        bb, cc = b * b, c * c
-        terms = (18.0 * a * b * c * d, 4.0 * (bb * b) * d, bb * cc,
-                 4.0 * a * (cc * c), 27.0 * a**2 * d**2)
-        disc = terms[0] - terms[1] + terms[2] - terms[3] - terms[4]
+        products = lambda x, k: x * x if k == 2 else x * x * x
+        t0, t1, t2, t3, t4 = terms = _discriminant_terms(a, b, c, d, products)
+        disc = t0 + t1 + t2 + t3 + t4
         size = sum(np.abs(t) for t in terms)
         doubt = ~((np.abs(disc) > 1e-12 * size) & _safe(b) & _safe(c) & _safe(a) & _safe(d))
         disc[doubt] = _discriminant(a, b[doubt], c[doubt], d)
     return disc
 
 
-def _forcing_term(params: MmsParams) -> float:
-    """c_rhs = f^2/(4 w0^2), the cubic's constant term, for its two consumers below."""
-    return params.f**2 / (4.0 * params.omega0**2)
-
-
 def steady_state_cubic(params: MmsParams, delta) -> CubicCoeffs:
     """Coefficients of the primary-resonance steady-state equation at detuning delta.
 
     ``delta`` may be a 1-D array; ``b1`` then holds one value per detuning.
+    Only the cubic reads its constant term c_rhs = f^2/(4 w0^2), so the free
+    slow flow stays finite where that overflows.
     """
     flow = _slow_flow(params)
     try:
-        c_rhs = _forcing_term(params)
+        c_rhs = params.f**2 / (4.0 * params.omega0**2)
     except OverflowError as exc:
         raise _overflow(exc, params) from exc
     return CubicCoeffs(a1=flow.a1, a2=flow.a2, b1=delta - flow.shift, b2=flow.b2, c_rhs=c_rhs)
@@ -392,24 +396,14 @@ def steady_state_cubic(params: MmsParams, delta) -> CubicCoeffs:
 def _fold_discriminant(params: MmsParams):
     """``steady_state_cubic(params, delta).discriminant()`` as a function of a float delta.
 
-    Everything but b1 is computed once; each call then makes the remaining
-    operations of ``CubicCoeffs.cubic`` and ``_discriminant`` in the same
-    order, with ``math.pow``, so its value is the same to the last bit.
+    The coefficients other than b1 = delta - shift are taken once, at zero
+    detuning; each call then composes ``_cubic`` and ``_discriminant`` on
+    floats, so its value is the same to the last bit.
     """
-    flow = _slow_flow(params)
-    shift, b2, a1a2, a1_sq = flow.shift, flow.b2, flow.a1 * flow.a2, flow.a1**2
-    p3, p0 = flow.a2**2 + b2**2, -_forcing_term(params)
-    a18, a4, t5 = 18.0 * p3, 4.0 * p3, 27.0 * p3**2 * p0**2
-    pow_ = math.pow
-
-    def disc(delta: float) -> float:
-        b1 = delta - shift
-        p2 = 2.0 * (a1a2 + b1 * b2)
-        p1 = a1_sq + pow_(b1, 2)
-        return (a18 * p2 * p1 * p0 - 4.0 * pow_(p2, 3) * p0 + pow_(p2, 2) * pow_(p1, 2)
-                - a4 * pow_(p1, 3) - t5)
-
-    return disc
+    at_zero = steady_state_cubic(params, 0.0)
+    a1, a2, b2, c_rhs = at_zero.a1, at_zero.a2, at_zero.b2, at_zero.c_rhs
+    shift = 0.0 - at_zero.b1   # b1 = 0 - shift: shift exactly, unless shift is -0.0
+    return lambda delta: _discriminant(*_cubic(a1, a2, delta - shift, b2, c_rhs))
 
 
 @dataclass(frozen=True)
@@ -627,9 +621,9 @@ def frequency_sweep(
     recomputed with libm (``_grid_discriminant``), so the sign changes are
     those of ``CubicCoeffs.discriminant``.  Each sign change between
     neighbouring nodes, or node where it is zero, is bisected to 1e-10 in
-    plain floats (``_fold_discriminant``, equal to the libm discriminant to
-    the last bit).  The sweep costs about 2.7 us per detuning on a 2-vCPU
-    x86 machine.
+    plain floats (``_fold_discriminant``, the same ``_cubic`` and
+    ``_discriminant`` at one detuning).  The sweep costs about 2.7 us per
+    detuning on a 2-vCPU x86 machine.
 
     A descending grid bisects each bracket from its other end to the same
     double, so it reports the ascending grid's folds in descending order

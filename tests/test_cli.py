@@ -816,6 +816,19 @@ def test_domain_error_exit_code_2(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("limit, code", [("-5", 2), ("0", 2), ("1", 1)])
+def test_search_max_beta_domain(capsys, limit, code):
+    # a non-positive limit is a domain error; a positive one below the first
+    # root is a failed eigen search
+    assert main(["modes", "--search-max-beta", limit]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if code == 2:
+        assert f"search_max_beta must be positive, got {float(limit)}" in captured.err
+    else:
+        assert "increase search_max_beta" in captured.err
+
+
 @pytest.mark.parametrize("argv, message", [
     # a discrete solution that is finite near the overflow threshold is no
     # failure: q = 5.0e303 at t = 0.01, a = 0.999e308

@@ -150,6 +150,13 @@ def test_strain_program_validation():
         StrainProgram.sampled([0.0, 1.0], 0.0)
 
 
+@pytest.mark.parametrize("samples, node", [([0.0, math.nan], 1), ([math.nan, 0.0], 0),
+                                           ([0.0, 1.0, math.inf, math.nan], 2)])
+def test_strain_program_rejects_non_finite_samples(samples, node):
+    with pytest.raises(ValueError, match=f"samples must be finite, got .* at node {node}"):
+        StrainProgram.sampled(samples, 0.1)
+
+
 def test_stress_history_zero_strain():
     program = StrainProgram.sampled(np.zeros(100), 0.01)
     sigma = stress_history_l1(MaterialParams(1.0, 1.0, 0.4), program)

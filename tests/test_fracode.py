@@ -57,6 +57,20 @@ def test_caputo_needs_history():
         caputo_l1(np.array([1.0]), 0.01, 0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_caputo_rejects_non_finite_samples(bad):
+    with pytest.raises(ValueError, match=f"samples must be finite, got {bad} at node 1"):
+        caputo_l1_series([0.0, bad, 1.0, bad], 0.1, 0.5)
+
+
+def test_grid_needs_an_integer_step_count():
+    with pytest.raises(ValueError, match="n_steps must be an integer, got 10.0"):
+        GridSpec(0.01, 10.0)
+    with pytest.raises(ValueError, match="n_steps must be an integer"):
+        GridSpec(0.01, True)
+    assert GridSpec(0.01, np.int64(10)).times().size == 11
+
+
 def test_caputo_linear_exact():
     # closed form for q = t: t^(1-a) / Gamma(2-a); L1 reproduces it exactly
     for alpha in (0.3, 0.5, 0.7):

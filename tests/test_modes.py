@@ -82,6 +82,22 @@ def test_solve_eigen_insufficient_range(no_tip):
         solve_eigen(no_tip, 5, search_max_beta=5.0)
 
 
+@pytest.mark.parametrize("n_modes", [1.5, 2.0, True, "2"])
+def test_solve_eigen_needs_an_integer_mode_count(no_tip, n_modes):
+    with pytest.raises(ValueError, match="n_modes must be an integer"):
+        solve_eigen(no_tip, n_modes)
+
+
+def test_solve_eigen_takes_a_numpy_integer_mode_count(no_tip):
+    assert solve_eigen(no_tip, np.int64(2)) == solve_eigen(no_tip, 2)
+
+
+@pytest.mark.parametrize("limit", [-5.0, 0.0, math.nan])
+def test_solve_eigen_needs_a_positive_search_limit(no_tip, limit):
+    with pytest.raises(ValueError, match="search_max_beta must be positive"):
+        solve_eigen(no_tip, 1, search_max_beta=limit)
+
+
 def test_clamped_end_exact(case1_mode, case2_mode):
     for mode in (case1_mode, case2_mode):
         assert mode_shape_eval(mode, 0.0, 0) == 0.0
