@@ -5,11 +5,14 @@ no numerics.  Output is a rectangular table preceded by '#'-prefixed
 provenance lines (tool version plus a full parameter echo).  CSV cells carry
 17 significant digits; JSON cells are the shortest round-trip repr, or int text
 in the integer columns a command names.  Both are printed by ``g17`` over
-whole-array chunks, which leaves a cell to Python's ``%`` or ``repr`` only near
+whole-array chunks.  Only a finite non-zero cell outside a JSON integer column
+is converted to decimal digits, and left to Python's ``%`` or ``repr`` only near
 a rounding tie or round-trip boundary, for a power of two (JSON), where log10
-misjudges the decade and for |x| outside [1e-279, 1e280).  Repeated runs with
-the same configuration are byte-identical and every finite value reads back
-exactly.
+misjudges the decade and for |x| outside [1e-279, 1e280).  A JSON integer
+column's counts and tags take their digits straight from the integer, and
+zeros, infinities and NaNs (``null`` in JSON, as for an absent root) a fixed
+text.  Repeated runs with the same configuration are byte-identical and every
+finite value reads back exactly.
 
 Exit codes: 0 success, 1 numerical or output failure, 2 usage or domain error.
 """
@@ -53,10 +56,15 @@ class ResultTable:
     and ``-0`` included).  ``to_json`` prints the bytes of
     ``json.dumps(doc, indent=1)`` with ``int(x)`` in an integer column,
     Python's shortest round-trip ``repr(x)`` elsewhere and ``null`` for a
-    non-finite cell.  Both write whole-array chunks through ``g17``, which
-    hands a cell to Python's own formatting only near a rounding tie or a
-    round-trip boundary, for a power of two (JSON), where log10 misjudges the
-    decade and for |x| outside [1e-279, 1e280).
+    non-finite cell.  Both write whole-array chunks through ``g17``.  It
+    converts only the finite non-zero cells outside ``to_json``'s integer
+    columns to decimal digits, and hands one to Python's own formatting only
+    near a rounding tie or a round-trip boundary, for a power of two (JSON),
+    where log10 misjudges the decade and for |x| outside [1e-279, 1e280).
+    ``to_json`` prints an integer column's non-zero cells from their exact
+    integer digits, and both print a zero, infinity or NaN (an absent value
+    included) as a fixed text, so neither kind can print other bytes than
+    ``%``, ``repr`` or ``int`` would.
     """
 
     columns: list

@@ -86,8 +86,8 @@ class StrainProgram:
             if not (self.t_ramp > 0):
                 raise ValueError(f"t_ramp must be positive, got {self.t_ramp}")
         elif self.kind == "sampled":
-            if not (self.dt > 0):
-                raise ValueError(f"dt must be positive, got {self.dt}")
+            if not (self.dt > 0 and math.isfinite(self.dt)):
+                raise ValueError(f"dt must be positive and finite, got {self.dt}")
             if self.samples is None or len(self.samples) < 2:
                 raise ValueError("sampled program needs at least 2 samples")
             check_finite_samples("samples", np.asarray(self.samples, dtype=float))

@@ -662,6 +662,75 @@ def test_json_chunk_boundaries_match_dumps(n_cols):
         _assert_json_matches_dumps(values, ints=("c0",))
 
 
+# integer-column values whose text needs no decimal conversion or sits at a
+# digit-count boundary
+_INTEGER_EDGES = ([float(i) for i in range(10)] + [-0.0, math.nan]
+                  + [float(10 ** k) for k in range(16)] + [2.0 ** 53 - 1, -(2.0 ** 53 - 1)])
+_INTEGER_EDGES += [-x for x in _INTEGER_EDGES[1:10] + _INTEGER_EDGES[12:28]]
+
+
+def _split_chunk_table(n_cols, seed):
+    """Four chunks of ``g17._CHUNK_CELLS`` cells and a partial one, c0 an integer column.
+
+    Chunk 0 holds only zeros, infinities and NaNs outside c0; chunk 1 has
+    none; chunks 2 and 3 have one at each end; the partial chunk is all -0.0.
+    """
+    rows = g17._CHUNK_CELLS // n_cols
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((4 * rows + 3, n_cols)) * 10.0 ** rng.integers(-20, 20, (4 * rows + 3, n_cols))
+    values[:rows] = rng.choice([0.0, -0.0, math.nan, math.inf, -math.inf], (rows, n_cols))
+    for end in (2 * rows, 3 * rows - 1, 3 * rows, 4 * rows - 1):
+        values[end, rng.integers(n_cols)] = rng.choice([0.0, -0.0, math.nan, -math.inf])
+    values[4 * rows:] = -0.0
+    ints = rng.integers(-2 ** 53 + 1, 2 ** 53, values.shape[0]).astype(float)
+    ints[::2] = rng.integers(-3, 4, ints[::2].size)
+    ints[::13] = math.nan
+    ints[rows:2 * rows] = rng.integers(1, 10, rows)          # no zero or NaN in chunk 1
+    values[:, 0] = ints
+    return values
+
+
+@pytest.mark.parametrize("n_cols", [1, 3, 11])
+def test_json_split_chunks_match_dumps(n_cols, monkeypatch):
+    values = _split_chunk_table(n_cols, n_cols)
+    _assert_json_matches_dumps(values)
+    # only finite non-zero cells outside an integer column reach the digit search
+    converted = []
+    shortest = g17._shortest
+    monkeypatch.setattr(g17, "_shortest", lambda v, tab: converted.append(v.size) or shortest(v, tab))
+    _assert_json_matches_dumps(values, ints=("c0",))
+    floats = values[:, 1:]
+    assert sum(converted) == np.count_nonzero(np.isfinite(floats) & (floats != 0))
+    assert len(converted) == (0 if n_cols == 1 else 3)       # no call for a chunk without digits
+
+
+@pytest.mark.parametrize("n_cols", [1, 2, 11])
+def test_json_integer_column_edges_match_dumps(n_cols):
+    rows = g17._CHUNK_CELLS // n_cols
+    edges = np.array(_INTEGER_EDGES)
+    # the edges fill every chunk, and a whole run of them straddles each of the first two boundaries
+    column = np.resize(edges, 3 * rows + 1)
+    for start in (rows - edges.size // 2, 2 * rows - edges.size // 2):
+        column[start:start + edges.size] = edges
+    halves = np.resize(edges[::-1], column.size) * 0.5
+    values = np.column_stack([np.roll(column, j) if j % 2 == 0 else halves for j in range(n_cols)])
+    _assert_json_matches_dumps(values)
+    _assert_json_matches_dumps(values, ints=tuple(f"c{j}" for j in range(0, n_cols, 2)))
+    text = ResultTable(["n"], edges[:, None], ints=("n",)).to_json()
+    assert json.loads(text)["rows"] == [[None if math.isnan(x) else int(x)] for x in edges]
+
+
+@pytest.mark.parametrize("n_cols", [1, 4])
+def test_csv_split_chunks_and_integer_columns_match_template(n_cols):
+    values = _split_chunk_table(n_cols, 10 + n_cols)
+    _assert_csv_matches_template(values)
+    rows = g17._CHUNK_CELLS // n_cols
+    edges = np.array(_INTEGER_EDGES + [2.0 ** 53, 1e16, 1e17, 1e22, -1e22])
+    column = np.resize(edges, 3 * rows + 1)
+    column[rows - 5:rows - 5 + edges.size] = edges
+    _assert_csv_matches_template(np.column_stack([column] * n_cols))
+
+
 @given(st.lists(st.tuples(st.one_of(st.integers(-2 ** 53 + 1, 2 ** 53 - 1), st.just(math.nan)),
                           st.floats(width=64), st.floats(width=64)), max_size=40))
 @settings(max_examples=200, deadline=None)
@@ -757,7 +826,7 @@ def test_sweep_overflow_is_numerical_failure(capsys):
 @pytest.mark.parametrize("argv, value", [(["--f", "1e200", "--count", "5"], "f=1e+200"),
                                          (["--er", "1e150", "--count", "3"], "e_r=1e+150")])
 def test_sweep_overflow_names_the_parameters(capsys, argv, value):
-    # the forcing term f^2 or the discriminant's p3^2 overflows inside Python's **
+    # the forcing term f^2 overflows inside Python's **, the discriminant's p3^2 inside math.pow
     code = main(["sweep", *argv])
     captured = capsys.readouterr()
     assert code == 1

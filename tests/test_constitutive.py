@@ -150,6 +150,14 @@ def test_strain_program_validation():
         StrainProgram.sampled([0.0, 1.0], 0.0)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+@pytest.mark.parametrize("dt", [math.inf, math.nan])
+def test_strain_program_rejects_non_finite_dt(alpha, dt):
+    # at alpha = 1 an infinite step would otherwise give sigma = E_inf * eps
+    with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt}"):
+        stress_history_l1(MaterialParams(1.0, 1.0, alpha), StrainProgram.sampled([0.0, 1.0, 2.0], dt))
+
+
 @pytest.mark.parametrize("samples, node", [([0.0, math.nan], 1), ([math.nan, 0.0], 0),
                                            ([0.0, 1.0, math.inf, math.nan], 2)])
 def test_strain_program_rejects_non_finite_samples(samples, node):
