@@ -16,6 +16,7 @@ from .constitutive import (
     MaterialParams,
     StrainProgram,
     complex_modulus,
+    ramp_hold_strain,
     ramp_hold_stress,
     stress_history_l1,
     tangent_loss,

@@ -2,17 +2,10 @@
 
 Every subcommand is a thin wrapper over the library modules; this file holds
 no numerics.  Output is a rectangular table preceded by '#'-prefixed
-provenance lines (tool version plus a full parameter echo).  CSV cells carry
-17 significant digits; JSON cells are the shortest round-trip repr, or int text
-in the integer columns a command names.  Both are printed by ``g17`` over
-whole-array chunks.  Only a finite non-zero cell outside a JSON integer column
-is converted to decimal digits, and left to Python's ``%`` or ``repr`` only near
-a rounding tie or round-trip boundary, for a power of two (JSON), where log10
-misjudges the decade and for |x| outside [1e-279, 1e280).  A JSON integer
-column's counts and tags take their digits straight from the integer, and
-zeros, infinities and NaNs (``null`` in JSON, as for an absent root) a fixed
-text.  Repeated runs with the same configuration are byte-identical and every
-finite value reads back exactly.
+provenance lines (tool version plus a full parameter echo), its cells
+printed by ``g17``, whose docstring states their bytes.  Repeated runs with
+the same configuration are byte-identical and every finite value reads back
+exactly.
 
 Exit codes: 0 success, 1 numerical or output failure, 2 usage or domain error.
 """
@@ -30,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, g17
-from .constitutive import MaterialParams, StrainProgram, complex_modulus, ramp_hold_stress, stress_history_l1, tangent_loss
+from .constitutive import (MaterialParams, StrainProgram, complex_modulus, ramp_hold_strain, ramp_hold_stress,
+                           stress_history_l1, tangent_loss)
 from .fracode import GridSpec, HarmonicForcing, integrate_linear, integrate_nonlinear
 from .modes import ModalCoefficients, TipConfig, build_mode, modal_coefficients, mode_shape_eval, solve_eigen
 from .multiscale import MmsParams, critical_alpha, decay_rate, free_envelope, frequency_sweep, scale_coefficients, sensitivity
@@ -52,19 +46,10 @@ class ResultTable:
     does not exist (a root past ``n_roots``, a fold the sweep did not cross,
     an order not found).
 
-    ``to_csv`` prints each cell as ``'%.17g' % x`` (``nan``, ``inf``, ``-inf``
-    and ``-0`` included).  ``to_json`` prints the bytes of
-    ``json.dumps(doc, indent=1)`` with ``int(x)`` in an integer column,
-    Python's shortest round-trip ``repr(x)`` elsewhere and ``null`` for a
-    non-finite cell.  Both write whole-array chunks through ``g17``.  It
-    converts only the finite non-zero cells outside ``to_json``'s integer
-    columns to decimal digits, and hands one to Python's own formatting only
-    near a rounding tie or a round-trip boundary, for a power of two (JSON),
-    where log10 misjudges the decade and for |x| outside [1e-279, 1e280).
-    ``to_json`` prints an integer column's non-zero cells from their exact
-    integer digits, and both print a zero, infinity or NaN (an absent value
-    included) as a fixed text, so neither kind can print other bytes than
-    ``%``, ``repr`` or ``int`` would.
+    ``to_csv`` prints the CSV table and ``to_json`` the bytes of
+    ``json.dumps(doc, indent=1)``, with ``int(x)`` text in the ``ints``
+    columns; both write whole-array chunks through ``g17``, whose docstring
+    states each cell's bytes.
     """
 
     columns: list
@@ -194,7 +179,7 @@ def cmd_constitutive(cfg: dict) -> ResultTable:
                            np.column_stack([x, storage, loss, tangent_loss(mat, omega)]))
     n = int(round(cfg["t_final"] / cfg["dt"]))
     t = np.arange(n + 1) * cfg["dt"]
-    eps = StrainProgram.ramp_hold(cfg["rate"], cfg["t_ramp"]).strain(t)
+    eps = ramp_hold_strain(cfg["rate"], cfg["t_ramp"], t)
     exact = ramp_hold_stress(mat, cfg["rate"], cfg["t_ramp"], t)
     l1 = stress_history_l1(mat, StrainProgram.sampled(eps, cfg["dt"]))
     return ResultTable(["t", "strain", "stress_exact", "stress_l1"],
@@ -445,8 +430,9 @@ def _check_domain(command: str, cfg: dict) -> None:
 
     Every float is finite and every grid has a point.  Where the CLI divides
     the run time by ``dt`` (simulate, the constitutive ramp), dt is positive,
-    t_final non-negative and their ratio a step count.  Ranges the library
-    enforces (alpha, e_r, n_modes, the tip inertias, a0, ...) are left to it.
+    t_final non-negative and their ratio, rounded, a step count of at least 1.
+    Ranges the library enforces (alpha, e_r, n_modes, the tip inertias, a0,
+    ...) are left to it.
     """
     for name, flag in _SPECS[command].items():
         value = cfg[name]
@@ -460,9 +446,13 @@ def _check_domain(command: str, cfg: dict) -> None:
         if cfg["t_final"] < 0:
             raise ValueError(f"--t-final must be non-negative, got {cfg['t_final']}")
         # the step count must be an array length (this also rejects an inf ratio)
-        if not cfg["t_final"] / cfg["dt"] < sys.maxsize:
+        ratio = cfg["t_final"] / cfg["dt"]
+        if not ratio < sys.maxsize:
             raise ValueError(f"--t-final / --dt = {cfg['t_final']} / {cfg['dt']} "
                              "is too large for a step count")
+        if round(ratio) < 1:
+            raise ValueError(f"--t-final / --dt = {cfg['t_final']} / {cfg['dt']} "
+                             "rounds to 0 steps; it must give at least 1")
 
 
 def _default_text(flag: _Flag) -> str:

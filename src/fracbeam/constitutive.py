@@ -29,6 +29,7 @@ __all__ = [
     "StrainProgram",
     "complex_modulus",
     "tangent_loss",
+    "ramp_hold_strain",
     "ramp_hold_stress",
     "stress_history_l1",
 ]
@@ -71,45 +72,23 @@ class MaterialParams:
 
 @dataclass(frozen=True)
 class StrainProgram:
-    """Prescribed strain history: a ramp-hold profile or uniform samples."""
+    """Uniform strain samples ``samples[n] = eps(n dt)`` from a quiescent start."""
 
-    kind: str
-    rate: float = 0.0
-    t_ramp: float = 0.0
-    samples: np.ndarray | None = field(default=None, repr=False)
-    dt: float = 0.0
+    samples: np.ndarray = field(repr=False)
+    dt: float
 
     def __post_init__(self):
-        if self.kind == "ramp-hold":
-            if not math.isfinite(self.rate):
-                raise ValueError("ramp rate must be finite")
-            if not (self.t_ramp > 0):
-                raise ValueError(f"t_ramp must be positive, got {self.t_ramp}")
-        elif self.kind == "sampled":
-            if not (self.dt > 0 and math.isfinite(self.dt)):
-                raise ValueError(f"dt must be positive and finite, got {self.dt}")
-            if self.samples is None or len(self.samples) < 2:
-                raise ValueError("sampled program needs at least 2 samples")
-            check_finite_samples("samples", np.asarray(self.samples, dtype=float))
-            if self.samples[0] != 0.0:
-                raise ValueError("sampled strain must start from a quiescent state, strain(0) = 0")
-        else:
-            raise ValueError(f"unknown strain program kind {self.kind!r}")
-
-    @classmethod
-    def ramp_hold(cls, rate: float, t_ramp: float) -> "StrainProgram":
-        return cls(kind="ramp-hold", rate=rate, t_ramp=t_ramp)
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if len(self.samples) < 2:
+            raise ValueError("sampled program needs at least 2 samples")
+        check_finite_samples("samples", self.samples)
+        if self.samples[0] != 0.0:
+            raise ValueError("sampled strain must start from a quiescent state, strain(0) = 0")
 
     @classmethod
     def sampled(cls, values, dt: float) -> "StrainProgram":
-        return cls(kind="sampled", samples=np.asarray(values, dtype=float), dt=dt)
-
-    def strain(self, t):
-        """Evaluate the ramp-hold strain at time(s) t."""
-        if self.kind != "ramp-hold":
-            raise ValueError("strain(t) is defined for ramp-hold programs only")
-        t = np.asarray(t, dtype=float)
-        return self.rate * np.minimum(t, self.t_ramp)
+        return cls(np.asarray(values, dtype=float), dt)
 
 
 def _libm(fn, *args):
@@ -164,6 +143,15 @@ def tangent_loss(mat: MaterialParams, omega):
     return loss / storage
 
 
+def ramp_hold_strain(rate: float, t_ramp: float, t):
+    """The ramp-hold strain eps(t) = rate * min(t, t_ramp)."""
+    if not math.isfinite(rate):
+        raise ValueError("ramp rate must be finite")
+    if not (t_ramp > 0):
+        raise ValueError(f"t_ramp must be positive, got {t_ramp}")
+    return rate * np.minimum(np.asarray(t, dtype=float), t_ramp)
+
+
 def ramp_hold_stress(mat: MaterialParams, rate: float, t_ramp: float, t):
     """Exact stress under eps(t) = rate*t up to t_ramp, held constant after.
 
@@ -205,8 +193,6 @@ def stress_history_l1(mat: MaterialParams, program: StrainProgram) -> np.ndarray
     strain is piecewise linear with kinks on grid nodes; order 2-alpha on
     smooth strain histories.
     """
-    if program.kind != "sampled":
-        raise ValueError("stress_history_l1 needs a sampled strain program")
     from .fracode import caputo_l1_series  # shared L1 kernel
 
     eps = program.samples

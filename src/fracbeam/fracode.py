@@ -21,9 +21,10 @@ block product), and it brings the far sums of the blocks after it, at
 O(N log^2 N) cost over N steps.  Each integrator has one block loop for every
 order: at alpha = 1 a step takes the classical Newmark velocity for
 D^alpha q instead of the L1 sum, and the run keeps no history.  On a 2-vCPU
-x86 machine with Python 3.11 a 200k-step linear run takes about 0.17 s
-(0.5 s for the step loop it replaced), and a nonlinear step about 3.5 us
-(fractional) or 1.3 us (alpha = 1); the machine's speed drifts by up to 1.6x.
+x86 machine with Python 3.11 a 200k-step linear run takes about 0.1-0.15 s
+(the whole default ``fracbeam simulate``, in process, 0.21-0.26 s), and a
+nonlinear step about 3.5 us (fractional) or 1.3 us (alpha = 1); the
+machine's speed drifts by up to 1.6x.
 """
 
 from __future__ import annotations
@@ -297,16 +298,10 @@ def _fields(name: str, record) -> dict:
 def _forcing_samples(forcing, grid: GridSpec) -> np.ndarray:
     if forcing is None:
         return np.zeros(grid.n_steps + 1)
-    if isinstance(forcing, HarmonicForcing):
-        check_finite(**_fields("forcing", forcing))
-        return forcing.values(grid.times())
-    f = np.asarray(forcing, dtype=float)
-    if f.shape != (grid.n_steps + 1,):
-        raise ValueError(
-            f"sampled forcing must have n_steps+1 = {grid.n_steps + 1} values, got {f.shape}"
-        )
-    check_finite_samples("sampled forcing", f)
-    return f
+    if not isinstance(forcing, HarmonicForcing):
+        raise TypeError(f"forcing must be a HarmonicForcing or None, got {type(forcing).__name__}")
+    check_finite(**_fields("forcing", forcing))
+    return forcing.values(grid.times())
 
 
 def integrate_linear(
@@ -317,9 +312,11 @@ def integrate_linear(
     q0: float,
     v0: float,
     grid: GridSpec,
-    forcing=None,
+    forcing: HarmonicForcing | None = None,
 ) -> Trajectory:
     """Solve q'' + E_r c_l D^alpha q + k_l q = f(t) from (q0, v0).
+
+    ``forcing`` gives f(t), or None for f = 0; any other value is a TypeError.
 
     The new displacement appears linearly in the Newmark/L1 closure, so a
     step is affine in the state it starts from and in its input, the forcing

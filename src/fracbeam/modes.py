@@ -156,12 +156,14 @@ def solve_eigen(tip: TipConfig, n_modes: int = 1, search_max_beta: float = 20.0)
     return betas
 
 
+def _moment_b_factor(beta: float, j_tip: float) -> float:
+    """B's factor c + ch - J b^3 (s - sh) in the published tip-moment row, where B/A = -num / it."""
+    return math.cos(beta) + math.cosh(beta) - j_tip * beta**3 * (math.sin(beta) - math.sinh(beta))
+
+
 def _b_over_a(beta: float, j_tip: float) -> float:
-    s, c = math.sin(beta), math.cos(beta)
-    sh, ch = math.sinh(beta), math.cosh(beta)
-    num = s + sh + j_tip * beta**3 * (c - ch)
-    den = c + ch - j_tip * beta**3 * (s - sh)
-    return -num / den
+    num = math.sin(beta) + math.sinh(beta) + j_tip * beta**3 * (math.cos(beta) - math.cosh(beta))
+    return -num / _moment_b_factor(beta, j_tip)
 
 
 @dataclass(frozen=True)
@@ -192,13 +194,12 @@ def _shape_eval_raw(beta: float, b_over_a: float, j_tip: float, s, order: int):
     else:
         # sinh/cosh recombined as P e^x + M e^-x.  P = (1 + B)/2 suffers a
         # e^(-2 beta) cancellation when B -> -1, so expand it exactly:
-        # with B = -num/den, 1 + B = (den - num)/den, and den - num regroups
-        # into individually benign terms (cosh - sinh = e^-beta).
+        # with B = -num/den (den from _moment_b_factor), 1 + B = (den - num)/den,
+        # and den - num regroups into individually benign terms (cosh - sinh = e^-beta).
         sb, cb = math.sin(beta), math.cos(beta)
         jb3 = j_tip * beta**3
-        den = cb + math.cosh(beta) - jb3 * (sb - math.sinh(beta))
         den_minus_num = (cb - sb) + math.exp(-beta) - jb3 * (sb + cb) + jb3 * math.exp(beta)
-        P = 0.5 * den_minus_num / den
+        P = 0.5 * den_minus_num / _moment_b_factor(beta, j_tip)
         M = 0.5 * (B - A)
         ep, em = np.exp(x), np.exp(-x)
         hyp_even = P * ep + M * em

@@ -1050,6 +1050,28 @@ def test_step_count_out_of_range_exit_code_2(capsys, command, t_final, dt):
     assert "too large for a step count" in captured.err
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["constitutive", "--kind", "ramp"]])
+@pytest.mark.parametrize("t_final, dt", [("0", "0.001"), ("0.0004", "0.001"), ("1", "3")])
+def test_step_count_below_one_exit_code_2(capsys, command, t_final, dt):
+    # these used to fail in the library with "n_steps must be >= 1, got 0" (simulate)
+    # or "sampled program needs at least 2 samples" (ramp), naming no flag
+    code = main([*command, "--t-final", t_final, "--dt", dt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"fracbeam: error: --t-final / --dt = {float(t_final)} / {float(dt)} "
+                            "rounds to 0 steps; it must give at least 1\n")
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["constitutive", "--kind", "ramp"]])
+def test_step_count_of_one_runs(capsys, command):
+    # 0.6 / 1 rounds to one step, the smallest run the CLI accepts
+    code = main([*command, "--t-final", "0.6", "--dt", "1"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert len([line for line in captured.out.splitlines() if not line.startswith("#")]) == 3
+
+
 def test_memory_error_exit_code_1(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 1.49 GiB for an array")

@@ -9,6 +9,7 @@ from fracbeam import (
     MaterialParams,
     StrainProgram,
     complex_modulus,
+    ramp_hold_strain,
     ramp_hold_stress,
     stress_history_l1,
     tangent_loss,
@@ -139,9 +140,24 @@ def test_ramp_hold_hardening_then_relaxation_crossing():
     assert 0.05 < lo_t < 6.0
 
 
+@pytest.mark.parametrize("rate, t_ramp, message", [
+    (1.0, 0.0, "t_ramp must be positive, got 0.0"),
+    (1.0, math.nan, "t_ramp must be positive, got nan"),
+    (math.inf, 1.0, "ramp rate must be finite"),
+    (math.nan, 1.0, "ramp rate must be finite"),
+])
+def test_ramp_hold_strain_validation(rate, t_ramp, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ramp_hold_strain(rate, t_ramp, [0.0, 1.0])
+
+
+def test_ramp_hold_strain_ramps_then_holds():
+    t = np.array([0.0, 0.5, 1.5, 2.0, 3.0])
+    assert ramp_hold_strain(-0.5, 1.5, t).tolist() == [0.0, -0.25, -0.75, -0.75, -0.75]
+    assert ramp_hold_strain(2.0, 1.0, 0.25) == 0.5
+
+
 def test_strain_program_validation():
-    with pytest.raises(ValueError):
-        StrainProgram.ramp_hold(1.0, 0.0)
     with pytest.raises(ValueError):
         StrainProgram.sampled([0.0], 0.1)
     with pytest.raises(ValueError):

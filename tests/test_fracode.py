@@ -204,12 +204,18 @@ NAN, INF = math.nan, math.inf
     ((1.24, 1.24, 0.1, 0.5, 1.0, 0.0), HarmonicForcing(NAN, 1.1), "forcing.amplitude"),
     ((1.24, 1.24, 0.1, 1.0, 1.0, 0.0), HarmonicForcing(1.0, INF), "forcing.frequency"),
     ((1.24, 1.24, 0.1, 0.5, 1.0, 0.0), HarmonicForcing(1.0, 1.1, NAN), "forcing.phase"),
-    ((1.24, 1.24, 0.1, 0.5, 1.0, 0.0), [0.0] * 20 + [NAN] * 21, "sampled forcing"),
 ])
 def test_linear_rejects_non_finite_input(args, forcing, name):
     # these used to return an all-NaN trajectory
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         integrate_linear(*args, GridSpec(0.01, 40), forcing)
+
+
+@pytest.mark.parametrize("forcing, kind", [([0.0] * 20 + [NAN] * 21, "list"),
+                                           (np.zeros(41), "ndarray"), (1.0, "float")])
+def test_linear_forcing_is_harmonic_or_none(forcing, kind):
+    with pytest.raises(TypeError, match=f"^forcing must be a HarmonicForcing or None, got {kind}$"):
+        integrate_linear(1.24, 1.24, 0.1, 0.5, 1.0, 0.0, GridSpec(0.01, 40), forcing)
 
 
 @pytest.mark.parametrize("q0, v0, e_alpha, base, coeff, name", [
