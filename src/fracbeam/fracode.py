@@ -15,16 +15,17 @@ that Newton does not settle takes the cubic's real root nearest the
 predictor, in closed form (``multiscale``'s cubic kernel).
 
 Every L1 sum goes through one kernel, ``L1History``: a stepper hands it
-each closed block of increments (32 per nonlinear block, summed directly in
-Python floats while the block is open; 128 per linear block, inside the
-block product), and it brings the far sums of the blocks after it, at
-O(N log^2 N) cost over N steps.  Each integrator has one block loop for every
-order: at alpha = 1 a step takes the classical Newmark velocity for
-D^alpha q instead of the L1 sum, and the run keeps no history.  On a 2-vCPU
-x86 machine with Python 3.11 a 200k-step linear run takes about 0.1-0.15 s
-(the whole default ``fracbeam simulate``, in process, 0.21-0.26 s), and a
-nonlinear step about 3.5 us (fractional) or 1.3 us (alpha = 1); the
-machine's speed drifts by up to 1.6x.
+each closed block of 128 increments and it brings the far sums of the blocks
+after it, at O(N log^2 N) cost over N steps.  The sums inside the open
+block are the linear block product's, and a nonlinear step reads both of
+its own (q and q^3) with one product of the open block's (2 x 128) array
+of increments and a row of the kernel's ``near`` matrix.  Each integrator
+has one block loop for every order: at alpha = 1 a step takes the classical
+Newmark velocity for D^alpha q instead of the L1 sum, and the run keeps no
+history.  On a 2-vCPU x86 machine with Python 3.11 a 200k-step linear run
+takes about 0.1-0.15 s (the whole default ``fracbeam simulate``, in
+process, 0.21-0.26 s), and a nonlinear step about 2.7 us (fractional) or
+1.2 us (alpha = 1); the machine's speed drifts by up to 1.7x.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from operator import mul
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -117,22 +117,15 @@ def l1_weights(alpha: float, n: int) -> np.ndarray:
     return np.diff(j ** (1.0 - alpha))
 
 
-# the nonlinear steps sum lags inside the current block of this many
-# increments directly, and every history block is this size times a power of 2
-_BASE = 32
-# dyadic squares up to this size reach the far sums by one dense Toeplitz
-# product, larger ones by FFT: below it numpy's FFT call overhead costs more
-# than the O(L^2) product, above it the FFT keeps the kernel O(N log^2 N)
-_DENSE = 128
-# integrate_linear's steps per block solve, a power-of-2 multiple of _BASE.
-# Measured over 16k-32k-step runs (2 vCPU, x86): 64 steps per block cost
-# about 20% more than 128, and 32 or 256 about 60% more; at 128 the
-# (3B x (3 + B)) product and one closure per block balance the per-block
-# numpy overhead.
+# every history block is this size times a power of 2.  integrate_linear
+# solves a block of this many steps at a time: over 16k-32k-step runs
+# (2 vCPU, x86) 64 steps per block cost about 20% more than 128, and 32 or
+# 256 about 60% more; at 128 the (3B x (3 + B)) product and one closure per
+# block balance the per-block numpy overhead.  A closed block of this size
+# reaches the next block's far sums by one dense Toeplitz product, larger
+# ones by FFT: below it numpy's FFT call overhead costs more than the
+# O(L^2) product, above it the FFT keeps the kernel O(N log^2 N).
 _BLOCK = 128
-# the alpha = 1 nonlinear steps have no history: they zip this in place of a
-# block's near weights and far sums
-_NO_HISTORY = (None,) * _BASE
 
 
 def _l1_constants(alpha: float, dt: float, n: int) -> tuple[np.ndarray, float]:
@@ -153,7 +146,7 @@ class L1History:
     factor dt^(-alpha)/Gamma(2-alpha), so the Caputo derivative after x_n is
     ``scale * (x_n + lag sum)``.
 
-    A stepper feeds the history a block of S = _BASE * 2^j increments at a
+    A stepper feeds the history a block of S = _BLOCK * 2^j increments at a
     time, every block starting at a multiple of its size.  While a block
     starting at s is open, ``far[k, s + r]`` is the far part of the lag sum
     of its r-th target (every lag that reaches back before the block), so
@@ -161,8 +154,11 @@ class L1History:
 
         far[k, s + r] + sum_{j=1..r} b_j x_{s+r-j}.
 
-    ``near_weights[r]`` = [b_r, ..., b_1] (r < _BASE) is that near sum's
-    weight list for a stepper that keeps the block in Python lists.
+    ``near`` is the B x B strictly lower-triangular Toeplitz matrix of
+    b_1..b_{B-1} (B = _BLOCK): row r holds b_r..b_1 and then zeros, so a
+    stepper that keeps the open block of B in a (channels, B) array X reads
+    every channel's near sum at once as ``X.dot(near[r])``, whatever the
+    array holds past the r increments (finite numbers times zero).
     ``close_block(*blocks)`` takes the block's increments, one sequence of S
     per channel, and updates ``far`` in place for the next block's targets.
     It is the kernel's only check: one full block per channel, aligned to
@@ -172,9 +168,9 @@ class L1History:
     The far sums come from the blocked convolution of Hairer, Lubich and
     Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985).  When the block ending
     at i closes, the dyadic source block [i-L, i) with i/L odd
-    (L = _BASE * 2^k, at least S since S divides i) is added to the targets
+    (L = _BLOCK * 2^k, at least S since S divides i) is added to the targets
     [i, i+L) that exist, for every channel at once: by one dense Toeplitz
-    product for L <= _DENSE, by FFT above, of length L + m (m targets)
+    product for L = _BLOCK, by FFT above, of length L + m (m targets)
     rounded up to 2^j or 3 * 2^j.  Each (source, target) pair in different
     blocks is counted exactly once, at the level where their blocks are
     siblings; pairs inside one block are the stepper's near sums.  So the
@@ -194,9 +190,12 @@ class L1History:
         self._closed = 0                                  # increments in closed blocks
         self._x = np.zeros((channels, capacity))
         self.far = np.zeros((channels, capacity + 1))    # far-field part of each target's sums
-        b = self.weights[:_BASE].tolist()
-        self.near_weights = [b[r:0:-1] for r in range(_BASE)]
-        self._toeplitz = None                             # built at the first closed block
+        # lags t - s of targets t < 2B from a block's sources s < B, zero
+        # for t <= s: rows t < B are its near weights, rows B + t the
+        # square that brings its far sums to the next block's targets t
+        lags = np.concatenate((np.zeros(_BLOCK - 1), self._lag_kernel(2 * _BLOCK)))
+        self._lags = sliding_window_view(lags, _BLOCK)[:, ::-1].copy()
+        self.near = self._lags[:_BLOCK]
         self._spectra = {}                                # FFT length -> kernel spectrum
 
     def close_block(self, *blocks) -> None:
@@ -206,23 +205,21 @@ class L1History:
             raise ValueError(f"a block closes with one sequence of increments per channel "
                              f"({self.channels}), got lengths {sizes}")
         width = sizes[0]
-        if width < _BASE or width & (width - 1) or self._closed % width:
-            raise ValueError(f"a block holds {_BASE} * 2^j increments and starts at a multiple "
+        if width < _BLOCK or width & (width - 1) or self._closed % width:
+            raise ValueError(f"a block holds {_BLOCK} * 2^j increments and starts at a multiple "
                              f"of its size, got {width} at {self._closed}")
         i = self._closed + width
         if i > self.capacity:
             raise ValueError(f"L1History is full ({self.capacity} increments)")
         self._x[:, i - width:i] = blocks
         self._closed = i
-        size = _BASE
+        size = _BLOCK
         while (i // size) % 2 == 0:
             size *= 2
         m = min(size, self.capacity + 1 - i)   # targets that exist
         source = self._x[:, i - size:i]
-        if size <= _DENSE:
-            if self._toeplitz is None:
-                self._toeplitz = self._build_toeplitz()
-            self.far[:, i:i + m] += (self._toeplitz[:m, _DENSE - size:] @ source.T).T
+        if size == _BLOCK:
+            self.far[:, i:i + m] += (self._lags[_BLOCK:_BLOCK + m] @ source.T).T
         else:
             n_fft = _fft_length(size + m)
             spec = self._spectra.get(n_fft)
@@ -243,15 +240,6 @@ class L1History:
         b = self.weights[1:length]
         kernel[1:1 + b.size] = b
         return kernel
-
-    def _build_toeplitz(self) -> np.ndarray:
-        """The _DENSE x _DENSE matrix of lags _DENSE + t - s, target t, source s.
-
-        Its top-right L x L corner, rows t and columns _DENSE - L + s, holds
-        lags L + t - s: the square of a closed block of size L <= _DENSE.
-        """
-        lags = sliding_window_view(self._lag_kernel(2 * _DENSE)[1:], _DENSE)
-        return lags[:, ::-1].copy()
 
 
 def _fft_length(k: int) -> int:
@@ -295,12 +283,13 @@ def _fields(name: str, record) -> dict:
     return {f"{name}.{key}": value for key, value in vars(record).items()}
 
 
-def _forcing_samples(forcing, grid: GridSpec) -> np.ndarray:
+def _forcing_samples(name: str, forcing, grid: GridSpec) -> np.ndarray:
+    """Argument ``name`` at the grid's nodes: a HarmonicForcing's samples, or zeros for None."""
     if forcing is None:
         return np.zeros(grid.n_steps + 1)
     if not isinstance(forcing, HarmonicForcing):
-        raise TypeError(f"forcing must be a HarmonicForcing or None, got {type(forcing).__name__}")
-    check_finite(**_fields("forcing", forcing))
+        raise TypeError(f"{name} must be a HarmonicForcing or None, got {type(forcing).__name__}")
+    check_finite(**_fields(name, forcing))
     return forcing.values(grid.times())
 
 
@@ -336,7 +325,7 @@ def integrate_linear(
     if not (0 < alpha <= 1):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     dt, n = grid.dt, grid.n_steps
-    f = _forcing_samples(forcing, grid)
+    f = _forcing_samples("forcing", forcing, grid)
     f0, damp = float(f[0]), e_r * c_l   # a float overflows to inf without a numpy warning
     out = np.empty((3, n + 1))   # rows q, v, a
     if alpha == 1.0:
@@ -425,29 +414,29 @@ def integrate_nonlinear(
     M_t q'' + Jnl (q'' q^2 + q q'^2) + K_l q + E_r C_l D^a q
         + 2 K_nl q^3 + (E_r C_nl / 2) (D^a q^3 + 3 q^2 D^a q) = -M_b Vb''(t)
 
-    D^a q^3 is the L1 sum over the stored q^3 history (the operator applied
-    to the cubed signal, not expanded).  With Newmark's q'' and q' and the
-    L1 (or, at alpha = 1, Newmark) derivatives all polynomial in the new
-    displacement u, each step's residual is a cubic in d = u - q_i whose
-    coefficients are built once per step from ``_step_model``'s constants.
-    It is solved by Newton with the analytic slope, both evaluated by
-    Horner's rule, to a residual below max(1e-10, 64 eps M_t (4/dt^2)
-    max(|q_i|, dt |v_i|, 1)), from the predictor dt v_i + dt^2 a_i / 2: one
-    step inline, and ``_finish_step`` on the rare steps it does not settle.
-    One loop steps the two-channel history (q and q^3 increments) a block
-    at a time; at alpha = 1 each step takes the classical values of D^a q
+    ``base_accel`` gives Vb''(t), or None for Vb'' = 0; any other value is a
+    TypeError.  D^a q^3 is the L1 sum over the stored q^3 history (the
+    operator applied to the cubed signal, not expanded).  With Newmark's q''
+    and q' and the L1 (or, at alpha = 1, Newmark) derivatives all polynomial
+    in the new displacement u, each step's residual is a cubic in d = u - q_i
+    whose coefficients are built once per step from ``_step_model``'s
+    constants.  It is solved by Newton with the analytic slope, both
+    evaluated by Horner's rule, to a residual below max(1e-10, 64 eps M_t
+    (4/dt^2) max(|q_i|, dt |v_i|, 1)), from the predictor dt v_i + dt^2 a_i
+    / 2: one step inline, and ``_finish_step`` on the rare steps it does not
+    settle.  One loop steps the two-channel history (q and q^3 increments) a
+    block at a time, each step reading its sums inside the open block with
+    one product; at alpha = 1 each step takes the classical values of D^a q
     and D^a q^3 instead of the L1 sums, and no history is kept.  An initial
     state that overflows the equation at t = 0 raises ``OverflowError``.
     """
     check_finite(q0=q0, v0=v0, e_r=mat.e_r, **_fields("coeffs", coeffs))
-    if base_accel is not None:
-        check_finite(**_fields("base_accel", base_accel))
     dt, n = grid.dt, grid.n_steps
     alpha, e_r = mat.alpha, mat.e_r
     mt, jnl = coeffs.m_modal, coeffs.j_nl
     kl, cl, knl, cnl, mb = coeffs.k_l, coeffs.c_l, coeffs.k_nl, coeffs.c_nl, coeffs.m_b
-    rhs_force = (-mb * base_accel.values(grid.times()) if base_accel is not None
-                 else np.zeros(n + 1)).tolist()
+    accel = _forcing_samples("base_accel", base_accel, grid)
+    rhs_force = (accel if base_accel is None else -mb * accel).tolist()   # None: +0.0, not -0.0
 
     qi, vi = float(q0), float(v0)
     classical = alpha == 1.0
@@ -465,11 +454,13 @@ def integrate_nonlinear(
 
     if classical:
         scale = None
-        near = far_q = far_c = _NO_HISTORY
     else:
         history = L1History(alpha, dt, n, channels=2)
-        scale, near, far = history.scale, history.near_weights, history.far
-        block_q, block_c = [], []
+        scale, near, far = history.scale, list(history.near), history.far
+        block = np.zeros((2, _BLOCK))   # the open block's q and q^3 increments
+        block_q, block_c = map(memoryview, block)
+        sums = np.zeros(2)              # a step's near sums over the open block
+        near_sums = memoryview(sums)
     ca, c3, c2q, c1q2, c1k, mt, jnl, kl, knl2, h, ecl, hs, g2, j2g = _step_model(
         coeffs, e_r, dt, scale)
     c3x3 = 3.0 * c3
@@ -477,18 +468,23 @@ def integrate_nonlinear(
     tol_scale = float(64.0 * np.finfo(float).eps * mt * w0)
     half_dt, half_dt2 = 0.5 * dt, 0.5 * dt * dt
 
-    for start in range(0, n, _BASE):
-        if not classical:
-            far_q, far_c = far[:, start:start + _BASE].tolist()
-        forces = rhs_force[start + 1:start + _BASE + 1]
-        for b_near, fq, fc, force in zip(near, far_q, far_c, forces):
+    for start in range(0, n, _BLOCK):
+        # a step reads its force and, in a fractional run, its slot in the
+        # open block, its row of near weights and its far sums
+        forces = rhs_force[start + 1:start + _BLOCK + 1]
+        steps = forces if classical else zip(
+            range(_BLOCK), near, *far[:, start:start + _BLOCK].tolist(), forces)
+        for step in steps:
             # the step's D^a q (p0) and D^a q^3 (lag_c) terms: the classical
             # Newmark values, or the L1 history sums
             if classical:
-                p0, lag_c = -vi, 0.0
+                p0, lag_c, force = -vi, 0.0, step
             else:
-                p0 = ca * (fq + sum(map(mul, b_near, block_q)))
-                lag_c = fc + sum(map(mul, b_near, block_c))
+                slot, row, fq, fc, force = step
+                block.dot(row, sums)
+                near_q, near_c = near_sums
+                p0 = ca * (fq + near_q)
+                lag_c = fc + near_c
             a0 = -(g2 * vi + ai)
             m0 = jnl * a0 + knl2 * qi + h * p0
             c2 = m0 + qi * c2q - j2g * vi
@@ -519,16 +515,14 @@ def integrate_nonlinear(
             a1 = w0 * (u - qi - dt * vi) - ai
             vi = vi + half_dt * (ai + a1)
             if not classical:
-                block_q.append(u - qi)
-                block_c.append(u * u * u - qi * qi * qi)
+                block_q[slot] = u - qi
+                block_c[slot] = u * u * u - qi * qi * qi
             qi, ai = u, a1
             q.append(qi)
             v.append(vi)
             a.append(ai)
-        if not classical and start + _BASE < n:   # a later step reads the far sums
-            history.close_block(block_q, block_c)
-            block_q.clear()
-            block_c.clear()
+        if not classical and start + _BLOCK < n:   # a later step reads the far sums
+            history.close_block(*block)
     return Trajectory(grid=grid, q=np.array(q), v=np.array(v), a=np.array(a))
 
 

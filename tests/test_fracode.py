@@ -237,6 +237,16 @@ def test_nonlinear_rejects_non_finite_input(q0, v0, e_alpha, base, coeff, name, 
         integrate_nonlinear(coeffs, mat, q0, v0, GridSpec(0.01, 40), base)
 
 
+@pytest.mark.parametrize("base, kind", [([0.0] * 20 + [NAN] * 21, "list"),
+                                        (np.zeros(41), "ndarray"), (1.0, "float")])
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_nonlinear_base_accel_is_harmonic_or_none(base, kind, alpha, case1_coeffs):
+    # a sampled array used to fail in vars() with no word of base_accel
+    mat = MaterialParams.from_ratio(0.1, alpha)
+    with pytest.raises(TypeError, match=f"^base_accel must be a HarmonicForcing or None, got {kind}$"):
+        integrate_nonlinear(case1_coeffs, mat, 0.1, 0.0, GridSpec(0.01, 40), base)
+
+
 # ---------------------------------------------------- nonlinear integration
 
 def test_nonlinear_zero_equilibrium(case1_coeffs):

@@ -10,7 +10,6 @@ is checked against the direct stepper and against its per-increment replay.
 import gc
 import math
 import weakref
-from operator import mul
 
 import numpy as np
 import pytest
@@ -53,7 +52,7 @@ def _direct_lag_sums(x, alpha):
 
 @settings(max_examples=40, deadline=None)
 @given(alpha=st.floats(min_value=1e-3, max_value=1 - 1e-6),
-       n=st.sampled_from([1, 31, 32, 33, 63, 64, 65, 127, 128, 4097]),
+       n=st.sampled_from([1, 31, 32, 33, 63, 64, 65, 127, 128, 129, 4097]),
        seed=st.integers(min_value=0, max_value=2**32 - 1),
        pattern=st.sampled_from(["random", "old-large", "first-block"]))
 def test_lag_sum_matches_direct_sum(alpha, n, seed, pattern):
@@ -79,9 +78,9 @@ def _pair_sums(history, x, y):
     return got
 
 
-# n on both sides of the first FFT block (2 * _DENSE), and long runs
-@pytest.mark.parametrize("n", [1, 33, fracode._DENSE + 1, 2 * fracode._DENSE - 1,
-                               2 * fracode._DENSE + 1, 4097, 5000])
+# n on both sides of the first FFT block (2 * _BLOCK), and long runs
+@pytest.mark.parametrize("n", [1, 33, fracode._BLOCK + 1, 2 * fracode._BLOCK - 1,
+                               2 * fracode._BLOCK + 1, 4097, 5000])
 @pytest.mark.parametrize("pattern", ["random", "old-large"])
 def test_pair_lag_sums_match_direct_sums(n, pattern):
     x = _increments(n, 7, pattern)
@@ -93,7 +92,7 @@ def test_pair_lag_sums_match_direct_sums(n, pattern):
         assert np.all(np.abs(got[:, k] - _direct_lag_sums(data, 0.37)) <= bound)
 
 
-@pytest.mark.parametrize("n", [2 * fracode._DENSE + 1, 4097])
+@pytest.mark.parametrize("n", [2 * fracode._BLOCK + 1, 4097])
 def test_pair_channels_do_not_mix(n):
     # channel 0's sums are its own whatever channel 1 carries, and equal the
     # one-channel kernel's
@@ -113,30 +112,28 @@ def test_pair_channels_do_not_mix(n):
 def _block_sums(history, columns):
     """Every target's lag sums, with the history stepped a block at a time.
 
-    The stepping of ``integrate_nonlinear``: the near sums over the open
-    block's lists, one ``close_block`` per full block.
+    The stepping of ``integrate_nonlinear``: the open block in a
+    (channels, _BLOCK) array, its near sums by one product with a row of
+    ``history.near``, one ``close_block`` per full block.
     """
-    n = len(columns[0])
-    near, blocks = history.near_weights, [[] for _ in columns]
+    n, base = len(columns[0]), fracode._BLOCK
+    block = np.zeros((len(columns), base))
     got = np.empty((n + 1, len(columns)))
-    for start in range(0, n + 1, fracode._BASE):
-        for r, far_r in enumerate(zip(*history.far[:, start:start + fracode._BASE].tolist())):
+    for start in range(0, n + 1, base):
+        for r, far_r in enumerate(zip(*history.far[:, start:start + base].tolist())):
             if start + r > n:
                 break
-            got[start + r] = [far + sum(map(mul, near[r], block))
-                              for far, block in zip(far_r, blocks)]
+            got[start + r] = [far + near
+                              for far, near in zip(far_r, block.dot(history.near[r]).tolist())]
             if start + r < n:
-                for block, column in zip(blocks, columns):
-                    block.append(column[start + r])
-        if len(blocks[0]) == fracode._BASE:
-            history.close_block(*blocks)
-            for block in blocks:
-                block.clear()
+                block[:, r] = [column[start + r] for column in columns]
+        if start + base <= n:
+            history.close_block(*block)
     return got
 
 
 @pytest.mark.parametrize("n", [fracode._BLOCK, 4097, 20001])
-@pytest.mark.parametrize("width", [2 * fracode._BASE, fracode._BLOCK])
+@pytest.mark.parametrize("width", [fracode._BLOCK, 2 * fracode._BLOCK])
 def test_array_blocks_match_direct_sums(n, width):
     # the block solve's stepping: blocks of ``width`` increments close as one
     # array each, and ``far`` then holds the complete far sums of the next
@@ -219,7 +216,7 @@ def _replay_linear(c_l, k_l, e_r, alpha, q0, v0, grid, forcing):
 
 
 # both runs cross dense and FFT closures and end inside a block
-@pytest.mark.parametrize("n", [2 * fracode._DENSE + 40, 5000])
+@pytest.mark.parametrize("n", [2 * fracode._BLOCK + 40, 5000])
 @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
 def test_integrate_linear_replays_bit_for_bit(alpha, n):
     # the oracle loop, stepped a block at a time, against its replay one
@@ -247,17 +244,17 @@ def test_closures_transform_only_the_targets_that_exist():
 
 
 def test_close_block_checks_the_open_block():
-    base = fracode._BASE
+    base = fracode._BLOCK
     history = L1History(0.5, 0.01, 4 * base + 8, channels=2)
     with pytest.raises(ValueError, match="per channel"):
         history.close_block([1.0] * base, [1.0] * (base - 1))
     with pytest.raises(ValueError, match="per channel"):
         history.close_block([1.0] * base)
-    for width in (base - 1, 3 * base):   # not _BASE * 2^j increments
+    for width in (base - 1, 3 * base):   # not _BLOCK * 2^j increments
         with pytest.raises(ValueError, match="multiple of its size"):
             history.close_block([1.0] * width, [1.0] * width)
     history.close_block([1.0] * base, [1.0] * base)
-    with pytest.raises(ValueError, match="multiple of its size"):   # 2 _BASE from _BASE
+    with pytest.raises(ValueError, match="multiple of its size"):   # 2 _BLOCK from _BLOCK
         history.close_block(np.ones(2 * base), np.ones(2 * base))
     history.close_block(np.ones(base), np.ones(base))
     history.close_block(np.ones(2 * base), np.ones(2 * base))
@@ -277,7 +274,7 @@ def test_histories_are_freed_by_reference_counting(monkeypatch, case1_coeffs):
             made.append(weakref.ref(self))
 
     monkeypatch.setattr(fracode, "L1History", Recorded)
-    grid = GridSpec(0.01, 2 * fracode._DENSE + 40)    # dense and FFT blocks
+    grid = GridSpec(0.01, 2 * fracode._BLOCK + 40)    # dense and FFT blocks
     gc.collect()
     gc.disable()
     try:
@@ -448,7 +445,8 @@ def test_integrate_nonlinear_matches_direct_stepper(case, alpha, q0, case1_coeff
 
 # a run of n steps ends inside, at or just past a history block, or past
 # the first FFT closure
-@pytest.mark.parametrize("n", [1, 31, 32, 33, 2 * fracode._DENSE + 1])
+@pytest.mark.parametrize("n", [1, 31, 32, 33, fracode._BLOCK - 1, fracode._BLOCK,
+                               fracode._BLOCK + 1, 2 * fracode._BLOCK + 1])
 def test_integrators_match_direct_steppers_at_block_boundaries(n, case2_coeffs):
     grid = GridSpec(0.01, n)
     forcing = HarmonicForcing(1.3, 1.1, 0.2)

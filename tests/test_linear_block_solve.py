@@ -105,13 +105,13 @@ B = fracode._BLOCK
 @given(alpha=st.floats(min_value=1e-3, max_value=1.0),
        e_r=st.floats(min_value=0.0, max_value=2.0),
        forced=st.booleans(),
-       n=st.sampled_from([1, B - 1, B, B + 1, 2 * fracode._DENSE + B + 1]),
+       n=st.sampled_from([1, B - 1, B, B + 1, 3 * B + 1]),
        dt=st.sampled_from([1e-3, 1e-2]),
        # a subnormal state has too few significant bits for a relative bound
        q0=st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False),
        v0=st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False))
 @example(alpha=1.0, e_r=0.0, forced=False, n=B + 1, dt=1e-2, q0=1.0, v0=0.0)
-@example(alpha=1.0, e_r=2.0, forced=True, n=2 * fracode._DENSE + B + 1, dt=1e-3, q0=-0.5, v0=1.0)
+@example(alpha=1.0, e_r=2.0, forced=True, n=3 * B + 1, dt=1e-3, q0=-0.5, v0=1.0)
 @example(alpha=0.5, e_r=0.0, forced=True, n=B, dt=1e-2, q0=0.0, v0=0.0)
 def test_block_solve_holds_the_discrete_equations(alpha, e_r, forced, n, dt, q0, v0):
     # n ends inside, at, or just past a block, or past the first FFT closure

@@ -7,7 +7,8 @@ on here as oracles: ``closure_residual`` is that closure, and
 stepped one increment at a time by ``push`` and ``lag_sums``.
 ``step_cubic`` is the cubic that the integrator's loop builds inline from
 ``_step_model``'s constants, written as one function, and ``replay_stepper``
-is that loop one step at a time, from the pieces it inlines.  The rare
+is that loop one step at a time, from the pieces it inlines, on the same
+kernel or on the direct O(N^2) history sums.  The rare
 steps that Newton does not settle take the cubic's real root nearest the
 predictor from the closed form; ``mp_nearest_root`` is that root in 60-digit
 arithmetic.
@@ -24,7 +25,8 @@ from conftest import lag_sums, push
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracbeam import GridSpec, HarmonicForcing, L1History, MaterialParams, fracode, integrate_nonlinear
+from fracbeam import (GridSpec, HarmonicForcing, L1History, MaterialParams, fracode,
+                      integrate_nonlinear, l1_weights)
 from fracbeam.errors import StepFailureError
 from fracbeam.fracode import _NEWTON_TOL, _finish_step, _nearest_root, _step_model
 
@@ -183,13 +185,25 @@ def fd_slope_stepper(co, mat, q0, v0, grid, base_accel, newton_tol=1e-10, max_ne
     return np.array(q)
 
 
-def replay_stepper(co, mat, q0, v0, grid, base_accel):
+def direct_lag_sums(x, b, i):
+    """Each row's lag sum after its first i increments, sum_{j=1..i} b_j x_{i-j}.
+
+    The direct sum: the one 'valid' value of ``np.convolve`` of the
+    increments with the weights b_1..b_i.
+    """
+    if i == 0:
+        return 0.0, 0.0
+    return tuple(float(np.convolve(row[:i], b[1:i + 1], "valid")[0]) for row in x)
+
+
+def replay_stepper(co, mat, q0, v0, grid, base_accel, direct=False):
     """``integrate_nonlinear`` one step at a time, from the pieces its loop inlines.
 
     ``step_cubic`` with the lag sums of a two-channel ``L1History`` stepped
     by ``push`` (none at alpha = 1), the predictor, Newton's first step and
     ``_finish_step``, in the integrator's order of operations, so the
-    trajectory is the integrator's to the last bit.
+    trajectory is the integrator's to the last bit.  With ``direct`` the
+    lag sums are ``direct_lag_sums`` over the run's increments instead.
     """
     dt, n, alpha, e_r = grid.dt, grid.n_steps, mat.alpha, mat.e_r
     force = (-co.m_b * base_accel.values(grid.times())).tolist()
@@ -201,10 +215,15 @@ def replay_stepper(co, mat, q0, v0, grid, base_accel):
     ai = num0 / (co.m_modal + co.j_nl * qi**2)
     history = None if classical else L1History(alpha, dt, n, channels=2)
     model = _step_model(co, e_r, dt, None if classical else history.scale)
+    if direct and not classical:
+        b, x = l1_weights(alpha, n + 1), np.empty((2, n))   # the q and q^3 increments
     w0 = 4.0 / dt**2
     q, v, a = [qi], [vi], [ai]
     for step in range(1, n + 1):
-        lag_q, lag_c = (None, 0.0) if classical else lag_sums(history)
+        if classical:
+            lag_q, lag_c = None, 0.0
+        else:
+            lag_q, lag_c = direct_lag_sums(x, b, step - 1) if direct else lag_sums(history)
         cubic = step_cubic(model, qi, vi, ai, force[step], lag_q, lag_c)
         d = pred = dt * vi + 0.5 * dt * dt * ai
         r = cubic_at(cubic, d)
@@ -221,7 +240,9 @@ def replay_stepper(co, mat, q0, v0, grid, base_accel):
         u = qi + d
         a1 = w0 * (u - qi - dt * vi) - ai
         vi = vi + 0.5 * dt * (ai + a1)
-        if not classical:
+        if direct and not classical:
+            x[:, step - 1] = u - qi, u * u * u - qi * qi * qi
+        elif not classical:
             push(history, u - qi, u * u * u - qi * qi * qi)
         qi, ai = u, a1
         q.append(qi)
@@ -338,8 +359,8 @@ STALL = dict(ratio=0.23608192197325845, alpha=0.5726133457159566, dt=0.020887159
     ("stall", 1.0, STALL["n"]), ("stall", STALL["alpha"], STALL["n"]),
 ])
 def test_trajectory_equals_replay(case, alpha, n, case1_coeffs, case2_coeffs):
-    # every run ends inside a history block (1001 = 31 * 32 + 9, 91 = 2 * 32 + 27)
-    assert n % fracode._BASE not in (0, 1)
+    # every run ends inside a history block (1001 = 7 * 128 + 105, 91 < 128)
+    assert n % fracode._BLOCK not in (0, 1)
     co = case1_coeffs if case == "no-tip" else case2_coeffs
     omega = math.sqrt(co.k_l / co.m_modal)
     if case == "stall":
@@ -355,6 +376,23 @@ def test_trajectory_equals_replay(case, alpha, n, case1_coeffs, case2_coeffs):
     np.testing.assert_array_equal(traj.q, q)
     np.testing.assert_array_equal(traj.v, v)
     np.testing.assert_array_equal(traj.a, a)
+
+
+@pytest.mark.parametrize("case", ["no-tip", "tip-mass"])
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.7, 0.95])
+def test_trajectory_matches_direct_history_replay(case, alpha, case1_coeffs, case2_coeffs):
+    # runs that end after one step, one short of, on and one past the first
+    # history block's edge (the first three close no block), and past dense
+    # and FFT closures.  The direct replay has no blocks, so its first n
+    # steps are its n-step run.
+    co = case1_coeffs if case == "no-tip" else case2_coeffs
+    mat = MaterialParams.from_ratio(0.1, alpha)
+    base = HarmonicForcing(0.5, 1.02 * math.sqrt(co.k_l / co.m_modal))
+    runs = [1, 127, 128, 129, 1000, 8193]
+    want, _, _ = replay_stepper(co, mat, 0.3, -0.4, GridSpec(0.01, runs[-1]), base, direct=True)
+    for n in runs:
+        traj = integrate_nonlinear(co, mat, 0.3, -0.4, GridSpec(0.01, n), base)
+        assert np.max(np.abs(traj.q - want[:n + 1])) <= 1e-11 * np.max(np.abs(want[:n + 1]))
 
 
 def step_cubic_at(co, mat, traj, base, step):
@@ -452,12 +490,12 @@ def test_step_failure_names_time_and_state(case1_coeffs, monkeypatch):
 
 def test_step_failure_inside_a_block_names_its_step(case2_coeffs, monkeypatch):
     # the stall of test_closed_form_fallback_matches_newton, step 91, lies
-    # inside the third history block (91 = 2 * 32 + 27); with no finite
-    # root from the closed form it fails, naming the level it started from
+    # inside the first history block (91 < 128); with no finite root from
+    # the closed form it fails, naming the level it started from
     co = case2_coeffs
     mat = MaterialParams.from_ratio(STALL["ratio"], STALL["alpha"])
     dt, n = STALL["dt"], STALL["n"]
-    assert n % fracode._BASE not in (0, 1)
+    assert n % fracode._BLOCK not in (0, 1)
     base = HarmonicForcing(STALL["amp"], math.sqrt(co.k_l / co.m_modal))
     q0, v0 = STALL["q0"], STALL["v0"]
     traj = integrate_nonlinear(co, mat, q0, v0, GridSpec(dt, n - 1), base)
@@ -481,7 +519,7 @@ def test_step_failure_inside_a_block_names_its_step(case2_coeffs, monkeypatch):
 # ------------------------------------------------------- the history blocks
 
 def test_last_block_closes_only_when_a_later_step_reads_it(case1_coeffs, monkeypatch):
-    # 8192 = 256 * 32 steps: the 256th block's far sums reach no step, so it
+    # 8192 = 64 * 128 steps: the 64th block's far sums reach no step, so it
     # is not closed; one step more reads them
     mat = MaterialParams.from_ratio(0.1, 0.5)
     base = HarmonicForcing(0.5, 1.02 * math.sqrt(case1_coeffs.k_l / case1_coeffs.m_modal))
@@ -494,10 +532,10 @@ def test_last_block_closes_only_when_a_later_step_reads_it(case1_coeffs, monkeyp
 
     monkeypatch.setattr(L1History, "close_block", spy)
     runs = {}
-    for n, want in ((8192, 255), (8193, 256)):
+    for n, want in ((8192, 63), (8193, 64)):
         closed.clear()
         runs[n] = integrate_nonlinear(case1_coeffs, mat, 0.3, -0.4, GridSpec(0.01, n), base)
-        assert closed == [32 * k for k in range(want)]
+        assert closed == [128 * k for k in range(want)]
     short, long = runs[8192], runs[8193]
     for x, y in ((short.q, long.q), (short.v, long.v), (short.a, long.a)):
         np.testing.assert_array_equal(x, y[:-1])
