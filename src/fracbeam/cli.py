@@ -7,13 +7,22 @@ printed by ``g17``, whose docstring states their bytes.  Repeated runs with
 the same configuration are byte-identical and every finite value reads back
 exactly.
 
+A table goes to ``--output`` or stdout as it is formatted, 4096 cells at a
+time, so memory does not grow with its text.  Every check (the finite check,
+the JSON integer columns, the first chunk's buffers) runs before the first
+byte: a failed run writes nothing and leaves an existing output file as it
+was.  A write that fails part way (a full disk, a closed pipe) can leave
+partial output, and exits 1.
+
 Exit codes: 0 success, 1 numerical or output failure, 2 usage or domain error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
@@ -46,10 +55,12 @@ class ResultTable:
     does not exist (a root past ``n_roots``, a fold the sweep did not cross,
     an order not found).
 
-    ``to_csv`` prints the CSV table and ``to_json`` the bytes of
+    ``csv_pieces`` yields the CSV table and ``json_pieces`` the bytes of
     ``json.dumps(doc, indent=1)``, with ``int(x)`` text in the ``ints``
-    columns; both write whole-array chunks through ``g17``, whose docstring
-    states each cell's bytes.
+    columns: the head, then ``g17``'s chunks of 4096 cells, whose docstring
+    states each cell's bytes, then the JSON tail.  A writer that takes them
+    one at a time holds one chunk's text, however long the table.
+    ``to_csv`` and ``to_json`` join them into one string.
     """
 
     columns: list
@@ -90,12 +101,18 @@ class ResultTable:
     def _header(self) -> list:
         return [(k, v if isinstance(v, str) else self._fmt(v)) for k, v in self.provenance]
 
-    def to_csv(self) -> str:
+    def csv_pieces(self):
+        """Yield the CSV text: the header lines, then ``g17``'s chunks of rows."""
         lines = [f"# {k}={v}" for k, v in self._header()]
         lines.append(",".join(self.columns))
-        return "".join(["\n".join(lines) + "\n", *g17.csv_chunks(self.values)])
+        yield "\n".join(lines) + "\n"
+        yield from g17.csv_chunks(self.values)
 
-    def to_json(self) -> str:
+    def json_pieces(self):
+        """Yield the JSON text: the head, then ``g17``'s chunks of cells, then the tail.
+
+        The integer-column check raises ``TypeError`` on the first piece.
+        """
         is_int = np.isin(self.columns, self.ints)
         cells = self.values[:, is_int]
         cells = cells[np.isfinite(cells)]
@@ -104,10 +121,18 @@ class ResultTable:
                             "an integer below 2^53")
         head = json.dumps({"provenance": dict(self._header()), "columns": self.columns,
                            "rows": None}, indent=1)[:-len("null\n}")]
-        body = list(g17.json_chunks(self.values, is_int))
-        if not body:
-            return head + "[]\n}\n"
-        return "".join([head, "[\n  [\n   ", *body, "\n  ]\n ]\n}\n"])
+        if not self.values.size:
+            yield head + "[]\n}\n"
+            return
+        yield head + "[\n  [\n   "
+        yield from g17.json_chunks(self.values, is_int)
+        yield "\n  ]\n ]\n}\n"
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_pieces())
+
+    def to_json(self) -> str:
+        return "".join(self.json_pieces())
 
 
 def _tip_from(cfg: dict) -> TipConfig:
@@ -487,6 +512,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def write_table(table: ResultTable, fmt: str, path) -> None:
+    """Write the table in ``fmt`` to the file ``path``, or to stdout if it is None.
+
+    The head and the first chunk of cells are made before the destination is
+    opened, so the JSON integer-column check and the allocation of the chunk
+    buffers come before the first byte.
+    """
+    pieces = table.json_pieces() if fmt == "json" else table.csv_pieces()
+    first = list(itertools.islice(pieces, 2))
+    with (open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.writelines(itertools.chain(first, pieces))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -496,12 +534,7 @@ def main(argv=None) -> int:
         table = _COMMANDS[args.command](cfg)
         table.provenance[:0] = _provenance(args.command, cfg)
         table.check_finite()
-        text = table.to_json() if args.format == "json" else table.to_csv()
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        write_table(table, args.format, args.output)
     except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
         # a ValueError is a domain error; the rest are numerical, memory or I/O failures
         print(f"fracbeam: error: {exc}", file=sys.stderr)

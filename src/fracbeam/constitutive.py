@@ -109,8 +109,13 @@ def _libm(fn, *args):
 
 
 def _pow(x, k):
-    """x**k with libm's rounding, elementwise for arrays; a float x takes no numpy call."""
-    return math.pow(x, k) if isinstance(x, float) else _libm(math.pow, x, k)
+    """x**k with libm's rounding, elementwise for arrays; a float x takes no numpy call.
+
+    A scalar k goes to ``math.pow`` as a float, converted once rather than per element.
+    """
+    if isinstance(x, float):
+        return math.pow(x, k)
+    return _libm(math.pow, x, k if np.ndim(k) else float(k))
 
 
 def complex_modulus(mat: MaterialParams, omega):

@@ -332,12 +332,12 @@ def integrate_linear(
         # damping on Newmark's velocity g (q1 - qi) - vi: ca on q1 and qi, damp on vi
         ca, cv, near = 2.0 * damp / dt, damp, np.zeros(_BLOCK)
         out[:, 0] = q0, v0, f0 - damp * v0 - k_l * q0
-        far, close = np.zeros(n + 1), _no_history
+        far, history = np.zeros(n + 1), None
     else:
         history = L1History(alpha, dt, n)
         ca, cv, near = damp * history.scale, 0.0, history.weights[:_BLOCK]
         out[:, 0] = q0, v0, f0 - k_l * q0
-        far, close = history.far[0], history.close_block
+        far = history.far[0]
     u = np.zeros(3 + _BLOCK)     # a block's start state and inputs
     # a non-finite table is the caller's to report (cli's finite check)
     with np.errstate(all="ignore"):
@@ -347,13 +347,9 @@ def integrate_linear(
             u[:3] = out[:, s]
             u[3:3 + m] = f[s + 1:s + 1 + m] - ca * far[s:s + m]
             out[:, s + 1:s + 1 + m] = (step @ u).reshape(3, _BLOCK)[:, :m]
-            if s + _BLOCK < n:   # a later block reads the far sums
-                close(np.diff(out[0, s:s + 1 + m]))
+            if history is not None and s + _BLOCK < n:   # a later block reads the far sums
+                history.close_block(np.diff(out[0, s:s + 1 + m]))
     return Trajectory(grid=grid, q=out[0], v=out[1], a=out[2])
-
-
-def _no_history(increments) -> None:
-    """The alpha = 1 steps keep no history: a closed block goes nowhere."""
 
 
 def _propagator(dt: float, k_l: float, ca: float, cv: float, near: np.ndarray) -> np.ndarray:

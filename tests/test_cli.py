@@ -244,6 +244,77 @@ def test_output_into_missing_directory_exit_code_1(tmp_path, capsys):
     assert not path.parent.exists()
 
 
+@pytest.mark.parametrize("argv, empty", [
+    (["modes", "--n-modes", "2", "--resolution", "5"], False),
+    (["coeffs", "--case", "tip-mass"], False),
+    (["constitutive", "--kind", "ramp", "--dt", "0.01", "--t-final", "3"], False),
+    (["simulate", "--model", "nonlinear", "--t-final", "0.5"], False),
+    (["envelope", "--count", "21"], False),
+    (["critical-alpha", "--omega0", "1", "--mode", "sensitivity-extremum"], False),
+    (["sweep", "--count", "41", "--min", "0", "--max", "3", "--er", "0.1"], False),
+    (["sweep", "--var", "er", "--count", "3", "--delta-count", "31"], False),
+    (["coeffs"], True),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_written_text_is_the_joined_table(monkeypatch, tmp_path, capsys, argv, empty, fmt):
+    # --output and stdout take the same pieces, and they join to to_csv/to_json
+    build = (lambda cfg: ResultTable(["x"], np.empty((0, 1)))) if empty else cli._COMMANDS[argv[0]]
+    tables = []
+    monkeypatch.setitem(cli._COMMANDS, argv[0], lambda cfg: tables.append(build(cfg)) or tables[-1])
+    path = tmp_path / "table.out"
+    assert main([*argv, "--format", fmt, "--output", str(path)]) == 0
+    code, out = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    for table, text in zip(tables, [path.read_bytes().decode("utf-8"), out], strict=True):
+        assert text == (table.to_json() if fmt == "json" else table.to_csv())
+    if empty and fmt == "json":
+        assert json.loads(out)["rows"] == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_writer_peak_memory_is_a_fraction_of_the_text(monkeypatch, tmp_path, fmt):
+    # a 200 000 x 4 time series, the size of the default simulate's table: the
+    # CLI writes each chunk as it is formatted, so it never holds the table's
+    # text (joining it would hold the chunks and the string, twice the text)
+    t = np.arange(200_000) * 1e-3
+    decay = np.exp(-t / 50)
+    values = np.column_stack([t, decay * np.cos(t), -decay * np.sin(t), np.cos(3 * t) / (1 + t)])
+    monkeypatch.setitem(cli._COMMANDS, "simulate", lambda cfg: ResultTable(["t", "q", "v", "a"], values))
+    argv = ["simulate", "--format", fmt, "--output", str(tmp_path / "table.out")]
+    assert main(argv) == 0       # also builds g17's layout tables
+    size = (tmp_path / "table.out").stat().st_size
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 4
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_finite_check_writes_nothing(tmp_path, capsys, fmt):
+    argv = ["envelope", "--a0", "1e200", "--count", "3", "--format", fmt]
+    path = tmp_path / "table.out"
+    path.write_bytes(b"# an earlier table\nx\n1\n")
+    assert main([*argv, "--output", str(path)]) == 1
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("fracbeam: error: non-finite amp") == 2
+    assert path.read_bytes() == b"# an earlier table\nx\n1\n"
+
+
+def test_json_integer_column_error_leaves_the_output_file(monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(cli._COMMANDS, "coeffs", lambda cfg: ResultTable(["n"], [[0.5]], ints=("n",)))
+    path = tmp_path / "table.json"
+    path.write_bytes(b"{}\n")
+    with pytest.raises(TypeError, match="integer columns"):
+        main(["coeffs", "--format", "json", "--output", str(path)])
+    assert path.read_bytes() == b"{}\n"
+    assert capsys.readouterr().out == ""
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("case=tip-mass\nn_modes=1\nresolution=2\n")
