@@ -17,15 +17,18 @@ predictor, in closed form (``multiscale``'s cubic kernel).
 Every L1 sum goes through one kernel, ``L1History``: a stepper hands it
 each closed block of 128 increments and it brings the far sums of the blocks
 after it, at O(N log^2 N) cost over N steps.  The sums inside the open
-block are the linear block product's, and a nonlinear step reads both of
-its own (q and q^3) with one product of the open block's (2 x 128) array
-of increments and a row of the kernel's ``near`` matrix.  Each integrator
-has one block loop for every order: at alpha = 1 a step takes the classical
-Newmark velocity for D^alpha q instead of the L1 sum, and the run keeps no
-history.  On a 2-vCPU x86 machine with Python 3.11 a 200k-step linear run
-takes about 0.1-0.15 s (the whole default ``fracbeam simulate``, in
-process, 0.21-0.26 s), and a nonlinear step about 2.7 us (fractional) or
-1.2 us (alpha = 1); the machine's speed drifts by up to 1.7x.
+block are the linear block product's.  Nonlinear steps read theirs (q and
+q^3) a pair at a time: at an even slot 2k, one product of the open block's
+(2 x 128) array of increments with a (128 x 2) pair of the kernel's
+``near`` rows gives step 2k's two sums and step 2k+1's less their lag-1
+terms, which step 2k+1 adds from the increments step 2k has just written.
+Each integrator has one block loop for every order: at alpha = 1 a step
+takes the classical Newmark velocity for D^alpha q instead of the L1 sum,
+and the run keeps no history.  On a 2-vCPU x86 machine with Python 3.11 a
+200k-step linear run takes about 0.1-0.15 s (the whole default ``fracbeam
+simulate``, in process, 0.21-0.26 s), and a nonlinear step about 2.2 us
+(fractional) or 1.1 us (alpha = 1); the machine's speed drifts by up to
+1.7x.
 """
 
 from __future__ import annotations
@@ -159,6 +162,9 @@ class L1History:
     stepper that keeps the open block of B in a (channels, B) array X reads
     every channel's near sum at once as ``X.dot(near[r])``, whatever the
     array holds past the r increments (finite numbers times zero).
+    ``integrate_nonlinear`` reads two steps' sums with one product, of X
+    with the pair of rows 2k and 2k+1 (``_near_pairs``), the odd row's
+    lag-1 weight zeroed since its increment x_{s+2k} is not yet in X.
     ``close_block(*blocks)`` takes the block's increments, one sequence of S
     per channel, and updates ``far`` in place for the next block's targets.
     It is the kernel's only check: one full block per channel, aligned to
@@ -372,18 +378,25 @@ def _propagator(dt: float, k_l: float, ca: float, cv: float, near: np.ndarray) -
     """
     w0, half_dt = 4.0 / dt**2, 0.5 * dt
     lhs = w0 + ca + k_l
-    # columns: unit q_s, unit v_s, unit a_s, unit impulse g_0
-    q, v, a = np.eye(4)[:3]
-    g = np.eye(4)[3]
+    # the four columns (unit q_s, unit v_s, unit a_s, unit impulse g_0) as
+    # Python floats; only the memory product near_r runs in numpy, and not
+    # at all when every weight is zero
+    q, v, a, g = np.eye(4).tolist()
+    memory = bool(near.any())
     x = np.zeros((_BLOCK, 4))
-    rows = np.empty((3, _BLOCK, 4))
+    mem = zero = (0.0,) * 4
+    rows = []
     for r in range(_BLOCK):
-        q1 = (g + w0 * (q + dt * v) + a + ca * q + cv * v - ca * (near[r:0:-1] @ x[:r])) / lhs
-        a1 = w0 * (q1 - q - dt * v) - a
-        v = v + half_dt * (a + a1)
-        x[r] = q1 - q
-        q, a, g = q1, a1, 0.0
-        rows[:, r] = q, v, a
+        if memory:
+            mem = (near[r:0:-1] @ x[:r]).tolist()
+        q1 = [(gc + w0 * (qc + dt * vc) + ac + ca * qc + cv * vc - ca * mc) / lhs
+              for qc, vc, ac, gc, mc in zip(q, v, a, g, mem)]
+        a1 = [w0 * (q1c - qc - dt * vc) - ac for q1c, qc, vc, ac in zip(q1, q, v, a)]
+        v = [vc + half_dt * (ac + a1c) for vc, ac, a1c in zip(v, a, a1)]
+        x[r] = [q1c - qc for q1c, qc in zip(q1, q)]
+        q, a, g = q1, a1, zero
+        rows.append((q, v, a))
+    rows = np.array(rows).transpose(1, 0, 2)   # (3, B, 4)
     lags = sliding_window_view(np.concatenate((np.zeros((3, _BLOCK - 1)), rows[:, :, 3]), axis=1),
                                _BLOCK, axis=1)
     return np.concatenate((rows[:, :, :3], lags[:, :, ::-1]), axis=2).reshape(3 * _BLOCK, 3 + _BLOCK)
@@ -421,10 +434,15 @@ def integrate_nonlinear(
     (4/dt^2) max(|q_i|, dt |v_i|, 1)), from the predictor dt v_i + dt^2 a_i
     / 2: one step inline, and ``_finish_step`` on the rare steps it does not
     settle.  One loop steps the two-channel history (q and q^3 increments) a
-    block at a time, each step reading its sums inside the open block with
-    one product; at alpha = 1 each step takes the classical values of D^a q
-    and D^a q^3 instead of the L1 sums, and no history is kept.  An initial
-    state that overflows the equation at t = 0 raises ``OverflowError``.
+    block at a time.  Steps read their sums inside the open block a pair at
+    a time: an even step makes one product with a pair of near rows
+    (``_near_pairs``), and the odd step after it adds b_1 times the
+    increments the even step wrote to the product's second column.  At
+    alpha = 1 each step takes the classical values of D^a q and D^a q^3
+    instead of the L1 sums, and no history is kept.  A fractional step
+    costs about 2.2 us on a 2-vCPU x86 machine with Python 3.11, an
+    alpha = 1 step about 1.1 us.  An initial state that overflows the
+    equation at t = 0 raises ``OverflowError``.
     """
     check_finite(q0=q0, v0=v0, e_r=mat.e_r, **_fields("coeffs", coeffs))
     dt, n = grid.dt, grid.n_steps
@@ -452,11 +470,14 @@ def integrate_nonlinear(
         scale = None
     else:
         history = L1History(alpha, dt, n, channels=2)
-        scale, near, far = history.scale, list(history.near), history.far
+        scale, far, b1 = history.scale, history.far, float(history.weights[1])
+        pairs = [None] * _BLOCK         # an even slot's pair of near rows; None at odd slots
+        pairs[::2] = _near_pairs(history.near)
         block = np.zeros((2, _BLOCK))   # the open block's q and q^3 increments
         block_q, block_c = map(memoryview, block)
-        sums = np.zeros(2)              # a step's near sums over the open block
-        near_sums = memoryview(sums)
+        sums = np.zeros((2, 2))         # a pair's near sums: rows q and q^3, columns its steps
+        pair_sums = memoryview(sums.reshape(4))
+        ci = qi * qi * qi
     ca, c3, c2q, c1q2, c1k, mt, jnl, kl, knl2, h, ecl, hs, g2, j2g = _step_model(
         coeffs, e_r, dt, scale)
     c3x3 = 3.0 * c3
@@ -466,30 +487,36 @@ def integrate_nonlinear(
 
     for start in range(0, n, _BLOCK):
         # a step reads its force and, in a fractional run, its slot in the
-        # open block, its row of near weights and its far sums
+        # open block, its pair of near rows (even slots) and its far sums
         forces = rhs_force[start + 1:start + _BLOCK + 1]
         steps = forces if classical else zip(
-            range(_BLOCK), near, *far[:, start:start + _BLOCK].tolist(), forces)
+            range(_BLOCK), pairs, *far[:, start:start + _BLOCK].tolist(), forces)
         for step in steps:
             # the step's D^a q (p0) and D^a q^3 (lag_c) terms: the classical
             # Newmark values, or the L1 history sums
             if classical:
                 p0, lag_c, force = -vi, 0.0, step
             else:
-                slot, row, fq, fc, force = step
-                block.dot(row, sums)
-                near_q, near_c = near_sums
+                slot, pair, fq, fc, force = step
+                if pair is None:
+                    # the pair's product left out this step's lag-1 term, the
+                    # increments the step before has just written
+                    near_q, near_c = odd_q + b1 * dq, odd_c + b1 * dc
+                else:
+                    block.dot(pair, sums)
+                    near_q, odd_q, near_c, odd_c = pair_sums
                 p0 = ca * (fq + near_q)
                 lag_c = fc + near_c
+            dvi = dt * vi
             a0 = -(g2 * vi + ai)
             m0 = jnl * a0 + knl2 * qi + h * p0
             c2 = m0 + qi * c2q - j2g * vi
             c1 = qi * (2.0 * m0 + qi * c1q2) + vi * (jnl * vi - j2g * qi) + c1k
             c0 = qi * (qi * m0 + jnl * vi * vi + kl) + hs * lag_c + mt * a0 + ecl * p0 - force
 
-            d = pred = dt * vi + half_dt2 * ai   # predictor
+            d = pred = dvi + half_dt2 * ai   # predictor
             r = ((c3 * d + c2) * d + c1) * d + c0
-            s, t = abs(qi), abs(dt * vi)
+            s, t = abs(qi), abs(dvi)
             if t > s:
                 s = t
             if s < 1.0:
@@ -508,11 +535,15 @@ def integrate_nonlinear(
                     d = _finish_step(c3, c2, c1, c0, d, r, tol, pred, len(q), dt, qi, vi)
 
             u = qi + d
-            a1 = w0 * (u - qi - dt * vi) - ai
+            dq = u - qi
+            a1 = w0 * (dq - dvi) - ai
             vi = vi + half_dt * (ai + a1)
             if not classical:
-                block_q[slot] = u - qi
-                block_c[slot] = u * u * u - qi * qi * qi
+                uc = u * u * u
+                dc = uc - ci
+                block_q[slot] = dq
+                block_c[slot] = dc
+                ci = uc
             qi, ai = u, a1
             q.append(qi)
             v.append(vi)
@@ -520,6 +551,19 @@ def integrate_nonlinear(
         if not classical and start + _BLOCK < n:   # a later step reads the far sums
             history.close_block(*block)
     return Trajectory(grid=grid, q=np.array(q), v=np.array(v), a=np.array(a))
+
+
+def _near_pairs(near: np.ndarray) -> np.ndarray:
+    """The (B/2, B, 2) stack of ``near``'s rows in pairs (B = _BLOCK).
+
+    ``pairs[k]`` holds rows 2k and 2k+1 as its two columns, with row 2k+1's
+    lag-1 weight b_1 (its entry 2k) set to 0.  One product of the open
+    block's (channels, B) increments with it, made before increment 2k
+    arrives, gives step 2k's near sums and step 2k+1's less b_1 x_{2k}.
+    """
+    pairs = np.stack((near[0::2], near[1::2]), axis=2)
+    pairs[np.arange(_BLOCK // 2), np.arange(0, _BLOCK, 2), 1] = 0.0
+    return pairs
 
 
 def _finish_step(c3, c2, c1, c0, d, r, tol, pred, step, dt, qi, vi):

@@ -906,6 +906,20 @@ def test_sweep_overflow_names_the_parameters(capsys, argv, value):
     assert value in captured.err
 
 
+@pytest.mark.parametrize("mode, omega0", [("decay-peak", "1e-320"),
+                                         ("sensitivity-extremum", "1e-310")])
+def test_critical_alpha_overflow_names_the_parameters(capsys, mode, omega0):
+    # the slow flow's w0^(a-1) overflows at the root's order
+    code = main(["critical-alpha", "--omega0", omega0, "--mode", mode])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("fracbeam: error: ")
+    assert ": the slow flow overflows at order " in captured.err
+    assert f"MmsParams(omega0={float(omega0)!r}, " in captured.err
+
+
 # every enumerated flag, with a command that takes it
 _ENUMERATED = [("modes", "case"), ("constitutive", "kind"), ("simulate", "model"),
                ("sweep", "var"), ("critical-alpha", "mode")]

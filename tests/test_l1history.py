@@ -13,7 +13,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import lag_sums, loop_linear, push
+from conftest import lag_sums, loop_linear, near_sums, push
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,10 +113,12 @@ def _block_sums(history, columns):
     """Every target's lag sums, with the history stepped a block at a time.
 
     The stepping of ``integrate_nonlinear``: the open block in a
-    (channels, _BLOCK) array, its near sums by one product with a row of
-    ``history.near``, one ``close_block`` per full block.
+    (channels, _BLOCK) array, its near sums by ``near_sums`` (one product
+    with a pair of ``history.near``'s rows per two increments), one
+    ``close_block`` per full block.
     """
     n, base = len(columns[0]), fracode._BLOCK
+    pairs, b1 = fracode._near_pairs(history.near), float(history.weights[1])
     block = np.zeros((len(columns), base))
     got = np.empty((n + 1, len(columns)))
     for start in range(0, n + 1, base):
@@ -124,7 +126,7 @@ def _block_sums(history, columns):
             if start + r > n:
                 break
             got[start + r] = [far + near
-                              for far, near in zip(far_r, block.dot(history.near[r]).tolist())]
+                              for far, near in zip(far_r, near_sums(block, pairs, b1, r))]
             if start + r < n:
                 block[:, r] = [column[start + r] for column in columns]
         if start + base <= n:

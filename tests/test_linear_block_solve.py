@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import loop_linear
+from conftest import array_propagator, loop_linear
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -135,3 +135,19 @@ def test_long_run_stays_with_the_loop():
     traj = integrate_linear(1.24, 1.24, 1.0, 0.5, 1.0, 0.0, grid)
     q, _, _ = loop_linear(1.24, 1.24, 1.0, 0.5, 1.0, 0.0, grid)
     assert np.max(np.abs(traj.q - q)) <= 1e-10 * np.max(np.abs(q))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+@pytest.mark.parametrize("dt, k_l, damp", [(0.01, 1.24, 0.62), (1e-3, 12.0, 2.0), (0.05, 1.0, 1e-3)])
+def test_propagator_equals_its_array_recurrence(alpha, dt, k_l, damp):
+    # the recurrence on Python floats, bit for bit against the same one on
+    # (B, 4) arrays, with integrate_linear's constants
+    if alpha == 1.0:
+        ca, cv, near = 2.0 * damp / dt, damp, np.zeros(fracode._BLOCK)
+    else:
+        history = fracode.L1History(alpha, dt, 10)
+        ca, cv, near = damp * history.scale, 0.0, history.weights[:fracode._BLOCK]
+    got = fracode._propagator(dt, k_l, ca, cv, near)
+    want = array_propagator(dt, k_l, ca, cv, near)
+    assert got.shape == want.shape == (3 * fracode._BLOCK, 3 + fracode._BLOCK)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -279,6 +279,17 @@ def test_cubic_overflow_names_its_operands(call, operands):
     assert message.count("overflows") == 1 and operands in message
 
 
+@pytest.mark.parametrize("mode, omega0", [("decay-peak", 1e-320),
+                                         ("sensitivity-extremum", 1e-310)])
+def test_critical_alpha_overflow_names_its_operands(mode, omega0):
+    # w0^(a-1) at the root's order overflows this close to the smallest doubles
+    p = MmsParams(omega0=omega0, c_l=1, c_nl=0, k_nl=0, e_r=1, alpha=0.5)
+    with pytest.raises(OverflowError, match="the slow flow overflows at order ") as info:
+        critical_alpha(p, mode)
+    message = str(info.value)
+    assert message.count("overflows") == 1 and f"MmsParams(omega0={omega0!r}, " in message
+
+
 def test_decay_rate_trivials():
     p = replace(CASE1, alpha=1.0)
     assert decay_rate(p) == pytest.approx(p.c_l * p.e_r, rel=1e-15)

@@ -395,6 +395,34 @@ def test_trajectory_matches_direct_history_replay(case, alpha, case1_coeffs, cas
         assert np.max(np.abs(traj.q - want[:n + 1])) <= 1e-11 * np.max(np.abs(want[:n + 1]))
 
 
+@pytest.mark.parametrize("case", ["no-tip", "tip-mass"])
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+def test_pair_product_matches_direct_history_replay(case, alpha, case1_coeffs, case2_coeffs):
+    # runs whose last step falls on an even and an odd slot at the edges of
+    # the first two history blocks: a pair's product is read at its even
+    # step, and a run can end before its odd step
+    co = case1_coeffs if case == "no-tip" else case2_coeffs
+    mat = MaterialParams.from_ratio(0.1, alpha)
+    base = HarmonicForcing(0.5, 1.02 * math.sqrt(co.k_l / co.m_modal))
+    runs = [1, 2, 3, 127, 128, 129, 255, 256, 257]
+    want, _, _ = replay_stepper(co, mat, 0.3, -0.4, GridSpec(0.01, runs[-1]), base, direct=True)
+    for n in runs:
+        traj = integrate_nonlinear(co, mat, 0.3, -0.4, GridSpec(0.01, n), base)
+        assert np.max(np.abs(traj.q - want[:n + 1])) <= 1e-11 * np.max(np.abs(want[:n + 1]))
+
+
+def test_near_pairs_are_near_rows_without_the_odd_rows_lag_one_weight():
+    near = L1History(0.37, 0.01, 10, channels=2).near
+    pairs = fracode._near_pairs(near)
+    assert pairs.shape == (fracode._BLOCK // 2, fracode._BLOCK, 2) and pairs.flags.c_contiguous
+    for k, pair in enumerate(pairs):
+        np.testing.assert_array_equal(pair[:, 0], near[2 * k])
+        odd = near[2 * k + 1].copy()
+        assert odd[2 * k] == near[1, 0] > 0   # b_1
+        odd[2 * k] = 0.0
+        np.testing.assert_array_equal(pair[:, 1], odd)
+
+
 def step_cubic_at(co, mat, traj, base, step):
     """The cubic of ``step`` and its predictor, rebuilt from the trajectory's levels before it."""
     dt, n = traj.grid.dt, traj.grid.n_steps
