@@ -51,15 +51,34 @@ Per converted cell with 1e-279 <= |x| < 1e280 and E = floor(log10 |x|):
   number of significant digits d (trailing zeros dropped) comes from the
   same chunks.  An integer prints all its X + 1 digits whatever d is, so its
   d is taken as 1.
-- Each cell is laid out in a fixed-width row: sign, leading ``0.000``, the
-  digit run with its point, exponent and separator sit in fixed columns and
-  unused bytes are zero.  One gather from a table keyed by (decimal exponent,
-  d, sign) gives the constant bytes and the masks that pick the digits before
-  and after the point; the zero bytes are then dropped.  The CSV table encodes
+- Each cell's text is built in a row of its own, from the row's first
+  byte: the sign and any leading ``0.000`` flush against the digit run and
+  its point, the exponent right after the last digit kept, then the
+  separator that follows the cell (after a cell, after a row's last cell,
+  or, for the table's last cell, none in JSON).  One gather from the layout
+  rows, keyed by (separator kind, family, decimal exponent, d, sign), gives
+  the constant bytes, the masks that pick the digits before and after the
+  point, the column of D0 and the text's length.  The CSV rows encode
   ``%g``'s exponent form below 1e-4 and from 1e17, the stripped zeros and
-  point, and the two- or three-digit exponent; the JSON table encodes repr's
+  point, and the two- or three-digit exponent; the JSON rows encode repr's
   exponent form below 1e-4 and from 1e16 and its ``.0`` after an integral
   value, and an integer column's cells print as ``int(x)`` would.
+- The cumulative sum of the lengths places each cell's text in the chunk's
+  text.  One fancy assignment writes every row, whole, as a void item at
+  its offset in a buffer that holds them one byte apart; the items overlap,
+  and each row's bytes past its length are overwritten by the rows after
+  it.  This relies on numpy writing the items of one assignment in index
+  order, which a test pins.
+- The layout rows are stored by blocks of 34 (d, sign) rows per (separator
+  kind, family, exponent), filled on first use and kept in that order: a map
+  from block to slot and one store, reserved just under the 4 MiB from
+  which numpy asks for huge pages, so that only the pages of filled blocks
+  become resident.  The store doubles if it is ever full.  The four
+  benchmark workloads' tables use 32-35 CSV blocks and 44-46 JSON blocks
+  of the 1266 and 3798 there are.  A store that grows while a chunk's
+  buffers are live leaves a hole in the heap below it: grown by doubling
+  from 8 blocks, it raised a free-decay run's peak resident memory by
+  1.9 MB.
 """
 
 from __future__ import annotations
@@ -79,13 +98,9 @@ _SPLIT = 134217729.0              # 2^27 + 1, Dekker's splitter
 _MANTISSA = np.uint64(2**52 - 1)  # stored mantissa bits; 0 for a power of two
 _POW10 = np.array([10**k for k in range(16)], float)             # exact doubles
 _SCALE = np.array([10**(16 - k) for k in range(16)], np.int64)   # 10^(16-X)
-
-# Columns of a cell's row.  The digit run holds D0..D16 with the point at
-# position q; DL puts D_j at column _RUN + j, DR at _RUN + j + 1.  The
-# separator starts at _SEP and runs to the end of the row.
-_RUN = 7
-_EXP = 25
-_SEP = 30
+# bytes of layout rows reserved per format, just under the 4 MiB from which
+# numpy asks for huge pages: only the pages of the blocks filled are touched
+_RESERVE = 4_000_000
 
 
 class _Format(NamedTuple):
@@ -96,22 +111,24 @@ class _Format(NamedTuple):
     X + 1 + pad digits.
     """
     width: int
-    cell_sep: bytes
-    row_sep: bytes
-    last_sep: bool        # whether the last row ends with row_sep
+    seps: tuple           # after a cell, after a row's last cell, after the table's last cell
     shortest: bool        # shortest round-trip digits, else 17
     families: tuple
 
 
-_CSV = _Format(32, b",", b"\n", True, False,
+_CSV = _Format(32, (b",", b"\n", b"\n"), False,
                (((b"0", b"-0", b"inf", b"-inf", b"nan"), 17, 0),))
-_JSON = _Format(48, b",\n   ", b"\n  ],\n  [\n   ", False, True,
+_JSON = _Format(40, (b",\n   ", b"\n  ],\n  [\n   ", b""), True,
                 (((b"0.0", b"-0.0", b"null", b"null", b"null"), 16, 1),    # float
                  ((b"0", b"0", b"null", b"null", b"null"), 17, 0)))        # integer column
 
 
-def _layout_block(X: int, top: int, pad: int, width: int) -> np.ndarray:
-    """(3, 34, width): template, DL mask and DR mask rows for exponent X, per (d, sign)."""
+def _layout_block(X: int, top: int, pad: int, width: int, sep: bytes):
+    """Template, DL mask and DR mask rows for exponent X, per (d, sign), and their text.
+
+    Returns the (3, 34, width) rows and the (2, 34) offset of D0 and length
+    of the text in each row.
+    """
     lead, exp = b"", b""
     if 0 <= X < top:
         q = X + 1                     # the point follows the integer digits
@@ -119,20 +136,26 @@ def _layout_block(X: int, top: int, pad: int, width: int) -> np.ndarray:
         lead, q = b"0." + b"0" * (-X - 1), 17      # no point in the run
     else:
         exp, q = b"e%+03d" % X, 1
-    col = np.arange(width)
-    d = np.arange(1, 18)[:, None]
-    kept = np.maximum(d, X + 1 + pad) if 0 <= X < top else d     # digits printed
     rows = np.zeros((3, 17, 2, width), np.uint8)
-    rows[0, :, :, 1:1 + len(lead)] = np.frombuffer(lead, np.uint8)
-    rows[0, :, :, _EXP:_EXP + len(exp)] = np.frombuffer(exp, np.uint8)
-    rows[0, :, 1, 0] = ord("-")
-    point = kept > q
-    if q < 17:
-        rows[0, :, :, _RUN + q] = np.where(point, ord("."), 0)
-    in_run = (col >= _RUN) & (col <= _RUN + kept)
-    rows[1] = np.where((in_run & (col < _RUN + np.minimum(q, kept))) | (col >= _SEP), 255, 0)[:, None]
-    rows[2] = np.where(in_run & point & (col > _RUN + q), 255, 0)[:, None]
-    return rows.reshape(3, 34, width)
+    sizes = np.zeros((2, 17, 2), np.intp)
+    for d in range(1, 18):
+        kept = max(d, X + 1 + pad) if 0 <= X < top else d       # digits printed
+        point = kept > q
+        for sign in (0, 1):
+            head = b"-" * sign + lead
+            s = len(head)
+            end = s + kept + point
+            tail = exp + sep
+            text, dl, dr = rows[:, d - 1, sign]
+            text[:s] = np.frombuffer(head, np.uint8)
+            if point:
+                text[s + q] = ord(".")
+            text[end:end + len(tail)] = np.frombuffer(tail, np.uint8)
+            dl[s:s + min(q, kept)] = 255
+            if point:
+                dr[s + q + 1:end] = 255
+            sizes[:, d - 1, sign] = s, end + len(tail)
+    return rows.reshape(3, 34, width), sizes.reshape(2, 34)
 
 
 class _Tables:
@@ -181,31 +204,54 @@ class _Tables:
 
 
 class _Layout:
-    """The layout table of one format, each (family, exponent) block filled on first use.
+    """The layout rows of one format, in blocks filled on first use and stored in that order.
 
-    Rows: the specials of each family, then 34 rows per block (family * _N_X
-    + X - _XMIN), 2 per digit count d, one per sign.
+    A block is the 34 rows, 2 per digit count d and one per sign, of one
+    (separator kind, family, exponent): its number is (kind * families +
+    family) * _N_X + X - _XMIN, and ``slot`` maps it to its place, -1 until
+    it is filled.  ``rows`` holds the template, DL mask and DR mask rows of
+    the specials (5 per kind and family) and then of each block by slot;
+    ``sizes`` holds each row's column of D0 and text length.  Both are
+    reserved (``_RESERVE`` bytes) and written only as blocks are filled, so
+    the resident pages grow with the blocks in use; both double if full.
     """
 
     def __init__(self, fmt: _Format):
         self.fmt = fmt
-        self.n_specials = 5 * len(fmt.families)
-        n_rows = self.n_specials + 34 * _N_X * len(fmt.families)
-        self.table = np.empty((3, n_rows, fmt.width), np.uint8)
-        self.done = np.zeros(_N_X * len(fmt.families), bool)
-        self.table[:, :self.n_specials] = 0
-        texts = [text for specials, _top, _pad in fmt.families for text in specials]
+        n_codes = len(fmt.seps) * len(fmt.families)
+        self.n_specials = 5 * n_codes
+        self.slot = np.full(n_codes * _N_X, -1, np.intp)
+        self.n_blocks = 0
+        n_rows = _RESERVE // (3 * fmt.width + 2 * np.dtype(np.intp).itemsize)
+        self.rows = np.empty((3, n_rows, fmt.width), np.uint8)
+        self.sizes = np.empty((2, n_rows), np.intp)
+        self.rows[:, :self.n_specials] = 0
+        self.sizes[:, :self.n_specials] = 0
+        texts = [text + sep for sep in fmt.seps for specials, _top, _pad in fmt.families
+                 for text in specials]
         for i, text in enumerate(texts):
-            self.table[0, i, :len(text)] = np.frombuffer(text, np.uint8)
-            self.table[1, i, _SEP:] = 255
+            self.rows[0, i, :len(text)] = np.frombuffer(text, np.uint8)
+            self.sizes[1, i] = len(text)
 
     def fill(self, blocks) -> None:
         for b in blocks:
-            family, i = divmod(b, _N_X)
+            code, i = divmod(b, _N_X)
+            kind, family = divmod(code, len(self.fmt.families))
             _specials, top, pad = self.fmt.families[family]
-            row = self.n_specials + 34 * b
-            self.table[:, row:row + 34] = _layout_block(i + _XMIN, top, pad, self.fmt.width)
-            self.done[b] = True
+            row = self.n_specials + 34 * self.n_blocks
+            if row + 34 > self.rows.shape[1]:
+                self.rows, self.sizes = (_doubled(a, row) for a in (self.rows, self.sizes))
+            self.rows[:, row:row + 34], self.sizes[:, row:row + 34] = _layout_block(
+                i + _XMIN, top, pad, self.fmt.width, self.fmt.seps[kind])
+            self.slot[b] = self.n_blocks
+            self.n_blocks += 1
+
+
+def _doubled(a: np.ndarray, used: int) -> np.ndarray:
+    """``a`` with twice the rows on axis 1, its first ``used`` copied."""
+    out = np.empty((a.shape[0], 2 * a.shape[1]) + a.shape[2:], a.dtype)
+    out[:, :used] = a[:, :used]
+    return out
 
 
 @functools.cache
@@ -321,6 +367,11 @@ def _integers(v: np.ndarray):
     return N, X
 
 
+def _void_items(buf: np.ndarray, offset: int, size: int) -> np.ndarray:
+    """Every run of ``size`` bytes of ``buf`` from ``offset`` on, as void items one byte apart."""
+    return np.ndarray((buf.size - offset - size + 1,), f"V{size}", buf, offset, (1,))
+
+
 def _chunks(values: np.ndarray, fmt: _Format, is_int=None):
     """Yield the text of a 2-D float array in ``fmt``, a chunk of whole rows at a time."""
     values = np.ascontiguousarray(values, dtype=np.float64)
@@ -330,37 +381,45 @@ def _chunks(values: np.ndarray, fmt: _Format, is_int=None):
     n_rows, n_cols = values.shape
     rows = max(1, min(n_rows, _CHUNK_CELLS // n_cols))
     size = rows * n_cols
-    # DR is DL shifted right by one byte: the digits after the point
-    buf = np.zeros(size * fmt.width + 4, np.uint8)
-    dl = buf[4:].reshape(size, fmt.width)
-    dr = buf[3:-1].reshape(size, fmt.width)
-    seps = dl.reshape(rows, n_cols, fmt.width)
-    seps[:, :-1, _SEP:_SEP + len(fmt.cell_sep)] = np.frombuffer(fmt.cell_sep, np.uint8)
-    seps[:, -1, _SEP:_SEP + len(fmt.row_sep)] = np.frombuffer(fmt.row_sep, np.uint8)
-    family = None
-    if is_int is not None and np.any(is_int):
-        family = np.tile(np.asarray(is_int, bool), rows)
-    # bytes 4..23 of a row, "000" D0 ... D16, as one 20-byte item
-    run = dl.view(np.dtype({"names": ["run"], "formats": ["V20"], "offsets": [4],
-                            "itemsize": fmt.width})).ravel()["run"]
+    width = fmt.width
+    # each cell's separator kind and family: (kind * families + family)
+    family = np.zeros(n_cols, np.intp) if is_int is None else np.asarray(is_int, np.intp)
+    codes = np.tile((np.arange(n_cols) == n_cols - 1) * len(fmt.families) + family, rows)
+    in_int = np.tile(family == 1, rows) if family.any() else None
+    # DR is DL shifted right by one byte: the digits after the point.  A
+    # cell's digit run "000" D0 ... D16 is one 20-byte item with D0 at the
+    # row's column of D0; the "000" before it lands in bytes no mask picks.
+    buf = np.zeros(size * width + 4, np.uint8)
+    dl = buf[4:].reshape(size, width)
+    dr = buf[3:-1].reshape(size, width)
+    runs = _void_items(buf, 1, 20)
+    row_at = np.arange(size) * width
     chunk4 = np.empty((size, 5), np.intp)
     ascii4 = np.empty((size, 5), np.uint32)
     ascii20 = ascii4.view("V20").ravel()
-    text, left, right = np.empty((3, size, fmt.width), np.uint8)
+    text, left, right = np.empty((3, size, width), np.uint8)
+    cells_text = text.view(f"V{width}").ravel()
+    # the text placed over ``left`` once its masks are spent
+    out = left.reshape(-1)
+    placed = _void_items(out, 0, width)
     for r0 in range(0, n_rows, rows):
         v = values[r0:r0 + rows].ravel()
         m = v.size
-        fam = None if family is None else family[:m]
+        code = codes[:m]
+        if r0 + rows >= n_rows and fmt.seps[2] != fmt.seps[1]:
+            code = code.copy()              # the table's last cell has its own separator
+            code[-1] += len(fmt.families)
         # Three kinds of cell: those with decimal digits to find, an integer
         # column's non-zero integers, and the specials (zeros, infinities and
         # NaNs).  ``cells`` lists the first two kinds in that order.
         has = np.isfinite(v)
         has &= v != 0
         whole, n_int = False, 0
-        if fam is None:
+        if in_int is None:
             whole = has.all()
             cells = slice(m) if whole else np.flatnonzero(has)
         else:
+            fam = in_int[:m]
             ints = np.flatnonzero(has & fam)
             cells = np.concatenate([np.flatnonzero(has & ~fam), ints])
             n_int = ints.size
@@ -371,11 +430,13 @@ def _chunks(values: np.ndarray, fmt: _Format, is_int=None):
             N, X = _shortest(w[:n], tab) if fmt.shortest else _decimal(w[:n], tab)
         else:
             N, X = np.empty(0, np.int64), np.empty(0, np.intp)
-        X -= _XMIN                          # the layout block, 34 rows per block
         if n_int:
             N_int, X_int = _integers(w[n:])
-            X_int += _N_X - _XMIN
             N, X = np.concatenate([N, N_int]), np.concatenate([X, X_int])
+        # the layout block, 34 rows per block
+        block = code[cells] * _N_X
+        block += X
+        block -= _XMIN
         # the 17 digits: D0 then four 4-digit chunks
         c = chunk4[:k]
         hi9, lo8 = np.divmod(N, 10**8)
@@ -383,7 +444,6 @@ def _chunks(values: np.ndarray, fmt: _Format, is_int=None):
         np.divmod(hi9, 10**4, out=(c[:, 1], c[:, 2]))
         np.divmod(lo8, 10**4, out=(c[:, 3], c[:, 4]))
         np.take(tab.lut, c, out=ascii4[:k], mode="clip")
-        run[cells] = ascii20[:k]
         # significant digits; an integer prints all its X + 1 digits, so its d is 1
         sig, c = tab.sig, c[:n]
         d = np.maximum(sig[3].take(c[:, 4]), sig[2].take(c[:, 3]))
@@ -392,30 +452,36 @@ def _chunks(values: np.ndarray, fmt: _Format, is_int=None):
         np.maximum(d, 1, out=d)
         if n_int:
             d = np.concatenate([d, np.ones(n_int, d.dtype)])
-        missing = X[~lay.done.take(X)]
-        if missing.size:
-            lay.fill(set(missing.tolist()))
-        key = X * 34
+        slot = lay.slot.take(block)
+        if k and slot.min() < 0:
+            lay.fill(set(block[slot < 0].tolist()))
+            slot = lay.slot.take(block)
+        key = slot * 34
         key += d * 2
         key += np.signbit(w)
         key += lay.n_specials - 2
+        head = lay.sizes[0].take(key)
+        head += row_at[cells]
+        runs[head] = ascii20[:k]
         if not whole:
-            # a special's row among the specials: +0, -0, +inf, -inf, NaN per family
+            # a special's row among the specials: +0, -0, +inf, -inf, NaN per code
             full = np.where(v == 0, 0, 2) + np.signbit(v)
             full[np.isnan(v)] = 4
-            if fam is not None:
-                full += 5 * fam
+            full += 5 * code
             full[cells] = key
             key = full
-        for table, part in zip(lay.table, (text, left, right)):
+        for table, part in zip(lay.rows, (text, left, right)):
             np.take(table, key, axis=0, out=part[:m], mode="clip")
         left[:m] &= dl[:m]
         right[:m] &= dr[:m]
         text[:m] |= left[:m]
         text[:m] |= right[:m]
-        if r0 + rows >= n_rows and not fmt.last_sep:
-            text[m - 1, _SEP:] = 0
-        yield text[:m].tobytes().translate(None, b"\0").decode("ascii")
+        # each row's text from its start, the next row placed over the rest
+        end = lay.sizes[1].take(key)
+        np.cumsum(end, out=end)
+        placed[0] = cells_text[0]
+        placed[end[:-1]] = cells_text[1:m]
+        yield str(memoryview(out)[:end[-1]], "ascii")
 
 
 def csv_chunks(values: np.ndarray):

@@ -490,6 +490,17 @@ def _quadratic_roots(p2: np.ndarray, p1: np.ndarray, p0: float) -> np.ndarray:
     return roots
 
 
+def _sort3(a, b, c):
+    """Three columns sorted elementwise, ascending with NaNs last.
+
+    A compare-exchange network on the pairs (0, 1), (1, 2), (0, 1): ``fmin``
+    takes the number of a number and a NaN, ``maximum`` the NaN.
+    """
+    a, b = np.fmin(a, b), np.maximum(a, b)
+    b, c = np.fmin(b, c), np.maximum(b, c)
+    return np.fmin(a, b), np.maximum(a, b), c
+
+
 def _steady_roots(coeffs: CubicCoeffs, cubic: tuple):
     """Admissible (a >= 0) steady-state roots at every detuning of ``coeffs``.
 
@@ -500,35 +511,39 @@ def _steady_roots(coeffs: CubicCoeffs, cubic: tuple):
     through the two-argument arctangent.  With three positive roots the
     middle amplitude is tagged unstable (saddle-node branch structure);
     otherwise roots are stable.  ``cubic`` is ``coeffs.cubic()``, which the
-    sweep also signs.
+    sweep also signs.  The roots are handled as three columns, a NaN where
+    a detuning has no root.
     """
-    xs = _real_roots(*cubic)
+    cols = _real_roots(*cubic).T
     # keep distinct roots above a relative floor, ascending, NaN last
-    x_tol = 1e-12 * np.fmax(1.0, np.fmax.reduce(np.abs(xs), axis=1))
-    xs[~(xs > x_tol[:, None])] = np.nan
-    xs.sort(axis=1)
-    dup = np.zeros_like(xs, dtype=bool)
-    dup[:, 1:] = xs[:, 1:] == xs[:, :-1]
-    xs[dup] = np.nan
-    xs.sort(axis=1)
-    n_pos = np.count_nonzero(~np.isnan(xs), axis=1)
+    x_tol = np.fmax(np.fmax(np.abs(cols[0]), np.abs(cols[1])), np.abs(cols[2]))
+    x_tol = 1e-12 * np.fmax(1.0, x_tol)
+    x0, x1, x2 = _sort3(*(np.where(x > x_tol, x, np.nan) for x in cols))
+    x2[x2 == x1] = np.nan
+    x1[x1 == x0] = np.nan
+    x1, x2 = np.fmin(x1, x2), np.maximum(x1, x2)
+    present = [~np.isnan(x) for x in (x0, x1, x2)]
+    n_pos = present[0] + present[1].astype(np.intp) + present[2]
     if coeffs.c_rhs == 0.0:
         # x = 0 always solves the zero-forcing case; the cubic may carry it
         # inexactly, so insert it explicitly (at most two positive roots remain)
-        xs = np.column_stack([np.zeros(len(xs)), xs[:, :2]])
-    n_roots = np.count_nonzero(~np.isnan(xs), axis=1)
-    present = np.arange(3) < n_roots[:, None]
-    stable = present & ~((n_pos[:, None] == 3) & (np.arange(3) == 1))
+        x0, x1, x2 = np.zeros(len(x0)), x0, x1
+        present = [np.ones(len(x0), bool)] + present[:2]
+    n_roots = present[0] + present[1].astype(np.intp) + present[2]
+    stable = np.column_stack([present[0], present[1] & (n_pos != 3), present[2]])
 
-    amp = np.sqrt(xs)
-    gamma = np.where(present, 0.0, np.nan)
+    amp = np.sqrt(np.column_stack([x0, x1, x2]))
+    gamma = np.where(np.column_stack(present), 0.0, np.nan)
     if coeffs.c_rhs > 0.0:
-        live = amp > 0.0
-        a = amp[live]
-        b1 = np.broadcast_to(np.atleast_1d(coeffs.b1)[:, None], amp.shape)[live]
+        # every present root is positive
+        live = [np.flatnonzero(p) for p in present]
+        a = np.concatenate([x[i] for x, i in zip(amp.T, live)])
+        b1 = np.concatenate([np.broadcast_to(coeffs.b1, len(x0))[i] for i in live])
         a_cubed = _pow(a, 3)
-        gamma[live] = _libm(math.atan2, coeffs.a1 * a + coeffs.a2 * a_cubed,
-                            b1 * a + coeffs.b2 * a_cubed)
+        phase = _libm(math.atan2, coeffs.a1 * a + coeffs.a2 * a_cubed, b1 * a + coeffs.b2 * a_cubed)
+        ends = np.cumsum([0] + [i.size for i in live])
+        for k, i in enumerate(live):
+            gamma[i, k] = phase[ends[k]:ends[k + 1]]
     return n_roots, amp, gamma, stable
 
 
@@ -629,8 +644,10 @@ def frequency_sweep(
     those of ``CubicCoeffs.discriminant``.  Each sign change between
     neighbouring nodes, or node where it is zero, is bisected to 1e-10 in
     plain floats (``_fold_discriminant``, the same ``_cubic`` and
-    ``_discriminant`` at one detuning).  The sweep costs about 1.7 us per
-    detuning on a 2-vCPU x86 machine with Python 3.11.
+    ``_discriminant`` at one detuning).  The sweep costs about 1.2 us per
+    detuning in process on a 2-vCPU x86 machine with Python 3.11 (1.5-1.9
+    us in a traced benchmark pass), most of it in libm calls through
+    Python: the Cardano roots, and each root's ``pow`` and ``atan2``.
 
     A descending grid bisects each bracket from its other end to the same
     double, so it reports the ascending grid's folds in descending order

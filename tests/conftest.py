@@ -8,9 +8,12 @@ increments), for the tests that compare a history or a trajectory
 increment by increment.  ``loop_linear`` is the step loop that
 ``integrate_linear`` ran before its block solve, kept as its oracle, and
 ``array_propagator`` is the block solve's matrix built on (B, 4) numpy
-arrays, kept as ``fracode._propagator``'s.
+arrays, kept as ``fracode._propagator``'s.  ``matrix_steady_roots`` is the
+sweep's root filter on (n, 3) arrays, kept as the oracle of
+``multiscale._steady_roots``, which works on three columns.
 """
 
+import math
 import weakref
 from array import array
 
@@ -26,6 +29,7 @@ from fracbeam import (
     build_mode,
     fracode,
     modal_coefficients,
+    multiscale,
     scale_coefficients,
     solve_eigen,
 )
@@ -152,6 +156,36 @@ def array_propagator(dt, k_l, ca, cv, near):
     lags = sliding_window_view(np.concatenate((np.zeros((3, B - 1)), rows[:, :, 3]), axis=1),
                                B, axis=1)
     return np.concatenate((rows[:, :, :3], lags[:, :, ::-1]), axis=2).reshape(3 * B, 3 + B)
+
+
+def matrix_steady_roots(coeffs, cubic):
+    """``multiscale._steady_roots`` with the roots as one (n, 3) array, sorted by rows."""
+    xs = multiscale._real_roots(*cubic)
+    # keep distinct roots above a relative floor, ascending, NaN last
+    x_tol = 1e-12 * np.fmax(1.0, np.fmax.reduce(np.abs(xs), axis=1))
+    xs[~(xs > x_tol[:, None])] = np.nan
+    xs.sort(axis=1)
+    dup = np.zeros_like(xs, dtype=bool)
+    dup[:, 1:] = xs[:, 1:] == xs[:, :-1]
+    xs[dup] = np.nan
+    xs.sort(axis=1)
+    n_pos = np.count_nonzero(~np.isnan(xs), axis=1)
+    if coeffs.c_rhs == 0.0:
+        xs = np.column_stack([np.zeros(len(xs)), xs[:, :2]])
+    n_roots = np.count_nonzero(~np.isnan(xs), axis=1)
+    present = np.arange(3) < n_roots[:, None]
+    stable = present & ~((n_pos[:, None] == 3) & (np.arange(3) == 1))
+
+    amp = np.sqrt(xs)
+    gamma = np.where(present, 0.0, np.nan)
+    if coeffs.c_rhs > 0.0:
+        live = amp > 0.0
+        a = amp[live]
+        b1 = np.broadcast_to(np.atleast_1d(coeffs.b1)[:, None], amp.shape)[live]
+        a_cubed = multiscale._pow(a, 3)
+        gamma[live] = multiscale._libm(math.atan2, coeffs.a1 * a + coeffs.a2 * a_cubed,
+                                       b1 * a + coeffs.b2 * a_cubed)
+    return n_roots, amp, gamma, stable
 
 
 @pytest.fixture(scope="session")

@@ -802,6 +802,85 @@ def test_csv_split_chunks_and_integer_columns_match_template(n_cols):
     _assert_csv_matches_template(np.column_stack([column] * n_cols))
 
 
+@pytest.mark.parametrize("n_cols", [1, 4])
+def test_two_byte_cells_match_template_and_dumps(n_cols):
+    # "7," is 2 bytes of a 32-byte CSV row, so each row written whole at its
+    # offset overlaps the 15 cells after it before they overwrite it
+    rows = g17._CHUNK_CELLS // n_cols
+    values = np.resize([7.0, 0.0, 1.0, 9.0, 3.0], (2 * rows + 1, n_cols))
+    _assert_csv_matches_template(values)
+    _assert_json_matches_dumps(values)
+    _assert_json_matches_dumps(values, ints=tuple(f"c{j}" for j in range(n_cols)))
+    text = "".join(g17.csv_chunks(values))
+    assert len(text) == 2 * values.size
+
+
+def test_longest_cells_match_template_and_dumps():
+    # 24 and 23 bytes of text, 37 with JSON's row separator, in every cell of two chunks
+    longest = [-1.2345678901234567e-100, -0.00012345678901234567, -1.2345678901234567e+100]
+    assert [len(repr(x)) for x in longest] == [len("%.17g" % x) for x in longest] == [24, 23, 24]
+    rows = g17._CHUNK_CELLS // 3
+    values = np.resize(longest, (2 * rows + 1, 3))
+    for shift in range(3):
+        _assert_csv_matches_template(np.roll(values, shift, axis=1))
+        _assert_json_matches_dumps(np.roll(values, shift, axis=1))
+
+
+@pytest.mark.parametrize("x", [1.5, -2.5e-300, 0.0, -0.0, math.nan, math.inf, 7.0, -123.0])
+def test_one_cell_tables_match_template_and_dumps(x):
+    _assert_csv_matches_template([[x]])
+    _assert_json_matches_dumps([[x]])
+    if not math.isfinite(x) or x == int(x):
+        _assert_json_matches_dumps([[x]], ints=("c0",))
+
+
+@pytest.mark.parametrize("n_cols", [1, 3, 11])
+@pytest.mark.parametrize("last", [2.5, 0.0, math.nan, 12.0])
+def test_json_table_ending_on_a_chunk_boundary(n_cols, last):
+    # the last chunk is full, and its last cell is the table's: no separator after it
+    rows = g17._CHUNK_CELLS // n_cols
+    rng = np.random.default_rng(n_cols)
+    values = rng.standard_normal((2 * rows, n_cols)) * 10.0 ** rng.integers(-20, 20, (2 * rows, n_cols))
+    values[-1, -1] = last
+    chunks = list(g17.json_chunks(values, np.zeros(n_cols, bool)))
+    assert len(chunks) == 2 and not chunks[-1].endswith((",", " ", "\n"))
+    _assert_json_matches_dumps(values)
+    if math.isnan(last) or last == int(last):
+        # the same with the first and last columns integers
+        values[:, 0] = np.arange(2 * rows)
+        values[:, -1] = np.arange(2 * rows)[::-1]
+        values[-1, -1] = last
+        _assert_json_matches_dumps(values, ints=("c0", f"c{n_cols - 1}"))
+
+
+def test_json_integer_columns_under_each_separator():
+    # integer cells followed by the cell separator (c0), the row separator
+    # (c2) and none (the table's last cell), with zeros, NaNs and 16 digits
+    edges = np.array(_INTEGER_EDGES)
+    values = np.column_stack([edges, edges * 0.5, edges[::-1]])
+    for ints in (("c0",), ("c2",), ("c0", "c2")):
+        _assert_json_matches_dumps(values, ints=ints)
+        for last in (0.0, math.nan, 2.0 ** 53 - 1, -7.0):
+            values[-1, 2] = last
+            _assert_json_matches_dumps(values, ints=ints)
+
+
+def test_numpy_assigns_overlapping_items_in_index_order():
+    # the placement writes whole rows as void items one byte apart and relies
+    # on each item overwriting the tails of those before it
+    buf = np.zeros(8, np.uint8)
+    items = g17._void_items(buf, 0, 4)
+    items[[0, 2]] = np.frombuffer(b"abcdWXYZ", "V4")
+    assert buf.tobytes() == b"abWXYZ\0\0"
+    # many items, more than one inner buffer of numpy's iterators
+    n, width = 20_000, 16
+    rows = np.random.default_rng(0).integers(0, 256, n * width, dtype=np.uint8).view(f"V{width}")
+    buf = np.zeros(n + width, np.uint8)
+    g17._void_items(buf, 0, width)[np.arange(n)] = rows
+    want = np.concatenate([rows.view(np.uint8)[::width], rows[-1:].view(np.uint8)[1:]])
+    assert buf[:n + width - 1].tobytes() == want.tobytes()
+
+
 @given(st.lists(st.tuples(st.one_of(st.integers(-2 ** 53 + 1, 2 ** 53 - 1), st.just(math.nan)),
                           st.floats(width=64), st.floats(width=64)), max_size=40))
 @settings(max_examples=200, deadline=None)

@@ -15,13 +15,15 @@ arithmetic.
 """
 
 import dataclasses
+import inspect
 import math
+import sys
 from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
-from conftest import lag_sums, push
+from conftest import lag_sums, near_sums, push
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -421,6 +423,61 @@ def test_near_pairs_are_near_rows_without_the_odd_rows_lag_one_weight():
         assert odd[2 * k] == near[1, 0] > 0   # b_1
         odd[2 * k] = 0.0
         np.testing.assert_array_equal(pair[:, 1], odd)
+
+
+def _traced_near_sums(*args):
+    """Run ``integrate_nonlinear(*args)``; return it and each step's (near_q, near_c).
+
+    A line hook on the integrator's frame reads the two locals where the
+    step first uses them, so they are the sums the step actually took.
+    """
+    code = integrate_nonlinear.__code__
+    lines, first = inspect.getsourcelines(integrate_nonlinear)
+    at = [first + i for i, text in enumerate(lines) if "p0 = ca * (fq + near_q)" in text]
+    assert len(at) == 1
+    seen = []
+
+    def on_line(frame, event, arg):
+        if event == "line" and frame.f_lineno == at[0]:
+            seen.append((frame.f_locals["near_q"], frame.f_locals["near_c"]))
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
+    try:
+        traj = integrate_nonlinear(*args)
+    finally:
+        sys.settrace(previous)
+    return traj, seen
+
+
+@pytest.mark.parametrize("case", ["no-tip", "tip-mass"])
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+def test_steps_read_the_replayed_near_sums(case, alpha, case1_coeffs, case2_coeffs):
+    # The step's root absorbs last-bit changes of its sums, so the
+    # trajectory does not show which products made them.  Read the sums
+    # from the integrator's frame instead and compare them bit for bit with
+    # the pair products of near_sums, over the trajectory's own increments
+    # (300 steps: two closed blocks and part of a third).
+    co = case1_coeffs if case == "no-tip" else case2_coeffs
+    mat = MaterialParams.from_ratio(0.1, alpha)
+    grid = GridSpec(0.01, 300)
+    base = HarmonicForcing(0.5, 1.02 * math.sqrt(co.k_l / co.m_modal))
+    traj, seen = _traced_near_sums(co, mat, 0.3, -0.4, grid, base)
+    assert len(seen) == grid.n_steps
+    history = L1History(alpha, grid.dt, grid.n_steps, channels=2)
+    pairs, b1 = fracode._near_pairs(history.near), float(history.weights[1])
+    q = traj.q
+    c = q * q * q
+    block = np.zeros((2, fracode._BLOCK))
+    want = []
+    for i in range(grid.n_steps):
+        r = i % fracode._BLOCK
+        want.append(near_sums(block, pairs, b1, r))
+        block[:, r] = q[i + 1] - q[i], c[i + 1] - c[i]
+    got, want = np.array(seen), np.array(want)
+    assert np.count_nonzero(want) > 500
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def step_cubic_at(co, mat, traj, base, step):

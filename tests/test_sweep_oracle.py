@@ -10,6 +10,8 @@ discriminant without calling into the library's solver.
 The sweep signs its grid discriminant with numpy products and bisects folds
 on a plain-float closure; both are checked here against the libm formula of
 ``CubicCoeffs.discriminant``, bit for bit, also next to and on the folds.
+The root filter, which sorts, dedupes, counts and tags the roots as three
+columns, is checked against its (n, 3) form, ``conftest.matrix_steady_roots``.
 """
 
 import math
@@ -23,7 +25,9 @@ from hypothesis import strategies as st
 from fracbeam import (CubicCoeffs, MmsParams, frequency_sweep, solve_steady_amplitudes,
                       steady_state_cubic)
 from fracbeam.modes import bisect
-from fracbeam.multiscale import _discriminant, _fold_discriminant, _grid_discriminant
+from conftest import matrix_steady_roots
+from fracbeam import multiscale
+from fracbeam.multiscale import _discriminant, _fold_discriminant, _grid_discriminant, _sort3
 
 # published no-tip rates, the lumped oscillator of the time-domain study
 # (pronounced folds at f = 1), and a tip-mass rate set
@@ -358,3 +362,46 @@ def test_near_quadratic_cubic_keeps_its_real_root(e_r):
         pytest.approx([roots[0].amp], rel=1e-13)
     branch = frequency_sweep(params, np.array([-0.5, 0.0, 0.5]))
     assert branch.n_roots[1] == 1 and branch.amp[1, 0] == roots[0].amp
+
+
+# ------------------------------------------------ the root filter on columns
+
+@st.composite
+def _root_rows(draw):
+    """(n, 3) rows as ``_real_roots`` could return them, and then some.
+
+    The values come from a small pool, so that rows repeat roots: a scale s
+    (the row's largest |x| when it holds +-s), the floor 1e-12 max(1, s) and
+    its neighbours, zeros, infinities, NaN in any slot, and free positives
+    (three distinct ones make a saddle-node row).
+    """
+    s = draw(st.sampled_from([0.25, 1.0, 3.0, 1e9]))
+    floor = 1e-12 * max(1.0, s)
+    pool = [math.nan, s, -s, floor, math.nextafter(floor, 0.0), math.nextafter(floor, math.inf),
+            0.0, -0.0, math.inf, -math.inf]
+    pool += draw(st.lists(st.floats(min_value=1e-13, max_value=s), min_size=1, max_size=4))
+    n = 3 * draw(st.integers(1, 20))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))).reshape(-1, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=_root_rows(), c_rhs=st.sampled_from([0.0, 0.7]), data=st.data())
+def test_column_root_filter_matches_matrix_filter(xs, c_rhs, data):
+    b1 = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=len(xs), max_size=len(xs))))
+    coeffs = CubicCoeffs(a1=0.3, a2=-0.8, b1=b1, b2=1.7, c_rhs=c_rhs)
+    with pytest.MonkeyPatch.context() as mp:
+        # both filters read the drawn rows through _real_roots; the (n, 3) one sorts them in place
+        mp.setattr(multiscale, "_real_roots", lambda *cubic: xs.copy())
+        want = matrix_steady_roots(coeffs, coeffs.cubic())
+        got = multiscale._steady_roots(coeffs, coeffs.cubic())
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.just(math.nan), st.floats(allow_nan=False)),
+                         min_size=3, max_size=3), min_size=1, max_size=30))
+def test_sort_network_matches_sort_with_nans_last(rows):
+    xs = np.array(rows)
+    np.testing.assert_array_equal(np.column_stack(_sort3(*xs.T)), np.sort(xs, axis=1))
