@@ -75,11 +75,7 @@ class ResultTable:
 
     @staticmethod
     def _fmt(x) -> str:
-        if isinstance(x, (bool, np.bool_)):
-            return "1" if x else "0"
-        if isinstance(x, (int, np.integer)):
-            return str(int(x))
-        return format(float(x), ".17g")
+        return str(x) if isinstance(x, int) else format(float(x), ".17g")
 
     def check_finite(self) -> None:
         """Raise ``FloatingPointError`` at the first non-finite number of the table.
@@ -237,11 +233,13 @@ def cmd_envelope(cfg: dict) -> ResultTable:
 
 
 def cmd_critical_alpha(cfg: dict) -> ResultTable:
+    # critical_alpha solves for the order, so the order 0.5 these rates carry is never read
     if cfg["omega0"] is not None:
         params = MmsParams(omega0=cfg["omega0"], c_l=cfg["cl"], c_nl=0.0, k_nl=0.0,
                            e_r=cfg["er"], alpha=0.5)
     else:
-        params = _mms_params_for(cfg)
+        _beta, coeffs = _first_mode(cfg)
+        params = scale_coefficients(coeffs, MaterialParams.from_ratio(cfg["er"], 0.5))
     res = critical_alpha(params, cfg["mode"])
     row = [int(res.found), math.nan if res.alpha_cr is None else res.alpha_cr,
            math.nan if res.residual is None else res.residual, int(res.in_unit_interval),
@@ -373,7 +371,7 @@ _SPECS: dict[str, dict] = {
         "mode": _Flag(str, "decay-peak", "", ("decay-peak", "sensitivity-extremum")),
         "omega0": _Flag(float, None, "explicit natural frequency (overrides --case)"),
         "cl": _Flag(float, 1.0, "damping rate used with --omega0"),
-        "er": _Flag(float, 1.0), "alpha": _Flag(float, 0.5),
+        "er": _Flag(float, 1.0),
     },
     "sweep": {
         **_BEAM,
@@ -529,12 +527,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve_config(parser, args)
-        _check_domain(args.command, cfg)
-        table = _COMMANDS[args.command](cfg)
-        table.provenance[:0] = _provenance(args.command, cfg)
-        table.check_finite()
-        write_table(table, args.format, args.output)
+        # an overflow is reported once, by the finite check or the error it raises
+        with np.errstate(all="ignore"):
+            cfg = _resolve_config(parser, args)
+            _check_domain(args.command, cfg)
+            table = _COMMANDS[args.command](cfg)
+            table.provenance[:0] = _provenance(args.command, cfg)
+            table.check_finite()
+            write_table(table, args.format, args.output)
     except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
         # a ValueError is a domain error; the rest are numerical, memory or I/O failures
         print(f"fracbeam: error: {exc}", file=sys.stderr)

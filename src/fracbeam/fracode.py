@@ -14,21 +14,24 @@ the analytic slope solves it, in one iteration on typical steps.  A step
 that Newton does not settle takes the cubic's real root nearest the
 predictor, in closed form (``multiscale``'s cubic kernel).
 
-Every L1 sum goes through one kernel, ``L1History``: a stepper hands it
-each closed block of 128 increments and it brings the far sums of the blocks
-after it, at O(N log^2 N) cost over N steps.  The sums inside the open
-block are the linear block product's.  Nonlinear steps read theirs (q and
-q^3) a pair at a time: at an even slot 2k, one product of the open block's
-(2 x 128) array of increments with a (128 x 2) pair of the kernel's
-``near`` rows gives step 2k's two sums and step 2k+1's less their lag-1
-terms, which step 2k+1 adds from the increments step 2k has just written.
-Each integrator has one block loop for every order: at alpha = 1 a step
-takes the classical Newmark velocity for D^alpha q instead of the L1 sum,
-and the run keeps no history.  On a 2-vCPU x86 machine with Python 3.11 a
-200k-step linear run takes about 0.1-0.15 s (the whole default ``fracbeam
-simulate``, in process, 0.21-0.26 s), and a nonlinear step about 2.2 us
-(fractional) or 1.1 us (alpha = 1); the machine's speed drifts by up to
-1.7x.
+Both integrators' L1 sums go through one kernel, ``L1History``: a stepper
+hands it each closed block of 128 increments and it brings the far sums of
+the blocks after it, at O(N log^2 N) cost over N steps.
+``caputo_l1_series``, the batch derivative of a sampled history, is one
+FFT convolution of its own over the same weights.  The sums inside the
+open block are the linear block product's.  Nonlinear steps read theirs
+(q and q^3) a pair at a time: at an even slot 2k, one product of the open
+block's (2 x 128) array of increments with a (128 x 2) pair of the
+kernel's ``near`` rows gives step 2k's two sums and step 2k+1's less their
+lag-1 terms, which step 2k+1 adds from the increments step 2k has just
+written.  Each integrator has one block loop for every order: at alpha = 1
+a step takes the classical Newmark velocity for D^alpha q instead of the
+L1 sum, and the run keeps no history.  On a 2-vCPU x86 machine with
+Python 3.11 a 200k-step linear run takes about 0.1-0.15 s, and a
+nonlinear step about 2.2 us (fractional) or 1.1 us (alpha = 1).  The whole
+default ``fracbeam simulate``, run through ``cli.main`` in one process and
+written to a file, took a median 0.20 s over 15 runs (0.18-0.32 s); the
+machine's speed drifts by up to 1.7x.
 """
 
 from __future__ import annotations
@@ -120,14 +123,15 @@ def l1_weights(alpha: float, n: int) -> np.ndarray:
     return np.diff(j ** (1.0 - alpha))
 
 
-# every history block is this size times a power of 2.  integrate_linear
-# solves a block of this many steps at a time: over 16k-32k-step runs
-# (2 vCPU, x86) 64 steps per block cost about 20% more than 128, and 32 or
-# 256 about 60% more; at 128 the (3B x (3 + B)) product and one closure per
-# block balance the per-block numpy overhead.  A closed block of this size
-# reaches the next block's far sums by one dense Toeplitz product, larger
-# ones by FFT: below it numpy's FFT call overhead costs more than the
-# O(L^2) product, above it the FFT keeps the kernel O(N log^2 N).
+# the steppers close the L1 history this many increments at a time, and
+# integrate_linear solves a block of this many steps at once: over
+# 16k-32k-step runs (2 vCPU, x86) 64 steps per block cost about 20% more
+# than 128, and 32 or 256 about 60% more; at 128 the (3B x (3 + B)) product
+# and one closure per block balance the per-block numpy overhead.  A source
+# block of this size reaches the next block's far sums by one dense Toeplitz
+# product, larger dyadic ones by FFT: below it numpy's FFT call overhead
+# costs more than the O(L^2) product, above it the FFT keeps the kernel
+# O(N log^2 N).
 _BLOCK = 128
 
 
@@ -149,40 +153,39 @@ class L1History:
     factor dt^(-alpha)/Gamma(2-alpha), so the Caputo derivative after x_n is
     ``scale * (x_n + lag sum)``.
 
-    A stepper feeds the history a block of S = _BLOCK * 2^j increments at a
-    time, every block starting at a multiple of its size.  While a block
-    starting at s is open, ``far[k, s + r]`` is the far part of the lag sum
-    of its r-th target (every lag that reaches back before the block), so
-    after r increments x_s..x_{s+r-1} of the block the lag sum is
+    A stepper feeds the history a block of B = _BLOCK increments at a time.
+    While a block starting at s is open, ``far[k, s + r]`` is the far part
+    of the lag sum of its r-th target (every lag that reaches back before
+    the block), so after r increments x_s..x_{s+r-1} of the block the lag
+    sum is
 
         far[k, s + r] + sum_{j=1..r} b_j x_{s+r-j}.
 
     ``near`` is the B x B strictly lower-triangular Toeplitz matrix of
-    b_1..b_{B-1} (B = _BLOCK): row r holds b_r..b_1 and then zeros, so a
-    stepper that keeps the open block of B in a (channels, B) array X reads
-    every channel's near sum at once as ``X.dot(near[r])``, whatever the
-    array holds past the r increments (finite numbers times zero).
+    b_1..b_{B-1}: row r holds b_r..b_1 and then zeros, so a stepper that
+    keeps the open block in a (channels, B) array X reads every channel's
+    near sum at once as ``X.dot(near[r])``, whatever the array holds past
+    the r increments (finite numbers times zero).
     ``integrate_nonlinear`` reads two steps' sums with one product, of X
     with the pair of rows 2k and 2k+1 (``_near_pairs``), the odd row's
     lag-1 weight zeroed since its increment x_{s+2k} is not yet in X.
-    ``close_block(*blocks)`` takes the block's increments, one sequence of S
+    ``close_block(*blocks)`` takes the block's increments, one sequence of B
     per channel, and updates ``far`` in place for the next block's targets.
-    It is the kernel's only check: one full block per channel, aligned to
-    its size, within the capacity.  A run that ends inside a block never
-    closes it.
+    It is the kernel's only check: one full block per channel, within the
+    capacity.  A run that ends inside a block never closes it.
 
     The far sums come from the blocked convolution of Hairer, Lubich and
     Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985).  When the block ending
     at i closes, the dyadic source block [i-L, i) with i/L odd
-    (L = _BLOCK * 2^k, at least S since S divides i) is added to the targets
-    [i, i+L) that exist, for every channel at once: by one dense Toeplitz
-    product for L = _BLOCK, by FFT above, of length L + m (m targets)
-    rounded up to 2^j or 3 * 2^j.  Each (source, target) pair in different
-    blocks is counted exactly once, at the level where their blocks are
-    siblings; pairs inside one block are the stepper's near sums.  So the
-    result equals the direct sum up to round-off (about 1e-13 relative), at
-    O(n log^2 n) total cost.  Numpy runs once per closed block, on
-    (channels, capacity) arrays of increments and far sums.
+    (L = _BLOCK * 2^k) is added to the targets [i, i+L) that exist, for
+    every channel at once: by one dense Toeplitz product for L = _BLOCK, by
+    FFT above, of length L + m (m targets) rounded up to 2^j or 3 * 2^j.
+    Each (source, target) pair in different blocks is counted exactly once,
+    at the level where their blocks are siblings; pairs inside one block are
+    the stepper's near sums.  So the result equals the direct sum up to
+    round-off (about 1e-13 relative), at O(n log^2 n) total cost.  Numpy
+    runs once per closed block, on (channels, capacity) arrays of
+    increments and far sums.
     """
 
     def __init__(self, alpha: float, dt: float, capacity: int, channels: int = 1):
@@ -205,19 +208,15 @@ class L1History:
         self._spectra = {}                                # FFT length -> kernel spectrum
 
     def close_block(self, *blocks) -> None:
-        """Close the open block, given its increments: one sequence per channel."""
+        """Close the open block, given its increments: one sequence of _BLOCK per channel."""
         sizes = [len(block) for block in blocks]
-        if len(sizes) != self.channels or len(set(sizes)) != 1:
-            raise ValueError(f"a block closes with one sequence of increments per channel "
+        if sizes != [_BLOCK] * self.channels:
+            raise ValueError(f"a block closes with {_BLOCK} increments per channel "
                              f"({self.channels}), got lengths {sizes}")
-        width = sizes[0]
-        if width < _BLOCK or width & (width - 1) or self._closed % width:
-            raise ValueError(f"a block holds {_BLOCK} * 2^j increments and starts at a multiple "
-                             f"of its size, got {width} at {self._closed}")
-        i = self._closed + width
+        i = self._closed + _BLOCK
         if i > self.capacity:
             raise ValueError(f"L1History is full ({self.capacity} increments)")
-        self._x[:, i - width:i] = blocks
+        self._x[:, i - _BLOCK:i] = blocks
         self._closed = i
         size = _BLOCK
         while (i // size) % 2 == 0:
@@ -447,8 +446,8 @@ def integrate_nonlinear(
     check_finite(q0=q0, v0=v0, e_r=mat.e_r, **_fields("coeffs", coeffs))
     dt, n = grid.dt, grid.n_steps
     alpha, e_r = mat.alpha, mat.e_r
-    mt, jnl = coeffs.m_modal, coeffs.j_nl
-    kl, cl, knl, cnl, mb = coeffs.k_l, coeffs.c_l, coeffs.k_nl, coeffs.c_nl, coeffs.m_b
+    mt, jnl, kl, knl, mb = coeffs.m_modal, coeffs.j_nl, coeffs.k_l, coeffs.k_nl, coeffs.m_b
+    ecl, cnl = e_r * coeffs.c_l, coeffs.c_nl
     accel = _forcing_samples("base_accel", base_accel, grid)
     rhs_force = (accel if base_accel is None else -mb * accel).tolist()   # None: +0.0, not -0.0
 
@@ -459,7 +458,7 @@ def integrate_nonlinear(
     try:
         num0 = rhs_force[0] - jnl * qi * vi**2 - kl * qi - 2.0 * knl * qi**3
         if classical:
-            num0 -= e_r * cl * vi + 3.0 * e_r * cnl * qi**2 * vi
+            num0 -= ecl * vi + 3.0 * e_r * cnl * qi**2 * vi
         ai = num0 / (mt + jnl * qi**2)
     except OverflowError as exc:
         raise OverflowError(f"the equation of motion overflows at t = 0 "
@@ -467,10 +466,10 @@ def integrate_nonlinear(
     q, v, a = array("d", [qi]), array("d", [vi]), array("d", [ai])
 
     if classical:
-        scale = None
+        ca = None
     else:
         history = L1History(alpha, dt, n, channels=2)
-        scale, far, b1 = history.scale, history.far, float(history.weights[1])
+        ca, far, b1 = history.scale, history.far, float(history.weights[1])
         pairs = [None] * _BLOCK         # an even slot's pair of near rows; None at odd slots
         pairs[::2] = _near_pairs(history.near)
         block = np.zeros((2, _BLOCK))   # the open block's q and q^3 increments
@@ -478,8 +477,7 @@ def integrate_nonlinear(
         sums = np.zeros((2, 2))         # a pair's near sums: rows q and q^3, columns its steps
         pair_sums = memoryview(sums.reshape(4))
         ci = qi * qi * qi
-    ca, c3, c2q, c1q2, c1k, mt, jnl, kl, knl2, h, ecl, hs, g2, j2g = _step_model(
-        coeffs, e_r, dt, scale)
+    c3, c2q, c1q2, c1k, knl2, h, hs, g2, j2g = _step_model(coeffs, e_r, dt, ca)
     c3x3 = 3.0 * c3
     w0 = 4.0 / dt**2
     tol_scale = float(64.0 * np.finfo(float).eps * mt * w0)
@@ -608,11 +606,11 @@ def _step_model(coeffs: ModalCoefficients, e_r: float, dt: float, ca) -> tuple:
     """Per-run constants of ``integrate_nonlinear``'s step cubic.
 
     ``ca`` is the L1 scale dt^(-alpha)/Gamma(2-alpha), or None for the
-    classical (alpha = 1) viscous path.  The tuple is (ca, c3, c2q, c1q2,
-    c1k, M_t, Jnl, K_l, 2 K_nl, h k / 3, E_r C_l, hs, 2 g, 2 Jnl g) in the
-    notation below: the constants of the model and Newmark and what no
-    state changes, c3 and the factors of q_i in c2 and of q_i^2 in c1 and
-    c1's constant part.
+    classical (alpha = 1) viscous path.  The tuple is (c3, c2q, c1q2, c1k,
+    2 K_nl, h k / 3, hs, 2 g, 2 Jnl g) in the notation below: what no state
+    changes, c3 and the factors of q_i in c2 and of q_i^2 in c1 and c1's
+    constant part, and the products of constants the step reads.  M_t, Jnl,
+    K_l and E_r C_l the step takes from the model itself.
 
     The governing equation at the new displacement u = q_i + d leaves
 
@@ -644,8 +642,8 @@ def _step_model(coeffs: ModalCoefficients, e_r: float, dt: float, ca) -> tuple:
         p1, h, hs = ca, 3.0 * hc, hc * ca
     m1 = jnl * w0 + 2.0 * knl + h * p1
     jg2 = jnl * g * g
-    return (ca, m1 + jg2 + hs, 2.0 * m1 + jg2 + 3.0 * hs, m1 + 3.0 * hs,
-            mt * w0 + kl + ecl * p1, mt, jnl, kl, 2.0 * knl, h, ecl, hs, 2.0 * g, 2.0 * jnl * g)
+    return (m1 + jg2 + hs, 2.0 * m1 + jg2 + 3.0 * hs, m1 + 3.0 * hs,
+            mt * w0 + kl + ecl * p1, 2.0 * knl, h, hs, 2.0 * g, 2.0 * jnl * g)
 
 
 @dataclass(frozen=True)
@@ -673,30 +671,29 @@ def _least_squares_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, flo
 def envelope_fit(traj: Trajectory, window: float = 0.5) -> EnvelopeFit:
     """Extract |q| peaks in the trailing ``window`` fraction and fit envelopes.
 
-    Peaks come from a 3-point local-maximum test refined by a parabola
-    through the three samples.  Two least-squares fits are reported:
+    Peaks come from a 3-point local-maximum test (a sample at least its
+    predecessor and above its successor, so a plateau peaks at its last
+    sample) refined by a parabola through the three samples.  Two
+    least-squares fits are reported:
     log(amp) against log(t) (power law) and against t (exponential).
     """
     if not (0 < window <= 1):
         raise ValueError(f"window must lie in (0, 1], got {window}")
-    t = traj.t
     aq = np.abs(traj.q)
     n = len(aq) - 1
     i0 = max(1, int(math.floor((1.0 - window) * n)))
-    pk_t, pk_a = [], []
-    for i in range(i0, n):
-        if aq[i] >= aq[i - 1] and aq[i] > aq[i + 1]:
-            y0, y1, y2 = aq[i - 1], aq[i], aq[i + 1]
-            curv = y0 - 2.0 * y1 + y2
-            off = 0.5 * (y0 - y2) / curv if curv != 0.0 else 0.0
-            pk_t.append(t[i] + off * traj.grid.dt)
-            pk_a.append(y1 - 0.25 * (y0 - y2) * off)
-    if len(pk_t) < 5:
-        raise InsufficientDataError(
-            f"found {len(pk_t)} peaks in the window, need at least 5"
-        )
-    pk_t = np.asarray(pk_t)
-    pk_a = np.asarray(pk_a)
+    # samples i - 1, i, i + 1 for every i in [i0, n), kept where i is a peak
+    y0, y1, y2 = aq[i0 - 1:n - 1], aq[i0:n], aq[i0 + 1:n + 1]
+    peak = np.flatnonzero((y1 >= y0) & (y1 > y2))
+    if peak.size < 5:
+        raise InsufficientDataError(f"found {peak.size} peaks in the window, need at least 5")
+    y0, y1, y2 = y0[peak], y1[peak], y2[peak]
+    # y0 <= y1 > y2 makes the parabola's curvature negative in doubles (NaN
+    # or -inf at an infinite peak), so its vertex offset divides by no zero
+    curv = y0 - 2.0 * y1 + y2
+    off = 0.5 * (y0 - y2) / curv
+    pk_t = traj.t[i0 + peak] + off * traj.grid.dt
+    pk_a = y1 - 0.25 * (y0 - y2) * off
     log_a = np.log(pk_a)
     ll_slope, _, ll_r2 = _least_squares_line(np.log(pk_t), log_a)
     ex_slope, _, ex_r2 = _least_squares_line(pk_t, log_a)

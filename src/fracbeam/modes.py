@@ -47,6 +47,11 @@ _EXP_SPLIT_BETA = 15.0
 # spacing of the beta grid on which the eigen search looks for sign changes
 _GRID_STEP = 0.01
 
+# Gauss-Legendre nodes per quadrature panel, and the most times the adaptive
+# quadrature doubles its panel count before it gives up
+_GAUSS_NODES = 12
+_MAX_REFINE = 16
+
 
 @dataclass(frozen=True)
 class TipConfig:
@@ -175,11 +180,6 @@ class ModeShape:
     norm: float
     tip: TipConfig
 
-    @property
-    def omega(self) -> float:
-        """Natural frequency of the eigenproblem, w = beta^2."""
-        return self.beta**2
-
 
 def _shape_eval_raw(beta: float, b_over_a: float, j_tip: float, s, order: int):
     """Derivative of order 0..3 of the un-normalized shape (A = 1)."""
@@ -225,32 +225,32 @@ def mode_shape_eval(mode: ModeShape, s, deriv_order: int = 0):
 
 
 @functools.cache
-def _gauss_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per node count (read-only)."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once (read-only)."""
+    x, w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
-def _gauss_panels(f, n_panels: int, n_nodes: int = 12) -> float:
+def _gauss_panels(f, n_panels: int) -> float:
     """Composite Gauss-Legendre quadrature of f over [0, 1]."""
-    x, w = _gauss_rule(n_nodes)
+    x, w = _gauss_rule()
     h = 1.0 / n_panels
     starts = np.arange(n_panels) * h
     nodes = (starts[:, None] + 0.5 * h * (x[None, :] + 1.0)).ravel()
-    vals = f(nodes).reshape(n_panels, n_nodes)
+    vals = f(nodes).reshape(n_panels, _GAUSS_NODES)
     return float(0.5 * h * np.sum(vals @ w))
 
 
-def _adaptive_quad(f, rel_tol: float = 1e-10, max_refine: int = 16) -> float:
+def _adaptive_quad(f, rel_tol: float = 1e-10) -> float:
     prev = _gauss_panels(f, 4)
     n_panels = 8
-    for _ in range(max_refine):
+    for _ in range(_MAX_REFINE):
         cur = _gauss_panels(f, n_panels)
         if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
             return cur
         prev, n_panels = cur, n_panels * 2
-    raise QuadratureError(f"panel refinement stalled after {max_refine} doublings")
+    raise QuadratureError(f"panel refinement stalled after {_MAX_REFINE} doublings")
 
 
 def build_mode(tip: TipConfig, beta: float) -> ModeShape:

@@ -400,19 +400,6 @@ def steady_state_cubic(params: MmsParams, delta) -> CubicCoeffs:
     return CubicCoeffs(a1=flow.a1, a2=flow.a2, b1=delta - flow.shift, b2=flow.b2, c_rhs=c_rhs)
 
 
-def _fold_discriminant(params: MmsParams):
-    """``steady_state_cubic(params, delta).discriminant()`` as a function of a float delta.
-
-    The coefficients other than b1 = delta - shift are taken once, at zero
-    detuning; each call then composes ``_cubic`` and ``_discriminant`` on
-    floats, so its value is the same to the last bit.
-    """
-    at_zero = steady_state_cubic(params, 0.0)
-    a1, a2, b2, c_rhs = at_zero.a1, at_zero.a2, at_zero.b2, at_zero.c_rhs
-    shift = 0.0 - at_zero.b1   # b1 = 0 - shift: shift exactly, unless shift is -0.0
-    return lambda delta: _discriminant(*_cubic(a1, a2, delta - shift, b2, c_rhs))
-
-
 @dataclass(frozen=True)
 class SteadyStateRoot:
     """One admissible steady-state response point."""
@@ -536,14 +523,12 @@ def _steady_roots(coeffs: CubicCoeffs, cubic: tuple):
     gamma = np.where(np.column_stack(present), 0.0, np.nan)
     if coeffs.c_rhs > 0.0:
         # every present root is positive
-        live = [np.flatnonzero(p) for p in present]
-        a = np.concatenate([x[i] for x, i in zip(amp.T, live)])
-        b1 = np.concatenate([np.broadcast_to(coeffs.b1, len(x0))[i] for i in live])
-        a_cubed = _pow(a, 3)
-        phase = _libm(math.atan2, coeffs.a1 * a + coeffs.a2 * a_cubed, b1 * a + coeffs.b2 * a_cubed)
-        ends = np.cumsum([0] + [i.size for i in live])
-        for k, i in enumerate(live):
-            gamma[i, k] = phase[ends[k]:ends[k + 1]]
+        b1 = np.broadcast_to(coeffs.b1, len(x0))
+        for k, p in enumerate(present):
+            a = amp[p, k]
+            a_cubed = _pow(a, 3)
+            gamma[p, k] = _libm(math.atan2, coeffs.a1 * a + coeffs.a2 * a_cubed,
+                                b1[p] * a + coeffs.b2 * a_cubed)
     return n_roots, amp, gamma, stable
 
 
@@ -643,10 +628,11 @@ def frequency_sweep(
     recomputed with libm (``_grid_discriminant``), so the sign changes are
     those of ``CubicCoeffs.discriminant``.  Each sign change between
     neighbouring nodes, or node where it is zero, is bisected to 1e-10 in
-    plain floats (``_fold_discriminant``, the same ``_cubic`` and
-    ``_discriminant`` at one detuning).  The sweep costs about 1.2 us per
-    detuning in process on a 2-vCPU x86 machine with Python 3.11 (1.5-1.9
-    us in a traced benchmark pass), most of it in libm calls through
+    plain floats (the same ``_cubic`` and ``_discriminant`` at one
+    detuning).  On a 2-vCPU x86 machine with Python 3.11 the sweep costs
+    about 0.93-0.98 us per detuning, timed in one process as the best of 7
+    passes over the four 10001-point detuning sweeps of the benchmark's
+    resonance-sweep workload at seed 1.  Most of it is libm calls through
     Python: the Cardano roots, and each root's ``pow`` and ``atan2``.
 
     A descending grid bisects each bracket from its other end to the same
@@ -674,7 +660,10 @@ def frequency_sweep(
         disc = _grid_discriminant(*cubic)
         negative = disc < 0
         crossings = np.flatnonzero((disc[:-1] == 0.0) | (negative[:-1] != negative[1:])).tolist()
-        fold = _fold_discriminant(p)
+        # the discriminant at one float detuning, from the grid's coefficients
+        shift = _slow_flow(p).shift
+        fold = lambda delta: _discriminant(*_cubic(coeffs.a1, coeffs.a2, delta - shift,
+                                                   coeffs.b2, coeffs.c_rhs))
         bifurcations = [bisect(fold, float(deltas[i]), float(deltas[i + 1]), 1e-10)
                         for i in crossings]
     except OverflowError as exc:

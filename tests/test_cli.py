@@ -128,6 +128,18 @@ def test_critical_alpha_command(capsys):
     row = dict(zip(header, rows[0]))
     assert float(row["alpha_cr"]) == pytest.approx(0.7354390369, abs=1e-9)
     assert row["in_unit_interval"] == "1"
+    assert "# alpha=" not in out
+
+
+@pytest.mark.parametrize("argv", [["--omega0", "0.5"], []])
+def test_critical_alpha_takes_no_order(capsys, argv):
+    # the command solves for the order, so it has no --alpha to read
+    with pytest.raises(SystemExit) as exc:
+        main(["critical-alpha", *argv, "--alpha", "0.3"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --alpha 0.3" in captured.err
 
 
 def test_sweep_delta_three_root_interval(capsys):
@@ -971,6 +983,25 @@ def test_sweep_overflow_is_numerical_failure(capsys):
     assert caught == []
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("fracbeam: error: math range error")
+
+
+@pytest.mark.parametrize("argv", [
+    ["constitutive", "--e-alpha", "1.7e308", "--dt", "1e300"],
+    ["envelope", "--er", "0.999999", "--t-final", "1.7e308"],
+    ["sweep", "--min", "1.7e308", "--alpha", "1e-300"],
+])
+def test_overflow_is_one_line_and_no_warning(capsys, argv):
+    # numpy's overflows inside a command stay silent: the finite check, or
+    # the overflow's own error, reports the failure on one stderr line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert caught == []
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("fracbeam: error: ")
 
 
 @pytest.mark.parametrize("argv, value", [(["--f", "1e200", "--count", "5"], "f=1e+200"),

@@ -320,6 +320,69 @@ def test_envelope_needs_peaks():
         envelope_fit(traj, window=0.5)
 
 
+def loop_peaks(traj, window):
+    """``envelope_fit``'s peak times and amplitudes, found one sample at a time.
+
+    The per-sample loop ``envelope_fit`` used before its array expressions,
+    kept as their oracle.
+    """
+    t = traj.t
+    aq = np.abs(traj.q)
+    n = len(aq) - 1
+    i0 = max(1, int(math.floor((1.0 - window) * n)))
+    pk_t, pk_a = [], []
+    for i in range(i0, n):
+        if aq[i] >= aq[i - 1] and aq[i] > aq[i + 1]:
+            y0, y1, y2 = aq[i - 1], aq[i], aq[i + 1]
+            curv = y0 - 2.0 * y1 + y2
+            off = 0.5 * (y0 - y2) / curv if curv != 0.0 else 0.0
+            pk_t.append(t[i] + off * traj.grid.dt)
+            pk_a.append(y1 - 0.25 * (y0 - y2) * off)
+    return np.asarray(pk_t, dtype=float), np.asarray(pk_a, dtype=float)
+
+
+def assert_same_peaks(traj, window):
+    want_t, want_a = loop_peaks(traj, window)
+    if len(want_t) < 5:
+        with pytest.raises(InsufficientDataError, match=f"found {len(want_t)} peaks"):
+            envelope_fit(traj, window)
+        return
+    fit = envelope_fit(traj, window)
+    for got, want in ((fit.peak_times, want_t), (fit.peak_amps, want_a)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha, c, e_r, t_end, window", [
+    (0.3, 1.24, 0.1, 470.0, 0.3), (0.5, 1.24, 0.1, 300.0, 0.3), (0.7, 1.24, 0.1, 250.0, 0.3),
+    (1.0, 0.124, 1.0, 200.0, 0.5),
+])
+def test_envelope_peaks_match_the_sample_loop(alpha, c, e_r, t_end, window):
+    # the power-law decay runs of acceptance criterion 6 and its alpha = 1 run
+    grid = GridSpec(0.02, int(round(t_end / 0.02)))
+    assert_same_peaks(integrate_linear(c, 1.24, e_r, alpha, 1.0, 0.0, grid), window)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 3.0, 1e-300,
+                                   5e-324, 1e300, 1.5e308, -1.5e308]),
+                  min_size=2, max_size=120),
+       window=st.floats(0.0, 1.0, exclude_min=True),
+       dt=st.sampled_from([0.01, 0.3, 1.0]))
+def test_envelope_peaks_match_the_sample_loop_on_plateaus(q, window, dt):
+    # a small pool of values gives plateaus (aq[i] == aq[i - 1]), flat tops
+    # and peaks whose curvature 2 |q| overflows; a peak's curvature in
+    # doubles is negative or NaN, never 0, so the loop's zero branch is dead
+    from fracbeam import Trajectory
+    q = np.array(q)
+    traj = Trajectory(GridSpec(dt, len(q) - 1), q, np.zeros_like(q), np.zeros_like(q))
+    with np.errstate(all="ignore"):
+        assert_same_peaks(traj, window)
+        aq = np.abs(q)
+        peak = (aq[1:-1] >= aq[:-2]) & (aq[1:-1] > aq[2:])
+        assert not np.any(aq[:-2][peak] - 2.0 * aq[1:-1][peak] + aq[2:][peak] == 0.0)
+
+
 def test_fractional_oscillator_matches_laplace_inversion():
     # cross-method oracle: the transfer function of the fractional
     # oscillator admits exact numerical Laplace inversion (Talbot contour);

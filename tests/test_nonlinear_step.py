@@ -6,9 +6,9 @@ on here as oracles: ``closure_residual`` is that closure, and
 ``fd_slope_stepper`` is that integrator on the same ``L1History`` kernel,
 stepped one increment at a time by ``push`` and ``lag_sums``.
 ``step_cubic`` is the cubic that the integrator's loop builds inline from
-``_step_model``'s constants, written as one function, and ``replay_stepper``
-is that loop one step at a time, from the pieces it inlines, on the same
-kernel or on the direct O(N^2) history sums.  The rare
+``_step_model``'s constants (``step_model``), written as one function, and
+``replay_stepper`` is that loop one step at a time, from the pieces it
+inlines, on the same kernel or on the direct O(N^2) history sums.  The rare
 steps that Newton does not settle take the cubic's real root nearest the
 predictor from the closed form; ``mp_nearest_root`` is that root in 60-digit
 arithmetic.
@@ -85,6 +85,16 @@ def mp_nearest_root(cubic, pred):
         if not roots:
             return None
         return float(min(roots, key=lambda x: abs(x - pred)))
+
+
+def step_model(co, e_r, dt, ca):
+    """(ca, c3, c2q, c1q2, c1k, M_t, Jnl, K_l, 2 K_nl, h, E_r C_l, hs, 2 g, 2 Jnl g).
+
+    ``_step_model``'s constants, with ``ca`` and the model's own M_t, Jnl,
+    K_l and E_r C_l as the integrator binds them.
+    """
+    c3, c2q, c1q2, c1k, knl2, h, hs, g2, j2g = _step_model(co, e_r, dt, ca)
+    return ca, c3, c2q, c1q2, c1k, co.m_modal, co.j_nl, co.k_l, knl2, h, e_r * co.c_l, hs, g2, j2g
 
 
 def step_cubic(model, qi, vi, ai, force, lag_q, lag_c):
@@ -216,7 +226,7 @@ def replay_stepper(co, mat, q0, v0, grid, base_accel, direct=False):
         num0 -= e_r * co.c_l * vi + 3.0 * e_r * co.c_nl * qi**2 * vi
     ai = num0 / (co.m_modal + co.j_nl * qi**2)
     history = None if classical else L1History(alpha, dt, n, channels=2)
-    model = _step_model(co, e_r, dt, None if classical else history.scale)
+    model = step_model(co, e_r, dt, None if classical else history.scale)
     if direct and not classical:
         b, x = l1_weights(alpha, n + 1), np.empty((2, n))   # the q and q^3 increments
     w0 = 4.0 / dt**2
@@ -281,7 +291,7 @@ def test_step_cubic_matches_closure_residual(case, j, k, c, alpha, e_r, log10_dt
     co = scaled(case1_coeffs if case == "no-tip" else case2_coeffs, j, k, c)
     dt = 10.0**log10_dt
     ca = None if alpha == 1.0 else L1History(alpha, dt, 1).scale
-    c3, c2, c1, c0 = step_cubic(_step_model(co, e_r, dt, ca), qi, vi, ai, fo, lag_q, lag_c)
+    c3, c2, c1, c0 = step_cubic(step_model(co, e_r, dt, ca), qi, vi, ai, fo, lag_q, lag_c)
     u = qi + d
     d = u - qi     # exact, so both sides see the same u
     got = ((c3 * d + c2) * d + c1) * d + c0
@@ -306,7 +316,7 @@ def test_closed_form_picks_the_root_nearest_the_predictor(case, j, k, c, alpha, 
     co = scaled(case1_coeffs if case == "no-tip" else case2_coeffs, j, k, c)
     dt = 10.0**log10_dt
     ca = None if alpha == 1.0 else L1History(alpha, dt, 1).scale
-    cubic = step_cubic(_step_model(co, e_r, dt, ca), qi, vi, ai, fo, lag_q, lag_c)
+    cubic = step_cubic(step_model(co, e_r, dt, ca), qi, vi, ai, fo, lag_q, lag_c)
     pred = dt * vi + 0.5 * dt * dt * ai
     want = mp_nearest_root(cubic, pred)
     got = _nearest_root(*cubic, pred)
@@ -488,7 +498,7 @@ def step_cubic_at(co, mat, traj, base, step):
     if not classical:
         for u, qi in zip(traj.q[1:step].tolist(), traj.q[:step - 1].tolist()):
             push(history, u - qi, u * u * u - qi * qi * qi)
-    model = _step_model(co, mat.e_r, dt, None if classical else history.scale)
+    model = step_model(co, mat.e_r, dt, None if classical else history.scale)
     force = -co.m_b * base.values(traj.grid.times())[step]
     qi, vi, ai = traj.q[step - 1], traj.v[step - 1], traj.a[step - 1]
     lags = (None, 0.0) if classical else lag_sums(history)

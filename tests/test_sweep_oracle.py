@@ -9,7 +9,8 @@ discriminant without calling into the library's solver.
 
 The sweep signs its grid discriminant with numpy products and bisects folds
 on a plain-float closure; both are checked here against the libm formula of
-``CubicCoeffs.discriminant``, bit for bit, also next to and on the folds.
+``CubicCoeffs.discriminant``, bit for bit, also next to and on the folds:
+its sign changes, bisected (``public_folds``), are the sweep's folds.
 The root filter, which sorts, dedupes, counts and tags the roots as three
 columns, is checked against its (n, 3) form, ``conftest.matrix_steady_roots``.
 """
@@ -27,7 +28,7 @@ from fracbeam import (CubicCoeffs, MmsParams, frequency_sweep, solve_steady_ampl
 from fracbeam.modes import bisect
 from conftest import matrix_steady_roots
 from fracbeam import multiscale
-from fracbeam.multiscale import _discriminant, _fold_discriminant, _grid_discriminant, _sort3
+from fracbeam.multiscale import _discriminant, _grid_discriminant, _sort3
 
 # published no-tip rates, the lumped oscillator of the time-domain study
 # (pronounced folds at f = 1), and a tip-mass rate set
@@ -274,6 +275,25 @@ def test_single_point_solver_matches_oracle():
 
 # ------------------------------------- the sweep's discriminants, bit for bit
 
+def public_discriminant(params):
+    """``steady_state_cubic(params, delta).discriminant()`` as a function of a float delta."""
+    return lambda delta: float(steady_state_cubic(params, delta).discriminant())
+
+
+def public_folds(params, deltas):
+    """The sweep's folds from the public discriminant, as hex strings.
+
+    Each sign change between neighbouring nodes of ``deltas``, or node where
+    the discriminant is zero, bisected to 1e-10 from the lower-index node.
+    """
+    disc = public_discriminant(params)
+    deltas = [float(d) for d in deltas]
+    values = [disc(d) for d in deltas]
+    return [bisect(disc, lo, hi, 1e-10).hex()
+            for lo, hi, v_lo, v_hi in zip(deltas, deltas[1:], values, values[1:])
+            if v_lo == 0.0 or (v_lo < 0) != (v_hi < 0)]
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     case=st.sampled_from(sorted(CASES)),
@@ -281,22 +301,20 @@ def test_single_point_solver_matches_oracle():
     alpha=st.floats(0.0, 1.0, exclude_min=True),
     e_r=st.just(0.0) | st.floats(0.01, 1.0),
     f=st.floats(0.0, 3.0),
-    delta=st.floats(-5.0, 25.0),
+    descending=st.booleans(),
 )
-@example(case="no-tip", nonlinearity=1.0, alpha=0.2, e_r=0.3, f=1.0, delta=1.5)
-@example(case="tip-mass", nonlinearity=1.0, alpha=0.5, e_r=0.1, f=0.5, delta=2.5)
-@example(case="lumped", nonlinearity=1.0, alpha=0.4, e_r=0.3, f=0.0, delta=1.0)
-def test_fold_closure_is_the_discriminant(case, nonlinearity, alpha, e_r, f, delta):
+@example(case="no-tip", nonlinearity=1.0, alpha=0.2, e_r=0.3, f=1.0, descending=False)
+@example(case="tip-mass", nonlinearity=1.0, alpha=0.5, e_r=0.1, f=0.5, descending=True)
+@example(case="lumped", nonlinearity=1.0, alpha=0.4, e_r=0.3, f=0.0, descending=False)
+def test_fold_closure_is_the_discriminant(case, nonlinearity, alpha, e_r, f, descending):
+    # the sweep bisects its folds on a closure over the grid's coefficients:
+    # the folds are the public discriminant's, bisected, to the last bit
     base = CASES[case]
     params = replace(base, c_nl=base.c_nl * nonlinearity, k_nl=base.k_nl * nonlinearity,
                      m_nl=base.m_nl * nonlinearity, alpha=alpha, e_r=e_r, f=f)
-    fold = _fold_discriminant(params)
-    # a free detuning, then every fold the sweep bisects and its two neighbours
-    points = [delta]
-    for x in frequency_sweep(params, np.linspace(-5.0, 25.0, 121)).bifurcations:
-        points += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
-    for d in points:
-        assert fold(d).hex() == float(steady_state_cubic(params, d).discriminant()).hex()
+    grid = np.linspace(-5.0, 25.0, 121)[::-1 if descending else 1]
+    got = frequency_sweep(params, grid).bifurcations
+    assert [x.hex() for x in got] == public_folds(params, grid)
 
 
 @pytest.mark.parametrize("case, alpha, f", [("no-tip", 0.2, 1.0), ("lumped", 0.2, 1.0),
@@ -308,10 +326,14 @@ def test_grid_discriminant_signs_on_folds(case, alpha, f):
     coarse = np.linspace(-5.0, 25.0, 3001)
     folds = frequency_sweep(params, coarse).bifurcations
     assert folds
+    # the folds, on the grid and on the grid reversed, are the public discriminant's
+    assert [x.hex() for x in folds] == public_folds(params, coarse)
+    down = frequency_sweep(params, coarse[::-1]).bifurcations
+    assert [x.hex() for x in down] == public_folds(params, coarse[::-1])
     for x in folds:
         # bisected with no tolerance, down to a double next to the sign change
         i = int(np.searchsorted(coarse, x))
-        x = bisect(_fold_discriminant(params), float(coarse[i - 1]), float(coarse[i]), 0.0)
+        x = bisect(public_discriminant(params), float(coarse[i - 1]), float(coarse[i]), 0.0)
         nodes = x + np.arange(-1000, 1001) * math.ulp(x)
         cubic = steady_state_cubic(params, nodes).cubic()
         got, want = _grid_discriminant(*cubic), _discriminant(*cubic)
